@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
 """Run the bundled demo scenarios and summarize the energy-bound audits.
 
-Writes traces.csv / report.json per scenario under --out-dir (default
-./demo_runs) and prints one line per run.
+Each scenario goes through ``hyperstab simulate``, which writes traces.csv /
+report.json under --out-dir (default ./demo_runs); one line per run is printed
+from its report.
 """
 
 import argparse
+import contextlib
+import io
+import json
 import os
 from importlib import resources
 
-from hyperstab.harness import run_closed_loop, scenario_from_json_dict, write_run_artifacts
-
-import json
+from hyperstab.cli import EXIT_DIVERGED, EXIT_OK, main as cli_main
 
 
 def main() -> int:
@@ -22,18 +24,25 @@ def main() -> int:
     scenario_dir = resources.files("hyperstab").joinpath("data/scenarios")
     names = sorted(p.name for p in scenario_dir.iterdir() if p.name.endswith(".json"))
     print(f"{'scenario':<28} {'grade':<6} {'verdict':<36} violations")
+    status = 0
     for name in names:
-        data = json.loads(scenario_dir.joinpath(name).read_text())
-        run = run_closed_loop(scenario_from_json_dict(data))
         out = os.path.join(args.out_dir, name.removesuffix(".json"))
-        write_run_artifacts(run, out)
-        n_viol = run.bound_audit.violation_count if run.bound_audit else "-"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main(["simulate", "--scenario",
+                             str(scenario_dir.joinpath(name)), "--out-dir", out])
+        if code not in (EXIT_OK, EXIT_DIVERGED):
+            print(f"{name:<28} simulate failed with exit code {code}")
+            status = 1
+            continue
+        with open(os.path.join(out, "report.json")) as fh:
+            report = json.load(fh)
+        n_viol = report["bound_violation_count"]
         print(
-            f"{name:<28} {run.classification.grade.value:<6} "
-            f"{run.verdict.value:<36} {n_viol}"
+            f"{name:<28} {report['classification']['grade']:<6} "
+            f"{report['verdict']:<36} {'-' if n_viol is None else n_viol}"
         )
     print(f"artifacts under {args.out_dir}/")
-    return 0
+    return status
 
 
 if __name__ == "__main__":

@@ -1,21 +1,25 @@
 """Feedback devices for the negative-feedback loop, with Popov declarations.
 
-Every device maps the plant output y to its own output v. The quadrant
-devices (static sector, odd power, time-varying gain, deadzone, relay)
-guarantee v*y >= 0 pointwise, hence a zero Popov constant. The regenerative
-pulse is the designated counter-agent: on its configured interval it injects
-energy regardless of y, which makes its running input/output integral go
-negative while staying bounded, so a finite Popov constant still exists.
+Every device maps the plant output y to its own output v. Each device kind has
+one entry in ``_LAWS``: it reads and checks the kind's parameters once, when
+the ``DeviceSpec`` is built, and returns the kind's ``DeviceLaw``. Evaluation
+(``apply_device``, the closed-loop runner), the Popov declaration and the
+device audit all read that one law.
 
-Devices are memoryless in this version; the state slot is threaded through
-``apply_device`` for future stateful kinds.
+The quadrant devices (static sector, odd power, time-varying gain, deadzone,
+relay) guarantee v*y >= 0 pointwise, hence a zero Popov constant. The
+regenerative pulse is the designated counter-agent: on its configured interval
+it injects energy regardless of y, which makes its running input/output
+integral go negative while staying bounded, so a finite Popov constant still
+exists. Devices are memoryless.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -37,73 +41,152 @@ class DeviceKind(str, enum.Enum):
 class PopovDeclaration(str, enum.Enum):
     ALWAYS_ZERO_GAMMA = "AlwaysPopovWithZeroGamma"
     FINITE_GAMMA = "PopovWithFiniteGamma"
-    MAY_VIOLATE = "MayViolate"
 
 
-_QUADRANT_KINDS = frozenset(
-    {
-        DeviceKind.STATIC_SECTOR,
-        DeviceKind.CUBIC_ODD_POWER,
-        DeviceKind.TIME_VARYING_GAIN,
-        DeviceKind.DEADZONE_SECTOR,
-        DeviceKind.RELAY,
-    }
-)
+@dataclass(frozen=True)
+class DeviceLaw:
+    """One device kind with its parameters bound.
+
+    ``f(y, t)`` is the map v = F(y, t). ``affine`` is ``(gain(t), offset(t))``
+    when F(y, t) = gain(t)*y + offset(t), which lets the loop solve a direct
+    feedthrough exactly; otherwise None. ``injection`` is the pulse's
+    ``(t_start, t_end)`` interval, None for quadrant devices.
+    """
+
+    f: Callable[[float, float], float]
+    affine: tuple[Callable[[float], float], Callable[[float], float]] | None
+    declared: PopovDeclaration
+    injection: tuple[float, float] | None = None
+
+
+def _number(params: dict, name: str, default: float) -> float:
+    value = params.get(name, default)
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise InvalidParams(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(x):
+        raise InvalidParams(f"{name} must be finite, got {x}")
+    return x
+
+
+def _sector(params: dict) -> tuple[float, float]:
+    """(k1, gain) of a sector device with slopes 0 <= k1 <= gain <= k2."""
+    k1 = _number(params, "k1", 0.0)
+    k2 = _number(params, "k2", k1)
+    if not 0.0 <= k1 <= k2:
+        raise InvalidParams(f"sector slopes need 0 <= k1 <= k2, got {k1}, {k2}")
+    # the midpoint of [k1, k2] rounds into [k1, k2], so no clamp is needed
+    gain = _number(params, "gain", 0.5 * (k1 + k2))
+    if not k1 <= gain <= k2:
+        raise InvalidParams("nominal gain must lie inside [k1, k2]")
+    return k1, gain
+
+
+def _zero(t: float) -> float:
+    return 0.0
+
+
+def _static_sector(params: dict) -> DeviceLaw:
+    _, k = _sector(params)
+    return DeviceLaw(lambda y, t: k * y, (lambda t: k, _zero),
+                     PopovDeclaration.ALWAYS_ZERO_GAMMA)
+
+
+def _deadzone_sector(params: dict) -> DeviceLaw:
+    k1, k = _sector(params)
+    dz = _number(params, "deadzone", 0.0)
+    if dz < 0:
+        raise InvalidParams("deadzone width must be nonnegative")
+    if dz > 0 and k1 > 0:
+        raise InvalidParams(
+            "a deadzone forces v*y = 0 near the origin, so k1 must be 0"
+        )
+    # sector response applies to y itself outside the zone, so the map jumps
+    # at |y| = deadzone; pair with strictly proper plants (D = 0) when loop
+    # well-posedness matters
+    return DeviceLaw(lambda y, t: 0.0 if abs(y) <= dz else k * y, None,
+                     PopovDeclaration.ALWAYS_ZERO_GAMMA)
+
+
+def _cubic_odd_power(params: dict) -> DeviceLaw:
+    p = _number(params, "p", 3)
+    if int(p) != p or p < 1 or p % 2 == 0:
+        raise InvalidParams(f"exponent must be an odd integer >= 1, got {p}")
+    exp = int(p)
+    return DeviceLaw(lambda y, t: y ** exp, None, PopovDeclaration.ALWAYS_ZERO_GAMMA)
+
+
+def _time_varying_gain(params: dict) -> DeviceLaw:
+    try:
+        arr = np.asarray(params.get("samples", ()), dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidParams("gain samples must be a list of numbers") from None
+    sdt = _number(params, "sample_dt", 0.0)
+    if arr.ndim != 1 or arr.size < 1 or sdt <= 0:
+        raise InvalidParams("time-varying gain needs samples and sample_dt > 0")
+    if not np.all((arr >= 0.0) & (arr < np.inf)):
+        raise InvalidParams("gain samples must be finite and nonnegative")
+    samples = tuple(arr.tolist())
+    last = len(samples) - 1
+
+    def gain(t: float) -> float:
+        return samples[min(int(t / sdt), last)]
+
+    return DeviceLaw(lambda y, t: gain(t) * y, (gain, _zero),
+                     PopovDeclaration.ALWAYS_ZERO_GAMMA)
+
+
+def _relay(params: dict) -> DeviceLaw:
+    a = _number(params, "amplitude", 0.0)
+    if a <= 0:
+        raise InvalidParams("relay amplitude must be positive")
+    return DeviceLaw(lambda y, t: a if y > 0.0 else (-a if y < 0.0 else 0.0), None,
+                     PopovDeclaration.ALWAYS_ZERO_GAMMA)
+
+
+def _regenerative_pulse(params: dict) -> DeviceLaw:
+    t0 = _number(params, "t_start", 0.0)
+    t1 = _number(params, "t_end", 0.0)
+    rate = _number(params, "rate", 0.0)
+    if not t1 > t0 >= 0.0:
+        raise InvalidParams("pulse interval needs t_end > t_start >= 0")
+    if rate <= 0:
+        raise InvalidParams("injection rate must be positive")
+
+    def offset(t: float) -> float:
+        return -rate if t0 <= t < t1 else 0.0
+
+    # the pulse injects a bounded amount of energy by construction, so a
+    # finite Popov constant always exists
+    return DeviceLaw(lambda y, t: offset(t), (_zero, offset),
+                     PopovDeclaration.FINITE_GAMMA, injection=(t0, t1))
+
+
+_LAWS: dict[DeviceKind, Callable[[dict], DeviceLaw]] = {
+    DeviceKind.STATIC_SECTOR: _static_sector,
+    DeviceKind.CUBIC_ODD_POWER: _cubic_odd_power,
+    DeviceKind.TIME_VARYING_GAIN: _time_varying_gain,
+    DeviceKind.RELAY: _relay,
+    DeviceKind.REGENERATIVE_PULSE: _regenerative_pulse,
+    DeviceKind.DEADZONE_SECTOR: _deadzone_sector,
+}
 
 
 @dataclass(frozen=True)
 class DeviceSpec:
     kind: DeviceKind
     params: dict[str, Any] = field(default_factory=dict)
+    law: DeviceLaw = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "kind", DeviceKind(self.kind))
-        _validate_params(self.kind, self.params)
+        if not isinstance(self.params, dict):
+            raise InvalidParams("device params must be a mapping of names to values")
+        object.__setattr__(self, "law", _LAWS[self.kind](self.params))
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind.value, "params": dict(self.params)}
-
-
-def _validate_params(kind: DeviceKind, params: dict) -> None:
-    if kind in (DeviceKind.STATIC_SECTOR, DeviceKind.DEADZONE_SECTOR):
-        k1 = float(params.get("k1", 0.0))
-        k2 = float(params.get("k2", k1))
-        if not (0.0 <= k1 <= k2 < np.inf):
-            raise InvalidParams(f"sector slopes need 0 <= k1 <= k2, got {k1}, {k2}")
-        if "gain" in params:
-            gain = float(params["gain"])
-            if not (k1 <= gain <= k2):
-                raise InvalidParams("nominal gain must lie inside [k1, k2]")
-        if kind is DeviceKind.DEADZONE_SECTOR:
-            dz = float(params.get("deadzone", 0.0))
-            if dz < 0:
-                raise InvalidParams("deadzone width must be nonnegative")
-            if dz > 0 and k1 > 0:
-                raise InvalidParams(
-                    "a deadzone forces v*y = 0 near the origin, so k1 must be 0"
-                )
-    elif kind is DeviceKind.CUBIC_ODD_POWER:
-        p = params.get("p", 3)
-        if int(p) != p or p < 1 or p % 2 == 0:
-            raise InvalidParams(f"exponent must be an odd integer >= 1, got {p}")
-    elif kind is DeviceKind.TIME_VARYING_GAIN:
-        samples = np.asarray(params.get("samples", ()), dtype=float)
-        sample_dt = float(params.get("sample_dt", 0.0))
-        if samples.size < 1 or sample_dt <= 0:
-            raise InvalidParams("time-varying gain needs samples and sample_dt > 0")
-        if np.any(samples < 0):
-            raise InvalidParams("gain samples must be nonnegative")
-    elif kind is DeviceKind.RELAY:
-        if float(params.get("amplitude", 0.0)) <= 0:
-            raise InvalidParams("relay amplitude must be positive")
-    elif kind is DeviceKind.REGENERATIVE_PULSE:
-        t0 = float(params.get("t_start", 0.0))
-        t1 = float(params.get("t_end", 0.0))
-        rate = float(params.get("rate", 0.0))
-        if not (t1 > t0 >= 0.0):
-            raise InvalidParams("pulse interval needs t_end > t_start >= 0")
-        if rate <= 0:
-            raise InvalidParams("injection rate must be positive")
 
 
 def sampled_gain(fn, duration: float, sample_dt: float) -> dict:
@@ -112,50 +195,14 @@ def sampled_gain(fn, duration: float, sample_dt: float) -> dict:
     return {"samples": [float(fn(t)) for t in ts], "sample_dt": sample_dt}
 
 
-def apply_device(
-    spec: DeviceSpec, y: float, t: float, state: Any = None
-) -> tuple[float, Any]:
-    """Evaluate v = F(y, t); returns (v, state') with state threaded through."""
-    kind, p = spec.kind, spec.params
-    if kind is DeviceKind.STATIC_SECTOR:
-        k1 = float(p.get("k1", 0.0))
-        k2 = float(p.get("k2", k1))
-        gain = float(p.get("gain", 0.5 * (k1 + k2)))
-        return min(max(gain, k1), k2) * y, state
-    if kind is DeviceKind.CUBIC_ODD_POWER:
-        return y ** int(p.get("p", 3)), state
-    if kind is DeviceKind.TIME_VARYING_GAIN:
-        samples = p["samples"]
-        idx = min(int(t / float(p["sample_dt"])), len(samples) - 1)
-        return float(samples[idx]) * y, state
-    if kind is DeviceKind.RELAY:
-        a = float(p["amplitude"])
-        return (a if y > 0 else -a if y < 0 else 0.0), state
-    if kind is DeviceKind.DEADZONE_SECTOR:
-        # sector response applies to y itself outside the zone, so the map
-        # jumps at |y| = deadzone; pair with strictly proper plants (D = 0)
-        # when loop well-posedness matters
-        dz = float(p.get("deadzone", 0.0))
-        if abs(y) <= dz:
-            return 0.0, state
-        k1 = float(p.get("k1", 0.0))
-        k2 = float(p.get("k2", k1))
-        gain = float(p.get("gain", 0.5 * (k1 + k2)))
-        return min(max(gain, k1), k2) * y, state
-    if kind is DeviceKind.REGENERATIVE_PULSE:
-        if float(p["t_start"]) <= t < float(p["t_end"]):
-            return -float(p["rate"]), state
-        return 0.0, state
-    raise InvalidParams(f"unknown device kind {kind}")
+def apply_device(spec: DeviceSpec, y: float, t: float) -> float:
+    """Evaluate v = F(y, t)."""
+    return spec.law.f(y, t)
 
 
 def declared_popov_status(spec: DeviceSpec) -> PopovDeclaration:
     """A-priori Popov declaration implied by the device class."""
-    if spec.kind in _QUADRANT_KINDS:
-        return PopovDeclaration.ALWAYS_ZERO_GAMMA
-    # The pulse injects a bounded amount of energy by construction, so a
-    # finite constant always exists.
-    return PopovDeclaration.FINITE_GAMMA
+    return spec.law.declared
 
 
 @dataclass(frozen=True)
@@ -181,18 +228,17 @@ def device_popov_audit(spec: DeviceSpec, v: Signal, y: Signal) -> DevicePopovSta
     negative during the injection interval whenever the pulse opposed the
     output there.
     """
-    declared = declared_popov_status(spec)
+    law = spec.law
     audit = popov_audit(v, y)
     injection_negative: bool | None = None
-    if declared is PopovDeclaration.ALWAYS_ZERO_GAMMA:
+    if law.declared is PopovDeclaration.ALWAYS_ZERO_GAMMA:
         if audit.gamma0_sq > QUADRANT_GAMMA_TOL:
             raise DeclarationViolated(
                 f"{spec.kind.value} measured gamma0^2 = {audit.gamma0_sq}, "
                 "expected 0 for a first/third-quadrant device"
             )
-    if spec.kind is DeviceKind.REGENERATIVE_PULSE:
-        t0 = float(spec.params["t_start"])
-        t1 = float(spec.params["t_end"])
+    if law.injection is not None:
+        t0, t1 = law.injection
         ts = v.times()
         window = (ts > t0) & (ts <= t1)
         if np.any(window):
@@ -203,7 +249,7 @@ def device_popov_audit(spec: DeviceSpec, v: Signal, y: Signal) -> DevicePopovSta
                 opposed and np.min(trace.E[window]) < 0.0
             )
     return DevicePopovStatus(
-        declared=declared,
+        declared=law.declared,
         measured_gamma0_sq=audit.gamma0_sq,
         injection_energy_negative=injection_negative,
     )

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class HyperstabError(Exception):
@@ -67,7 +67,3 @@ class GradeUnsupported(HyperstabError):
 
 class SchemaError(HyperstabError):
     pass
-
-
-class NonPopovDeviceWarning(UserWarning):
-    """The feedback device does not come with a usable Popov declaration."""

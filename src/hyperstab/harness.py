@@ -1,11 +1,14 @@
 """Closed-loop runner and bound-chain auditor for negative feedback loops.
 
 The loop is ``u = e - F(y)`` around a realized plant, stepped with the exact
-zero-order-hold discretization. Plants of relative degree zero have direct
-feedthrough, so each step solves the scalar algebraic loop
-``y = C x + D (e - F(y))`` by safeguarded Newton with a bisection fallback;
-for monotone devices and ``D >= 0`` the residual is strictly increasing in y,
-which makes the root unique.
+zero-order-hold discretization by one loop for every plant order, zero
+included: the state is a list of floats, ``c = C x`` and ``x' = Ad x + Bd u``
+are row sums, and the overflow guard on y runs at every order. Plants of
+relative degree zero have direct feedthrough, so each step solves the scalar
+algebraic loop ``y = c + D (e - F(y))``, exactly for affine devices and
+otherwise by safeguarded Newton with a bisection fallback; for monotone
+devices and ``D >= 0`` the residual is strictly increasing in y, which makes
+the root unique.
 
 Energy bookkeeping. The trace energy ``E_io(t) = <u, y>_t`` uses the recorded
 output and is what the serialized CSV reproduces. The bound chains, however,
@@ -23,25 +26,18 @@ from __future__ import annotations
 
 import enum
 import json
-import warnings
+from array import array
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Callable
 
 import numpy as np
 
-from .devices import (
-    DeviceKind,
-    DevicePopovStatus,
-    DeviceSpec,
-    PopovDeclaration,
-    apply_device,
-    device_popov_audit,
-)
+from .devices import DevicePopovStatus, DeviceSpec, device_popov_audit
 from .errors import (
     AlgebraicLoopNoConvergence,
     DimensionMismatch,
     GradeUnsupported,
-    NonPopovDeviceWarning,
     SchemaError,
 )
 from .ltisim import ImpulseResponse, convolve, impulse_response, realize, zoh_pair
@@ -61,7 +57,7 @@ BOUND_FACTOR = 10.0
 OVERFLOW_GUARD = 1e9
 NEWTON_MAX_ITER = 50
 NEWTON_TOL = 1e-12
-VIOLATION_CAP = 10_000
+VIOLATION_CAP = 50
 
 
 class Verdict(str, enum.Enum):
@@ -135,6 +131,7 @@ def scenario_from_json_dict(data: dict) -> Scenario:
     except KeyError as exc:
         raise SchemaError(f"device missing field {exc}") from None
     except ValueError as exc:
+        # parameter errors are InvalidParams, so only the kind lookup lands here
         raise SchemaError(f"unknown device kind: {exc}") from None
     exc_spec = data.get("excitation")
     excitation = None
@@ -213,7 +210,7 @@ class BoundChainAudit:
             "chains": chains,
             "violation_count": self.violation_count,
             "chain_violation_counts": dict(self.chain_violations),
-            "violations": [v.to_json_dict() for v in self.violations[:50]],
+            "violations": [v.to_json_dict() for v in self.violations],
             "note": self.note,
         }
 
@@ -231,62 +228,6 @@ class SimulationRun:
     bound_audit: BoundChainAudit | None
     verdict: Verdict
     diverged_at: float | None = None
-
-
-def _compile_device(spec: DeviceSpec) -> Callable[[float, float], float]:
-    """Bind device parameters into a fast scalar map equivalent to apply_device."""
-    kind, p = spec.kind, spec.params
-    if kind is DeviceKind.STATIC_SECTOR:
-        k1 = float(p.get("k1", 0.0))
-        k2 = float(p.get("k2", k1))
-        k = min(max(float(p.get("gain", 0.5 * (k1 + k2))), k1), k2)
-        return lambda y, t: k * y
-    if kind is DeviceKind.CUBIC_ODD_POWER:
-        exp = int(p.get("p", 3))
-        return lambda y, t: y ** exp
-    if kind is DeviceKind.TIME_VARYING_GAIN:
-        samples = tuple(float(s) for s in p["samples"])
-        sdt = float(p["sample_dt"])
-        last = len(samples) - 1
-        return lambda y, t: samples[min(int(t / sdt), last)] * y
-    if kind is DeviceKind.RELAY:
-        a = float(p["amplitude"])
-        return lambda y, t: a if y > 0.0 else (-a if y < 0.0 else 0.0)
-    if kind is DeviceKind.DEADZONE_SECTOR:
-        dz = float(p.get("deadzone", 0.0))
-        k1 = float(p.get("k1", 0.0))
-        k2 = float(p.get("k2", k1))
-        k = min(max(float(p.get("gain", 0.5 * (k1 + k2))), k1), k2)
-        return lambda y, t: 0.0 if abs(y) <= dz else k * y
-    if kind is DeviceKind.REGENERATIVE_PULSE:
-        t0, t1 = float(p["t_start"]), float(p["t_end"])
-        rate = float(p["rate"])
-        return lambda y, t: -rate if t0 <= t < t1 else 0.0
-    return lambda y, t: apply_device(spec, y, t)[0]
-
-
-def _compile_affine(spec: DeviceSpec):
-    """(gain(t), offset(t)) for devices with F(y, t) = gain*y + offset, else None.
-
-    Affine devices admit an exact algebraic-loop solve, which avoids Newton on
-    every step of long runs.
-    """
-    kind, p = spec.kind, spec.params
-    if kind is DeviceKind.STATIC_SECTOR:
-        k1 = float(p.get("k1", 0.0))
-        k2 = float(p.get("k2", k1))
-        k = min(max(float(p.get("gain", 0.5 * (k1 + k2))), k1), k2)
-        return (lambda t: k), (lambda t: 0.0)
-    if kind is DeviceKind.TIME_VARYING_GAIN:
-        samples = tuple(float(s) for s in p["samples"])
-        sdt = float(p["sample_dt"])
-        last = len(samples) - 1
-        return (lambda t: samples[min(int(t / sdt), last)]), (lambda t: 0.0)
-    if kind is DeviceKind.REGENERATIVE_PULSE:
-        t0, t1 = float(p["t_start"]), float(p["t_end"])
-        rate = float(p["rate"])
-        return (lambda t: 0.0), (lambda t: -rate if t0 <= t < t1 else 0.0)
-    return None
 
 
 def _solve_output(c: float, D: float, e: float, f: Callable[[float], float],
@@ -367,95 +308,59 @@ def _solve_output(c: float, D: float, e: float, f: Callable[[float], float],
 def _simulate(sc: Scenario):
     """Step the loop; returns raw trace arrays and the divergence time, if any."""
     ss = realize(sc.plant)
-    n = ss.order
-    x = np.asarray(sc.x0, dtype=float)
-    if x.size != n:
+    if len(sc.x0) != ss.order:
         raise DimensionMismatch(
-            f"x0 has {x.size} entries, plant realization has order {n}"
+            f"x0 has {len(sc.x0)} entries, plant realization has order {ss.order}"
         )
+    ad, bd = zoh_pair(ss, sc.dt)
+    rows = list(zip(ad.tolist(), bd.reshape(-1).tolist()))
+    c_row = ss.C.reshape(-1).tolist()
+    x = list(sc.x0)
     n_steps = int(round(sc.horizon / sc.dt))
     dt = sc.dt
     amp = sc.excitation.amplitude if sc.excitation else 0.0
     dur = sc.excitation.duration if sc.excitation else -1.0
-    f = _compile_device(sc.device)
-    affine = _compile_affine(sc.device)
+    f = sc.device.law.f
+    gain, offset = sc.device.law.affine or (None, None)
     D = ss.D
     guard = OVERFLOW_GUARD
 
-    u_list: list[float] = []
-    y_list: list[float] = []
-    v_list: list[float] = []
-    e_list: list[float] = []
-    push_u, push_y = u_list.append, y_list.append
-    push_v, push_e = v_list.append, e_list.append
+    u_buf, y_buf, v_buf, e_buf = array("d"), array("d"), array("d"), array("d")
+    push_u, push_y = u_buf.append, y_buf.append
+    push_v, push_e = v_buf.append, e_buf.append
     diverged_at = None
-
-    def _output(c_val: float, e_val: float, t: float, k: int) -> float:
+    for k in range(n_steps + 1):
+        t = k * dt
+        e = amp if t < dur else 0.0
+        c = sum(map(mul, c_row, x), 0.0)
         if D == 0.0:
-            return c_val
-        if affine is not None:
-            gain, offset = affine
+            yk = c
+        elif gain is not None:
             denom = 1.0 + D * gain(t)
             if abs(denom) < 1e-12:
                 raise AlgebraicLoopNoConvergence(
                     f"degenerate affine loop at step {k}: 1 + D*k = {denom}"
                 )
-            return (c_val + D * (e_val - offset(t))) / denom
-        return _solve_output(c_val, D, e_val, lambda yy: f(yy, t), k)
-
-    if n == 1:
-        ad, bd = zoh_pair(ss, dt)
-        a11, b1, c1 = float(ad[0, 0]), float(bd[0, 0]), float(ss.C[0, 0])
-        xs = float(x[0])
-        for k in range(n_steps + 1):
-            t = k * dt
-            e = amp if t < dur else 0.0
-            yk = _output(c1 * xs, e, t, k) if D != 0.0 else c1 * xs
-            if yk > guard or yk < -guard or yk != yk:
-                diverged_at = t
-                break
-            vk = f(yk, t)
-            uk = e - vk
-            push_u(uk)
-            push_y(yk)
-            push_v(vk)
-            push_e(e)
-            xs = a11 * xs + b1 * uk
-    elif n == 0:
-        for k in range(n_steps + 1):
-            t = k * dt
-            e = amp if t < dur else 0.0
-            yk = _output(0.0, e, t, k)
-            vk = f(yk, t)
-            push_u(e - vk)
-            push_y(yk)
-            push_v(vk)
-            push_e(e)
-    else:
-        ad, bd = zoh_pair(ss, dt)
-        bd = bd.reshape(-1)
-        c_row = ss.C.reshape(-1)
-        for k in range(n_steps + 1):
-            t = k * dt
-            e = amp if t < dur else 0.0
-            yk = _output(float(c_row @ x), e, t, k)
-            if yk > guard or yk < -guard or yk != yk:
-                diverged_at = t
-                break
-            vk = f(yk, t)
-            uk = e - vk
-            push_u(uk)
-            push_y(yk)
-            push_v(vk)
-            push_e(e)
-            x = ad @ x + bd * uk
-    if len(u_list) < 2:
+            yk = (c + D * (e - offset(t))) / denom
+        else:
+            yk = _solve_output(c, D, e, lambda yy: f(yy, t), k)
+        if yk > guard or yk < -guard or yk != yk:
+            diverged_at = t
+            break
+        vk = f(yk, t)
+        uk = e - vk
+        push_u(uk)
+        push_y(yk)
+        push_v(vk)
+        push_e(e)
+        x = [sum(map(mul, row, x), b * uk) for row, b in rows]
+    if len(u_buf) < 2:
         raise AlgebraicLoopNoConvergence(
             "trajectory left the overflow guard within the first step"
         )
     return (
-        np.asarray(u_list), np.asarray(y_list), np.asarray(v_list),
-        np.asarray(e_list), diverged_at,
+        np.frombuffer(u_buf), np.frombuffer(y_buf), np.frombuffer(v_buf),
+        np.frombuffer(e_buf), diverged_at,
     )
 
 
@@ -546,10 +451,7 @@ def verify_bound_chain(run: SimulationRun) -> BoundChainAudit:
 
 def convergence_verdict(run: SimulationRun) -> Verdict:
     """Re-derive the evidence verdict from a completed run."""
-    return _verdict(
-        run.scenario, run.u, run.y, run.diverged_at, run.bound_audit,
-        run.device_status,
-    )
+    return _verdict(run.scenario, run.u, run.y, run.diverged_at, run.bound_audit)
 
 
 def _verdict(
@@ -558,7 +460,6 @@ def _verdict(
     y: Signal,
     diverged_at: float | None,
     audit: BoundChainAudit | None,
-    device_status: DevicePopovStatus,
 ) -> Verdict:
     """Decide the evidence level from the recorded traces."""
     if diverged_at is not None:
@@ -573,13 +474,6 @@ def _verdict(
         float(np.max(np.abs(u.values[tail_start:]))),
         float(np.max(np.abs(y.values[tail_start:]))),
     )
-    device_ok = device_status.declared is not PopovDeclaration.MAY_VIOLATE
-    if not device_ok:
-        warnings.warn(
-            "device carries no usable Popov declaration; verdict capped",
-            NonPopovDeviceWarning,
-        )
-        return Verdict.INCONCLUSIVE
     chain_ok = audit is not None and audit.violation_count == 0
     if tail <= CONV_TOL * peak0 and chain_ok:
         return Verdict.ASYMPTOTIC
@@ -601,7 +495,7 @@ def run_closed_loop(sc: Scenario) -> SimulationRun:
     audit = None
     if diverged_at is None and classification.grade is not Grade.NOT_PR:
         audit = _bound_chain_audit(sc, classification, u)
-    verdict = _verdict(sc, u, y, diverged_at, audit, device_status)
+    verdict = _verdict(sc, u, y, diverged_at, audit)
     return SimulationRun(
         scenario=sc,
         u=u, y=y, v=v, e=e,
@@ -634,7 +528,7 @@ def run_report(run: SimulationRun) -> dict:
         "gamma0_sq": run.bound_audit.gamma0_sq if run.bound_audit else None,
         "gamma0_sq_trace": gamma_trace,
         "bound_violations": (
-            [v.to_json_dict() for v in run.bound_audit.violations[:50]]
+            [v.to_json_dict() for v in run.bound_audit.violations]
             if run.bound_audit else []
         ),
         "bound_violation_count": (

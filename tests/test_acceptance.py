@@ -233,7 +233,7 @@ def test_criterion_08_device_quadrant_and_regenerative():
     for spec in devices:
         ys = rng.uniform(-8.0, 8.0, 10_000)
         ts = rng.uniform(0.0, 10.0, 10_000)
-        vs = np.array([apply_device(spec, float(y), float(t))[0]
+        vs = np.array([apply_device(spec, float(y), float(t))
                        for y, t in zip(ys, ts)])
         quadrant_ok = quadrant_ok and bool(np.all(vs * ys >= 0.0))
         # measured Popov constant on an ordered record built from the samples

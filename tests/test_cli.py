@@ -118,6 +118,23 @@ class TestSimulate:
                              "--out-dir", str(tmp_path))
         assert code == 2
 
+    @pytest.mark.parametrize("device", [
+        {"kind": "StaticSector", "params": {"k1": None}},
+        {"kind": "StaticSector", "params": {"k1": "abc"}},
+        {"kind": "TimeVaryingGain",
+         "params": {"samples": [1.0, 2.0], "sample_dt": float("nan")}},
+    ])
+    def test_malformed_device_params_exit_2(self, capsys, tmp_path, device):
+        path = self._write_scenario(tmp_path, {
+            "plant": {"num": [1], "den": [1, 1]}, "device": device,
+            "x0": [1.0], "dt": 1e-3, "horizon": 1.0,
+        })
+        code, _, err = run_cli(capsys, "simulate", "--scenario", str(path),
+                               "--out-dir", str(tmp_path / "run"))
+        assert code == 2
+        assert err.startswith("error:") and "unknown device kind" not in err
+        assert not (tmp_path / "run").exists()
+
 
 class TestAudit:
     def test_unit_trace(self, capsys, tmp_path):

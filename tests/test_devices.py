@@ -1,5 +1,7 @@
 """Feedback devices: quadrant property, sector containment, Popov audits."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,8 @@ from hyperstab.devices import (
     device_popov_audit,
     sampled_gain,
 )
-from hyperstab.errors import DeclarationViolated, InvalidParams
+from hyperstab.errors import DeclarationViolated, InvalidParams, SchemaError
+from hyperstab.harness import scenario_from_json_dict
 from hyperstab.signals import Signal, energy_trace
 
 
@@ -34,43 +37,43 @@ def quadrant_devices():
 
 class TestApplyDevice:
     def test_cubic(self):
-        v, _ = apply_device(DeviceSpec(kind="CubicOddPower", params={"p": 3}), 2.0, 0.0)
+        v = apply_device(DeviceSpec(kind="CubicOddPower", params={"p": 3}), 2.0, 0.0)
         assert v == 8.0
 
     def test_unit_sector(self):
         spec = DeviceSpec(kind="StaticSector", params={"k1": 1.0, "k2": 1.0})
-        v, _ = apply_device(spec, -0.5, 0.0)
+        v = apply_device(spec, -0.5, 0.0)
         assert v == -0.5
 
     def test_relay_zero_input_zero_output(self):
         spec = DeviceSpec(kind="Relay", params={"amplitude": 1.0})
-        assert apply_device(spec, 0.0, 0.0)[0] == 0.0
-        assert apply_device(spec, 0.3, 0.0)[0] == 1.0
-        assert apply_device(spec, -0.3, 0.0)[0] == -1.0
+        assert apply_device(spec, 0.0, 0.0) == 0.0
+        assert apply_device(spec, 0.3, 0.0) == 1.0
+        assert apply_device(spec, -0.3, 0.0) == -1.0
 
     def test_deadzone(self):
         spec = DeviceSpec(kind="DeadzoneSector",
                           params={"k1": 0.0, "k2": 2.0, "deadzone": 0.5, "gain": 2.0})
-        assert apply_device(spec, 0.4, 0.0)[0] == 0.0
-        assert apply_device(spec, 1.0, 0.0)[0] == 2.0
+        assert apply_device(spec, 0.4, 0.0) == 0.0
+        assert apply_device(spec, 1.0, 0.0) == 2.0
 
     def test_time_varying_gain_lookup(self):
         spec = DeviceSpec(kind="TimeVaryingGain",
                           params={"samples": [1.0, 2.0, 3.0], "sample_dt": 1.0})
-        assert apply_device(spec, 1.0, 0.0)[0] == 1.0
-        assert apply_device(spec, 1.0, 1.5)[0] == 2.0
-        assert apply_device(spec, 1.0, 99.0)[0] == 3.0  # held at the last sample
+        assert apply_device(spec, 1.0, 0.0) == 1.0
+        assert apply_device(spec, 1.0, 1.5) == 2.0
+        assert apply_device(spec, 1.0, 99.0) == 3.0  # held at the last sample
 
     def test_regenerative_pulse_window(self):
         spec = DeviceSpec(kind="RegenerativePulse",
                           params={"t_start": 1.0, "t_end": 2.0, "rate": 0.7})
-        assert apply_device(spec, 5.0, 0.5)[0] == 0.0
-        assert apply_device(spec, 5.0, 1.5)[0] == -0.7
-        assert apply_device(spec, 5.0, 2.0)[0] == 0.0
+        assert apply_device(spec, 5.0, 0.5) == 0.0
+        assert apply_device(spec, 5.0, 1.5) == -0.7
+        assert apply_device(spec, 5.0, 2.0) == 0.0
 
     def test_zero_in_zero_out_for_quadrant_kinds(self):
         for spec in quadrant_devices():
-            v, _ = apply_device(spec, 0.0, 3.21)
+            v = apply_device(spec, 0.0, 3.21)
             assert v == 0.0
 
 
@@ -100,6 +103,30 @@ class TestInvalidParams:
             DeviceSpec(kind="RegenerativePulse",
                        params={"t_start": 2.0, "t_end": 1.0, "rate": 1.0})
 
+    @pytest.mark.parametrize("kind, params", [
+        ("StaticSector", {"k1": None}),
+        ("StaticSector", {"k1": "abc"}),
+        ("StaticSector", {"k1": 0.5, "k2": math.inf}),
+        ("TimeVaryingGain", {"samples": [1.0, 2.0], "sample_dt": math.nan}),
+        ("TimeVaryingGain", {"samples": [1.0, None], "sample_dt": 0.1}),
+        ("CubicOddPower", {"p": "abc"}),
+        ("RegenerativePulse", {"t_start": 0.0, "t_end": math.inf, "rate": 1.0}),
+        ("Relay", ["amplitude", 1.0]),
+    ])
+    def test_malformed_params(self, kind, params):
+        with pytest.raises(InvalidParams):
+            DeviceSpec(kind=kind, params=params)
+
+    def test_unknown_kind_named_only_for_unknown_kinds(self):
+        def scenario(kind, params):
+            return {"plant": {"num": [1], "den": [1, 1]}, "x0": [1.0],
+                    "device": {"kind": kind, "params": params}}
+
+        with pytest.raises(SchemaError, match="unknown device kind"):
+            scenario_from_json_dict(scenario("Sector", {"k1": 1.0}))
+        with pytest.raises(InvalidParams, match="k1"):
+            scenario_from_json_dict(scenario("StaticSector", {"k1": "abc"}))
+
 
 class TestQuadrantProperty:
     def test_ten_thousand_random_inputs_per_device(self):
@@ -108,7 +135,7 @@ class TestQuadrantProperty:
         ts = rng.uniform(0.0, 10.0, 10_000)
         for spec in quadrant_devices():
             products = np.array(
-                [apply_device(spec, float(y), float(t))[0] * y
+                [apply_device(spec, float(y), float(t)) * y
                  for y, t in zip(ys, ts)]
             )
             assert np.all(products >= 0.0), spec.kind
@@ -118,7 +145,7 @@ class TestQuadrantProperty:
         spec = DeviceSpec(kind="StaticSector",
                           params={"k1": 0.5, "k2": 2.0, "gain": 1.3})
         for y in rng.uniform(-5, 5, 1000):
-            v, _ = apply_device(spec, float(y), 0.0)
+            v = apply_device(spec, float(y), 0.0)
             assert 0.5 * y * y - 1e-12 <= v * y <= 2.0 * y * y + 1e-12
 
     @settings(max_examples=100, deadline=None)
@@ -126,13 +153,13 @@ class TestQuadrantProperty:
            st.floats(min_value=0, max_value=100))
     def test_quadrant_holds_pointwise(self, y, t):
         for spec in quadrant_devices():
-            v, _ = apply_device(spec, y, t)
+            v = apply_device(spec, y, t)
             assert v * y >= 0.0
 
     def test_static_sector_monotone(self):
         spec = DeviceSpec(kind="StaticSector", params={"k1": 0.5, "k2": 2.0})
         ys = np.linspace(-3, 3, 101)
-        vs = [apply_device(spec, float(y), 0.0)[0] for y in ys]
+        vs = [apply_device(spec, float(y), 0.0) for y in ys]
         assert np.all(np.diff(vs) >= 0.0)
 
 
@@ -143,7 +170,7 @@ class TestPopovAudit:
         yv = rng.standard_normal(5000)
         for spec in quadrant_devices():
             t = dt * np.arange(yv.size)
-            vv = np.array([apply_device(spec, float(y), float(tt))[0]
+            vv = np.array([apply_device(spec, float(y), float(tt))
                            for y, tt in zip(yv, t)])
             status = device_popov_audit(spec, Signal(dt, vv), Signal(dt, yv))
             assert status.declared is PopovDeclaration.ALWAYS_ZERO_GAMMA
@@ -163,7 +190,7 @@ class TestPopovAudit:
         dt = 1e-3
         t = dt * np.arange(2001)
         y = Signal(dt, np.full(t.size, 2.0))  # positive output throughout
-        v = Signal(dt, np.array([apply_device(spec, 2.0, float(tt))[0] for tt in t]))
+        v = Signal(dt, np.array([apply_device(spec, 2.0, float(tt)) for tt in t]))
         status = device_popov_audit(spec, v, y)
         assert status.declared is PopovDeclaration.FINITE_GAMMA
         # <v,y>_t = -2t during the pulse: strictly negative, finite constant

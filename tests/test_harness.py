@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hyperstab.corpus import bundled_corpus_path, load_corpus
-from hyperstab.devices import DeviceKind, DeviceSpec
+from hyperstab.devices import DeviceKind, DeviceSpec, apply_device
 from hyperstab.errors import (
     AlgebraicLoopNoConvergence,
     DimensionMismatch,
@@ -15,6 +15,7 @@ from hyperstab.errors import (
     SchemaError,
 )
 from hyperstab.harness import (
+    NEWTON_TOL,
     Excitation,
     Scenario,
     Verdict,
@@ -27,6 +28,7 @@ from hyperstab.harness import (
     verify_bound_chain,
     write_run_artifacts,
 )
+from hyperstab.ltisim import realize, simulate_forced
 from hyperstab.ratfun import ratfun_new
 from hyperstab.realness import Grade
 from hyperstab.signals import Signal, energy_trace, read_trace_csv, signals_from_trace
@@ -141,6 +143,45 @@ class TestAlgebraicLoop:
         run = run_closed_loop(sc)
         assert np.max(np.abs(run.u.values - (run.e.values - run.y.values**3))) < 1e-12
         assert run.verdict is Verdict.ASYMPTOTIC
+
+
+# (numerator, denominator) ascending, keyed by (order, D != 0)
+STEPPING_PLANTS = {
+    (0, 1): ([2.0], [1.0]),
+    (1, 0): ([1.0], [1.0, 1.0]),
+    (1, 1): ([2.0, 1.0], [1.0, 1.0]),
+    (2, 0): ([3.0, 1.0], [2.0, 3.0, 1.0]),
+    (2, 1): ([3.0, 3.0, 1.0], [2.0, 3.0, 1.0]),
+    (3, 0): ([1.0, 1.0, 1.0], [6.0, 11.0, 6.0, 1.0]),
+    (3, 1): ([7.0, 12.0, 7.0, 1.0], [6.0, 11.0, 6.0, 1.0]),
+}
+
+
+class TestSteppingLoop:
+    @pytest.mark.parametrize("device", [
+        DeviceSpec(kind="StaticSector", params={"k1": 0.5, "k2": 2.0}),
+        DeviceSpec(kind="CubicOddPower", params={"p": 3}),
+    ], ids=lambda d: d.kind.value)
+    @pytest.mark.parametrize("order, feedthrough", sorted(STEPPING_PLANTS),
+                             ids=lambda v: str(v))
+    def test_loop_matches_forced_plant_at_every_order(self, order, feedthrough,
+                                                      device):
+        g = ratfun_new(*STEPPING_PLANTS[order, feedthrough])
+        ss = realize(g)
+        assert ss.order == order and (ss.D != 0.0) == bool(feedthrough)
+        x0 = tuple(0.5 * (i + 1) for i in range(order))
+        sc = Scenario(plant=g, device=device, x0=x0,
+                      excitation=Excitation(1.5, 0.3), dt=1e-2, horizon=3.0)
+        run = run_closed_loop(sc)
+        assert run.diverged_at is None
+        y = run.y.values
+        ref = simulate_forced(ss, run.u, x0).values
+        # relative to the scale the Newton solve stops at: 1 + |C x| + |D e|
+        scale = 1.0 + np.abs(ref - ss.D * run.u.values) + np.abs(ss.D * run.e.values)
+        assert np.all(np.abs(y - ref) <= 2.0 * NEWTON_TOL * scale)
+        assert np.array_equal(run.u.values, run.e.values - run.v.values)
+        v = [apply_device(device, yk, tk) for yk, tk in zip(y, run.y.times())]
+        assert np.array_equal(run.v.values, v)
 
 
 class TestSSPRRun:
@@ -307,6 +348,7 @@ class TestWSPRRun:
         audit = run.bound_audit
         assert audit.d0_lower is not None
         assert audit.violation_count > 0
+        assert len(audit.violations) == 50
         assert audit.violations[0].inequality == "E >= d0*int(delta^2)"
 
     def test_valid_wspr_chain_on_rc_ladder(self):
