@@ -10,8 +10,9 @@ Exit codes are part of the contract:
   6  corpus mismatches
 
 ``--tf`` strings use MATLAB-style descending powers ("1;1,0" is 1/s), while
-all JSON files carry ascending-power coefficient arrays. The environment
-variable ``HYPERSTAB_GRID_POINTS`` overrides the default sweep density.
+all JSON files carry ascending-power coefficient arrays. ``--points``,
+``--grid-min``, ``--grid-max`` and ``HYPERSTAB_GRID_POINTS`` set only the grid
+of the phase and hodograph diagnostics, never the grade or its margins.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ def _grid_from_args(args) -> FrequencyGrid:
             omega_min=args.grid_min, omega_max=args.grid_max, points=points
         )
     except ValueError as exc:
-        raise SchemaError(f"bad sweep grid: {exc}") from None
+        raise SchemaError(f"bad diagnostic grid: {exc}") from None
 
 
 def _emit(data: dict, path: str | None) -> None:

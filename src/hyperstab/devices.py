@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Callable
 
 import numpy as np
@@ -176,17 +178,21 @@ _LAWS: dict[DeviceKind, Callable[[dict], DeviceLaw]] = {
 @dataclass(frozen=True)
 class DeviceSpec:
     kind: DeviceKind
-    params: dict[str, Any] = field(default_factory=dict)
+    params: Mapping[str, Any] = field(default_factory=dict)
     law: DeviceLaw = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "kind", DeviceKind(self.kind))
-        if not isinstance(self.params, dict):
+        if not isinstance(self.params, Mapping):
             raise InvalidParams("device params must be a mapping of names to values")
+        # a read-only copy with lists as tuples, so it always describes the law
+        frozen = {k: tuple(v) if isinstance(v, list) else v for k, v in self.params.items()}
+        object.__setattr__(self, "params", MappingProxyType(frozen))
         object.__setattr__(self, "law", _LAWS[self.kind](self.params))
 
     def to_json_dict(self) -> dict:
-        return {"kind": self.kind.value, "params": dict(self.params)}
+        params = {k: list(v) if isinstance(v, tuple) else v for k, v in self.params.items()}
+        return {"kind": self.kind.value, "params": params}
 
 
 def sampled_gain(fn, duration: float, sample_dt: float) -> dict:

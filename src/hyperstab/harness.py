@@ -43,7 +43,6 @@ from .errors import (
 from .ltisim import ImpulseResponse, convolve, impulse_response, realize, zoh_pair
 from .ratfun import RationalFunction, inverse
 from .realness import (
-    DEFAULT_GRID,
     Grade,
     PRClassification,
     classify_pr,
@@ -127,6 +126,8 @@ def scenario_from_json_dict(data: dict) -> Scenario:
         raise SchemaError(f"bad plant coefficients: {exc}") from None
     try:
         dev_spec = data["device"]
+        if not isinstance(dev_spec, dict):
+            raise SchemaError("device must be an object with a kind and params")
         device = DeviceSpec(kind=dev_spec["kind"], params=dev_spec.get("params", {}))
     except KeyError as exc:
         raise SchemaError(f"device missing field {exc}") from None
@@ -143,6 +144,8 @@ def scenario_from_json_dict(data: dict) -> Scenario:
             )
         except KeyError as missing:
             raise SchemaError(f"excitation missing field {missing}") from None
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"bad excitation: {exc}") from None
     try:
         return Scenario(
             plant=g,
@@ -397,7 +400,7 @@ def _bound_chain_audit(
     if grade is Grade.SSPR:
         d_lower = classification.d * _cumtrapz(u.values * u.values, sc.dt)
         _check("E >= d*int(u^2)", d_lower)
-        d_inv = real_part_margin(inverse(sc.plant), DEFAULT_GRID)
+        d_inv = real_part_margin(inverse(sc.plant))
         d_inv_lower = d_inv * _cumtrapz(y_zs.values * y_zs.values, sc.dt)
         _check("E >= d_inv*int(y^2)", d_inv_lower)
     elif grade is Grade.WSPR:

@@ -1,11 +1,23 @@
 """Positive-realness grading of rational transfer functions.
 
-The classifier is frequency-sweep based: it tests the real part of g(jw) on a
-logarithmic grid plus exact w=0 and w->inf limits obtained from the
-coefficients. For rational functions, nonnegativity of the real part on the
-imaginary axis together with stability is equivalent (maximum principle) to
-nonnegativity of Re g on the whole closed right half-plane, so the axis sweep
-is the implemented contract.
+Every grade and margin is decided from the coefficients. On the imaginary axis
+``Re g(jw) = R(x)/Q(x)`` with ``x = w^2`` and ``Q(x) = |den(jw)|^2 >= 0``. R
+and Q are built once in exact integer arithmetic from the float coefficients
+(a float is a dyadic rational, so nothing is lost), and one primitive decides
+``N(x) - t*Q(x) >= 0 on [0, inf)``: a Sturm sequence of the polynomial's
+odd-multiplicity part, evaluated only at 0 and infinity, counts the points
+where it changes sign (the nonnegativity test in w^2 of Anderson and
+Vongpanitlerd). It decides ``Re g >= -TOL_MARGIN``, with R and Q taken from g
+minus its axis-pole partial fractions, and the strict positivity behind WSPR,
+and certifies the margins d, d1 and c_w as lower bounds on the true infima; d0
+is the exact ratio of the leading coefficients of R and Q. For rational
+functions, nonnegativity of the real part on the imaginary axis together with
+stability is equivalent (maximum principle) to nonnegativity of Re g on the
+whole closed right half-plane.
+
+``FrequencyGrid`` feeds only the diagnostics: the phase deviation, the
+hodograph quadrant check and the cross relations of ``s*g``. It never changes
+a grade or a margin.
 
 Grades, from weakest to strongest:
 
@@ -26,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .errors import PoleOnGrid, PreconditionNotPR
+from .errors import ImproperTransferFunction, PoleOnGrid, PreconditionNotPR
 from .ratfun import (
     TOL_AXIS,
     RationalFunction,
@@ -36,12 +48,12 @@ from .ratfun import (
     stability_class,
     times_s,
 )
-from .errors import ImproperTransferFunction, RepeatedAxisPole
 
 # Margins below this are indistinguishable from zero.
 TOL_MARGIN = 1e-9
-# Grid points closer than this (rad/s) to an axis-pole frequency are skipped.
-POLE_EXCLUSION_RADIUS = 1e-6
+# A margin estimate is certified at est - CERT_REL * max(1, |est|) when the
+# estimate itself fails; bisection on t stops at twice that width.
+CERT_REL = 1e-9
 
 
 class Grade(str, enum.Enum):
@@ -53,7 +65,7 @@ class Grade(str, enum.Enum):
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Logarithmic frequency sweep used by all realness checks."""
+    """Logarithmic frequency grid of the phase and hodograph diagnostics."""
 
     omega_min: float = 1e-4
     omega_max: float = 1e6
@@ -98,63 +110,221 @@ class PRClassification:
         }
 
 
-def _real_part_even_rational(g: RationalFunction) -> tuple[np.ndarray, np.ndarray]:
-    """Re g(jw) = R(w^2) / Q(w^2); returns coefficient arrays of R and Q in x = w^2.
+# --- exact polynomials: integer coefficient lists, ascending powers ----------
 
-    With P(s) = num(s) * den(-s), the real part of P(jw) keeps only even powers
-    with alternating signs, and |den(jw)|^2 follows the same rule applied to
-    den(s) * den(-s).
+def _trim(p: list[int]) -> list[int]:
+    while len(p) > 1 and p[-1] == 0:
+        p = p[:-1]
+    return p
+
+
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def _lin(a: list[int], ka: int, b: list[int], kb: int) -> list[int]:
+    """ka*a - kb*b."""
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return _trim([ka * x - kb * y for x, y in zip(a, b)])
+
+
+def _deriv(p: list[int]) -> list[int]:
+    return [k * c for k, c in enumerate(p)][1:] or [0]
+
+
+def _primitive(p: list[int]) -> list[int]:
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
+def _pdivmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """q, r with |lc b|^(deg a - deg b + 1) * a = q*b + r and deg r < deg b.
+
+    Only the positive factor |lc b| scales the dividend, so signs survive.
     """
-    n = np.asarray(g.num.coeffs)
-    d = np.asarray(g.den.coeffs)
-    d_neg = d * [(-1.0) ** k for k in range(d.size)]
-    p = np.convolve(n, d_neg)
-    q = np.convolve(d, d_neg)
-    r_x = np.array([p[k] * (-1.0) ** (k // 2) for k in range(0, p.size, 2)])
-    q_x = np.array([q[k] * (-1.0) ** (k // 2) for k in range(0, q.size, 2)])
-    return np.trim_zeros(r_x, "b"), np.trim_zeros(q_x, "b")
+    c, sgn = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    q, r = [0] * max(len(a) - len(b) + 1, 0), list(a)
+    for k in range(len(a) - len(b), -1, -1):
+        m = r[-1] * sgn
+        q = [c * x for x in q]
+        q[k] += m
+        r = [c * x for x in r]
+        for i, bi in enumerate(b):
+            r[k + i] -= m * bi
+        r.pop()
+    return q, _trim(r or [0])
 
 
-def _re_limit_at_infinity(g: RationalFunction) -> float:
-    """Exact limit of Re g(jw) as w -> inf (leading-coefficient ratio)."""
-    if g.relative_degree > 0:
-        return 0.0
-    return g.num.leading / g.den.leading
+def _sturm(p: list[int]) -> list[list[int]]:
+    """p, p', then negated remainders; the last member is gcd(p, p')."""
+    chain = [p, _primitive(_deriv(p))]
+    while len(chain[-1]) > 1:
+        _, r = _pdivmod(chain[-2], chain[-1])
+        if r == [0]:
+            break
+        chain.append(_primitive([-c for c in r]))
+    return chain
 
 
-def _omega_sq_re_limit(g: RationalFunction) -> float:
-    """Exact limit of w^2 * Re g(jw) as w -> inf; +inf if unbounded."""
-    r_x, q_x = _real_part_even_rational(g)
-    if r_x.size == 0:
-        return 0.0
-    deg_r, deg_q = r_x.size - 1, q_x.size - 1
-    if deg_r + 1 < deg_q:
-        return 0.0
-    if deg_r + 1 == deg_q:
-        return float(r_x[-1] / q_x[-1])
-    return math.inf
+def _variations(values) -> int:
+    signs = [v > 0 for v in values if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _positive_roots(p: list[int]) -> int:
+    """Distinct roots of p in (0, inf), by Sturm's theorem at 0 and infinity."""
+    while p[0] == 0:
+        p = p[1:]
+    chain = _sturm(p)
+    return _variations(q[0] for q in chain) - _variations(q[-1] for q in chain)
+
+
+def _odd_part(p: list[int]) -> list[int]:
+    """The distinct factors of p of odd multiplicity, times a constant.
+
+    A root of multiplicity m in p has multiplicity m - 1 in gcd(p, p'), so
+    p / gcd keeps every root once and dividing out the odd part of the gcd
+    drops the roots of even multiplicity.
+    """
+    g = _sturm(p)[-1]
+    if len(g) == 1:
+        return p
+    squarefree = _primitive(_pdivmod(p, g)[0])
+    return _primitive(_pdivmod(squarefree, _odd_part(g))[0])
+
+
+def _nonnegative(f: list[int]) -> bool:
+    """f(x) >= 0 on [0, inf): f is zero, or positive at infinity and it
+    changes sign nowhere in (0, inf) (its value at 0 follows by continuity)."""
+    return f == [0] or (f[-1] > 0 and _positive_roots(_odd_part(f)) == 0)
+
+
+def _real_part_polys(g: RationalFunction) -> tuple[list[int], list[int]]:
+    """Exact R and Q of Re g(jw) = R(x)/Q(x), x = w^2, scaled by one 4^k > 0.
+
+    With P(s) = num(s) * den(-s), Re P(jw) keeps the even powers of s with
+    alternating signs, and Q is the same rule applied to den(s) * den(-s).
+    """
+    ratios = [c.as_integer_ratio() for c in g.num.coeffs + g.den.coeffs]
+    scale = max(d for _, d in ratios)
+    ints = [n * (scale // d) for n, d in ratios]
+    num, den = ints[:len(g.num.coeffs)], ints[len(g.num.coeffs):]
+    den_neg = [c if k % 2 == 0 else -c for k, c in enumerate(den)]
+
+    def even(p):
+        return _trim([c if i % 2 == 0 else -c for i, c in enumerate(p[::2])])
+
+    return even(_mul(num, den_neg)), even(_mul(den, den_neg))
+
+
+def _infimum(n: list[int], q: list[int], value) -> float:
+    """inf over x >= 0 of n(x)/q(x), certified never to exceed the true value.
+
+    The estimate is the smallest of the x -> inf limit and ``value(w)``, the
+    function evaluated directly at w = sqrt(x) for x = 0 and every critical
+    point (the real part of each root of n'q - nq', clipped at zero). It is
+    certified by the exact test ``n - t*q >= 0`` at t = est, then at
+    est - CERT_REL*max(1, |est|); when both fail (a feature the float roots
+    missed), t backs off geometrically and bisects with the same test.
+    """
+    if len(n) > len(q):
+        limit = math.inf if n[-1] > 0 else -math.inf
+    else:
+        limit = n[-1] / q[-1] if len(n) == len(q) else 0.0
+    crit = _lin(_mul(_deriv(n), q), 1, _mul(n, _deriv(q)), 1)
+    top = max(abs(c) for c in crit)
+    xs = np.zeros(1)
+    if top:
+        xs = np.concatenate((xs, np.maximum(P.polyroots([c / top for c in crit]).real, 0.0)))
+    with np.errstate(all="ignore"):
+        vals = value(np.sqrt(xs))
+    vals = vals[np.isfinite(vals)]
+    est = min(limit, float(np.min(vals))) if vals.size else limit
+    if est == math.inf:
+        est = 0.0
+    if est == -math.inf:
+        return est
+
+    def holds(t: float) -> bool:
+        num, den = t.as_integer_ratio()
+        return _nonnegative(_lin(n, den, q, num))
+
+    if holds(est):
+        return est
+    tol = CERT_REL * max(1.0, abs(est))
+    hi, lo, step = est, est - tol, tol
+    while not holds(lo):
+        if step > 1e300:
+            return -math.inf
+        hi, step = lo, step * 16.0
+        lo = est - step
+    # the width is relative to lo, so a bracket far below est still closes
+    while hi - lo > 2.0 * CERT_REL * max(1.0, abs(lo)):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+    return lo
+
+
+def _axis_free_part(g: RationalFunction, axis) -> RationalFunction:
+    """g minus the partial fractions of its axis poles, with real residues.
+
+    A real residue r contributes r/s at the origin and 2r*s/(s^2 + w0^2) for
+    the pair at +/-j*w0, both purely imaginary on the axis, so the difference
+    has the same Re g(jw) away from the poles. Its denominator is den divided
+    by the axis factors, so rounding in the coefficients cannot leave a pole a
+    hair off the axis for the exact test to see.
+    """
+    factors, fracs = [], []
+    for info in axis:
+        p, r = info.location, info.residue.real
+        if abs(p) <= TOL_AXIS:
+            factors.append([0.0, 1.0])
+            fracs.append([r])
+        elif p.imag > 0.0:
+            factors.append([abs(p) ** 2, 0.0, 1.0])
+            fracs.append([0.0, 2.0 * r])
+    if not factors:
+        return g
+    axis_poly = np.array([1.0])
+    for f in factors:
+        axis_poly = P.polymul(axis_poly, f)
+    rest = P.polydiv(g.den.coeffs, axis_poly)[0]
+    num = np.array(g.num.coeffs)
+    for k, frac in enumerate(fracs):
+        others = P.polydiv(axis_poly, factors[k])[0]
+        num = P.polysub(num, P.polymul(frac, P.polymul(others, rest)))
+    return RationalFunction(P.polydiv(num, axis_poly)[0], rest)
+
+
+def _re_value(g: RationalFunction):
+    return lambda w: freq_response_array(g, w).real
+
+
+def real_part_margin(g: RationalFunction) -> float:
+    """Certified infimum of Re g(jw) over w >= 0, the w -> inf limit included.
+
+    Never above the true infimum; -inf when Re g is unbounded below (an axis
+    pole with a residue that is not real).
+    """
+    r, q = _real_part_polys(g)
+    return _infimum(r, q, _re_value(g))
 
 
 def wspr_chain_constant(g: RationalFunction) -> float:
-    """c_w = inf over x = w^2 >= 0 of (1 + x) * Re g(jw), from the coefficients.
+    """c_w = inf over x = w^2 >= 0 of (1 + x) * Re g(jw), certified like d.
 
     Re g(jw) >= c_w / (1 + w^2) at every frequency, so Parseval and causality
     give ``<u, g*u>_t >= c_w * int_0^t xi^2`` with xi = u filtered by
     1/(s + 1): the supplied-energy chain that every WSPR plant satisfies, with
-    c_w > 0 there. The infimum is taken over x = 0, the critical points of
-    (1 + x) R(x) / Q(x) and its x -> inf limit, which is d0. Every candidate
-    is a value of that function at some x >= 0 (the real part of each root,
-    clipped at zero), so a spurious or inexact root cannot push c_w below the
-    true infimum.
+    c_w > 0 there. Its x -> inf limit is d0.
     """
-    r_x, q_x = _real_part_even_rational(g)
-    f_num = P.polymul([1.0, 1.0], r_x)
-    crit = P.polysub(P.polymul(P.polyder(f_num), q_x),
-                     P.polymul(f_num, P.polyder(q_x)))
-    xs = np.concatenate(([0.0], np.maximum(P.polyroots(crit).real, 0.0)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = P.polyval(xs, f_num) / P.polyval(xs, q_x)
-    return float(min(np.min(vals[np.isfinite(vals)]), _omega_sq_re_limit(g)))
+    r, q = _real_part_polys(g)
+    return _infimum(_mul([1, 1], r), q, lambda w: (1.0 + w * w) * _re_value(g)(w))
 
 
 def _axis_pole_omegas(g: RationalFunction) -> np.ndarray:
@@ -163,78 +333,17 @@ def _axis_pole_omegas(g: RationalFunction) -> np.ndarray:
     )
 
 
-def _sweep_omegas(g: RationalFunction, grid: FrequencyGrid) -> np.ndarray:
-    omegas = grid.omegas()
+def _pole_free_omegas(g: RationalFunction, grid: FrequencyGrid) -> np.ndarray:
+    """The grid's frequencies; PoleOnGrid if an axis pole lies in its range."""
     for wp in _axis_pole_omegas(g):
-        omegas = omegas[np.abs(omegas - wp) > POLE_EXCLUSION_RADIUS]
-    if not any(abs(wp) <= POLE_EXCLUSION_RADIUS for wp in _axis_pole_omegas(g)):
-        omegas = np.concatenate(([0.0], omegas))
-    return omegas
-
-
-def _golden_min(f, a: float, b: float, iters: int = 80) -> tuple[float, float]:
-    """Golden-section minimum of f on [a, b]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - (b - a) * invphi
-    d = a + (b - a) * invphi
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) * invphi
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) * invphi
-            fd = f(d)
-    return (c, fc) if fc < fd else (d, fd)
-
-
-def real_part_margin(
-    g: RationalFunction,
-    grid: FrequencyGrid = DEFAULT_GRID,
-    exclude_axis_poles: bool = True,
-) -> float:
-    """Minimum of Re g(jw) over the sweep, w=0, and the w->inf limit.
-
-    The grid minimum is refined by golden-section search on its bracketing
-    interval. Frequencies within ``POLE_EXCLUSION_RADIUS`` of an axis pole are
-    skipped when ``exclude_axis_poles`` is set; otherwise an in-range axis pole
-    raises ``PoleOnGrid``.
-    """
-    if not exclude_axis_poles:
-        for wp in _axis_pole_omegas(g):
-            if grid.omega_min <= wp <= grid.omega_max:
-                raise PoleOnGrid(f"axis pole at omega={wp}")
-    omegas = _sweep_omegas(g, grid)
-    if omegas.size == 0:
-        raise PoleOnGrid("no usable sweep frequencies remain")
-    re = freq_response_array(g, omegas).real
-    finite = np.isfinite(re)
-    omegas, re = omegas[finite], re[finite]
-    k = int(np.argmin(re))
-    best = float(re[k])
-    lo = omegas[max(k - 1, 0)]
-    hi = omegas[min(k + 1, omegas.size - 1)]
-    if hi > lo:
-        lo = max(lo, 1e-300)
-
-        def f(logw: float) -> float:
-            w = math.exp(logw)
-            val = freq_response_array(g, np.array([w])).real[0]
-            return float(val) if np.isfinite(val) else math.inf
-
-        _, refined = _golden_min(f, math.log(max(lo, 1e-12)), math.log(hi))
-        best = min(best, refined)
-    return min(best, _re_limit_at_infinity(g))
+        if grid.omega_min <= wp <= grid.omega_max:
+            raise PoleOnGrid(f"axis pole at omega={wp} inside the grid range")
+    return grid.omegas()
 
 
 def phase_deviation(g: RationalFunction, grid: FrequencyGrid = DEFAULT_GRID) -> float:
     """Largest |arg g(jw)| over the grid, in degrees."""
-    for wp in _axis_pole_omegas(g):
-        if grid.omega_min <= wp <= grid.omega_max:
-            raise PoleOnGrid(f"axis pole at omega={wp} inside the grid range")
-    vals = freq_response_array(g, grid.omegas())
+    vals = freq_response_array(g, _pole_free_omegas(g, grid))
     return float(np.max(np.abs(np.degrees(np.angle(vals)))))
 
 
@@ -255,10 +364,7 @@ def hodograph_quadrant_check(
     with the imaginary axis (Re within TOL_MARGIN of zero) is reported, since
     it rules the strongest grade out.
     """
-    for wp in _axis_pole_omegas(g):
-        if grid.omega_min <= wp <= grid.omega_max:
-            raise PoleOnGrid(f"axis pole at omega={wp} inside the grid range")
-    omegas = grid.omegas()
+    omegas = _pole_free_omegas(g, grid)
     re = freq_response_array(g, omegas).real
     ok = bool(np.all(re >= -TOL_MARGIN))
     viol = np.nonzero(re < -TOL_MARGIN)[0]
@@ -271,43 +377,35 @@ def hodograph_quadrant_check(
     )
 
 
-def _origin_pole_count(g: RationalFunction) -> int:
-    return sum(1 for p in g.poles() if abs(p) <= TOL_AXIS)
-
-
 def classify_pr(
     g: RationalFunction, grid: FrequencyGrid = DEFAULT_GRID
 ) -> PRClassification:
-    """Grade a transfer function and compute the margins d, d0, d1."""
-    diagnostics: list[str] = []
+    """Grade a transfer function and compute the margins d, d0, d1.
 
-    def _ancillary() -> tuple[float | None, bool | None]:
-        try:
-            pdeg = phase_deviation(g, grid)
-        except PoleOnGrid:
-            pdeg = None
-            diagnostics.append("phase sweep skipped: axis pole inside grid range")
-        try:
-            quad = hodograph_quadrant_check(g, grid).ok
-        except PoleOnGrid:
-            quad = None
-        return pdeg, quad
+    The grid sets only the phase and hodograph diagnostics.
+    """
+    diagnostics: list[str] = []
+    try:
+        pdeg = phase_deviation(g, grid)
+    except PoleOnGrid:
+        pdeg = None
+        diagnostics.append("phase sweep skipped: axis pole inside grid range")
+    try:
+        quad = hodograph_quadrant_check(g, grid).ok
+    except PoleOnGrid:
+        quad = None
+
+    def graded(grade: Grade, **margins) -> PRClassification:
+        return PRClassification(grade, phase_deviation_deg=pdeg, quadrant_ok=quad,
+                                diagnostics=tuple(diagnostics), **margins)
 
     stability = stability_class(g)
     if stability is StabilityClass.UNSTABLE:
         diagnostics.append("denominator has a pole with positive real part "
                            "or a repeated axis pole")
-        pdeg, quad = _ancillary()
-        return PRClassification(
-            Grade.NOT_PR, phase_deviation_deg=pdeg, quadrant_ok=quad,
-            diagnostics=tuple(diagnostics),
-        )
-
-    try:
-        axis_poles = imaginary_axis_residues(g)
-    except RepeatedAxisPole as exc:
-        return PRClassification(Grade.NOT_PR, diagnostics=(str(exc),))
-    for info in axis_poles:
+        return graded(Grade.NOT_PR)
+    axis = imaginary_axis_residues(g)
+    for info in axis:
         res = info.residue
         scale = 1.0 + abs(res)
         if abs(res.imag) > TOL_MARGIN * scale or res.real < -TOL_MARGIN * scale:
@@ -315,73 +413,44 @@ def classify_pr(
                 f"axis pole at {info.location} has residue {res}, "
                 "which is not real and nonnegative"
             )
-            pdeg, quad = _ancillary()
-            return PRClassification(
-                Grade.NOT_PR, phase_deviation_deg=pdeg, quadrant_ok=quad,
-                diagnostics=tuple(diagnostics),
-            )
+            return graded(Grade.NOT_PR)
 
-    margin = real_part_margin(g, grid)
-    pdeg, quad = _ancillary()
+    # Re g(jw) = R/Q off the axis poles; PR allows Re g >= -TOL_MARGIN
+    g_free = _axis_free_part(g, axis)
+    r, q = _real_part_polys(g_free)
+    tol_num, tol_den = TOL_MARGIN.as_integer_ratio()
+    if not _nonnegative(_lin(r, tol_den, q, -tol_num)):
+        diagnostics.append(
+            "Re g(jw) < 0 at some w: R(w^2) + TOL_MARGIN*Q(w^2) changes sign "
+            "at w^2 > 0 or is negative at infinity; "
+            f"inf Re g(jw) = {_infimum(r, q, _re_value(g_free)):.6g}"
+        )
+        return graded(Grade.NOT_PR)
+
     strictly_stable = stability is StabilityClass.STRICTLY_STABLE
-
+    # Re g >= -TOL_MARGIN, and for relative degree >= 1 it tends to 0: d = 0
+    margin = _infimum(r, q, _re_value(g_free)) if g.relative_degree == 0 else 0.0
     if strictly_stable and g.relative_degree == 0 and margin > TOL_MARGIN:
-        return PRClassification(
-            Grade.SSPR, d=margin, phase_deviation_deg=pdeg, quadrant_ok=quad,
-        )
-
+        return graded(Grade.SSPR, d=margin)
     if strictly_stable and g.relative_degree == 1:
-        omegas = _sweep_omegas(g, grid)
-        sweep = freq_response_array(g, omegas).real
-        d0 = _omega_sq_re_limit(g)
-        # the coefficient limit must agree with the sweep's top decade,
-        # otherwise the limit is an artifact of ill-conditioned coefficients
-        top = omegas >= grid.omega_max / 10.0
-        top_vals = omegas[top] ** 2 * sweep[top]
-        consistent = top_vals.size > 0 and math.isfinite(d0) and bool(
-            np.all(np.abs(top_vals - d0) <= 1e-2 * max(abs(d0), TOL_MARGIN))
-        )
-        if np.all(sweep > 0.0) and consistent and d0 > TOL_MARGIN:
-            return PRClassification(
-                Grade.WSPR, d=0.0, d0=d0,
-                phase_deviation_deg=pdeg, quadrant_ok=quad,
-            )
-        if np.all(sweep > 0.0) and not consistent and math.isfinite(d0):
-            diagnostics.append(
-                "squared-frequency limit disagrees with the top-decade sweep; "
-                "graded PR at best"
-            )
+        # w^2 Re g -> d0, the ratio of the x^(n-1) and x^n coefficients
+        d0 = r[-1] / q[-1] if len(r) + 1 == len(q) else 0.0
+        if d0 > TOL_MARGIN and r[0] > 0 and _positive_roots(r) == 0:
+            return graded(Grade.WSPR, d0=d0)
 
-    if margin >= -TOL_MARGIN:
-        if g.relative_degree >= 2 and strictly_stable:
-            diagnostics.append(
-                "relative degree >= 2: w^2 * Re g(jw) tends to zero or below, "
-                "so no strict grade applies"
-            )
-        single = _origin_pole_count(g) == 1
-        g1_grade: Grade | None = None
-        d1 = 0.0
-        if single:
-            try:
-                g1 = times_s(g)
-                sub = classify_pr(g1, grid)
-                g1_grade = sub.grade
-                if sub.grade is Grade.SSPR:
-                    d1 = sub.d
-            except ImproperTransferFunction:
-                diagnostics.append("s*g(s) is improper; no derived-function margin")
-        return PRClassification(
-            Grade.PR, d=max(0.0, margin), single_pole_at_origin=single,
-            g1_grade=g1_grade, d1=d1,
-            phase_deviation_deg=pdeg, quadrant_ok=quad,
-            diagnostics=tuple(diagnostics),
-        )
-
-    diagnostics.append(f"real part drops to {margin:.6g} on the sweep")
-    return PRClassification(
-        Grade.NOT_PR, phase_deviation_deg=pdeg, quadrant_ok=quad,
-        diagnostics=tuple(diagnostics),
-    )
+    single = sum(1 for p in g.poles() if abs(p) <= TOL_AXIS) == 1
+    g1_grade: Grade | None = None
+    d1 = 0.0
+    if single:
+        try:
+            sub = classify_pr(times_s(g), grid)
+            g1_grade = sub.grade
+            if sub.grade is Grade.SSPR:
+                d1 = sub.d
+        except ImproperTransferFunction:
+            diagnostics.append("s*g(s) is improper; no derived-function margin")
+    return graded(Grade.PR, d=max(0.0, margin), single_pole_at_origin=single,
+                  g1_grade=g1_grade, d1=d1)
 
 
 @dataclass(frozen=True)
@@ -415,8 +484,9 @@ def spc_cross_relations(
             "cross relations need a PR function with a single simple origin pole"
         )
     g1 = times_s(g)
-    omegas = _sweep_omegas(g, grid)
-    omegas = omegas[omegas > 0.0]
+    omegas = grid.omegas()
+    for wp in _axis_pole_omegas(g):  # skip grid points on an axis pole
+        omegas = omegas[np.abs(omegas - wp) > 1e-6]
     gv = freq_response_array(g, omegas)
     g1v = freq_response_array(g1, omegas)
 

@@ -113,10 +113,18 @@ class TestSimulate:
         assert code == 2
 
     def test_schema_error_exit_2(self, capsys, tmp_path):
-        path = self._write_scenario(tmp_path, {"plant": {"num": [1]}})
-        code, _, _ = run_cli(capsys, "simulate", "--scenario", str(path),
-                             "--out-dir", str(tmp_path))
-        assert code == 2
+        base = {"plant": {"num": [1], "den": [1, 1]},
+                "device": {"kind": "Relay", "params": {"amplitude": 1.0}},
+                "x0": [1.0], "dt": 1e-3, "horizon": 1.0}
+        for data in ({"plant": {"num": [1]}},
+                     {**base, "excitation": {"amplitude": "abc", "duration": 1}},
+                     {**base, "device": "Relay"}):
+            path = self._write_scenario(tmp_path, data)
+            code, _, err = run_cli(capsys, "simulate", "--scenario", str(path),
+                                   "--out-dir", str(tmp_path / "run"))
+            assert code == 2
+            assert err.startswith("error:")
+            assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("device", [
         {"kind": "StaticSector", "params": {"k1": None}},

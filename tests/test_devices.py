@@ -77,6 +77,35 @@ class TestApplyDevice:
             assert v == 0.0
 
 
+class TestFrozenParams:
+    def test_params_are_read_only_and_match_the_law(self):
+        source = {"k1": 1.0, "k2": 1.0}
+        spec = DeviceSpec(kind="StaticSector", params=source)
+        with pytest.raises(TypeError):
+            spec.params["k1"] = 3.0
+        source["k1"] = source["k2"] = 3.0  # the caller's dict was copied
+        assert apply_device(spec, 1.0, 0.0) == 1.0
+        as_json = spec.to_json_dict()
+        assert type(as_json["params"]) is dict
+        assert as_json["params"] == {"k1": 1.0, "k2": 1.0}
+
+    def test_list_params_are_frozen_too(self):
+        samples = [1.0, 1.0]
+        spec = DeviceSpec(kind="TimeVaryingGain",
+                          params={"samples": samples, "sample_dt": 0.5})
+        with pytest.raises(TypeError):
+            spec.params["samples"][0] = 5.0
+        samples[0] = 5.0  # the caller's list was copied
+        assert apply_device(spec, 1.0, 0.0) == 1.0
+        assert spec.to_json_dict()["params"] == {"samples": [1.0, 1.0], "sample_dt": 0.5}
+
+    def test_spec_rebuilt_from_its_params(self):
+        spec = DeviceSpec(kind="Relay", params={"amplitude": 2.0})
+        again = DeviceSpec(kind=spec.kind, params=spec.params)
+        assert again == spec
+        assert apply_device(again, -0.5, 0.0) == -2.0
+
+
 class TestInvalidParams:
     def test_bad_sector(self):
         with pytest.raises(InvalidParams):

@@ -40,8 +40,6 @@ class TestMargin:
     def test_axis_pole_excluded_vs_error(self):
         g = ratfun_new([0, 1], [1, 0, 1])  # poles at +/- j
         assert real_part_margin(g) == pytest.approx(0.0, abs=1e-12)
-        with pytest.raises(PoleOnGrid):
-            real_part_margin(g, exclude_axis_poles=False)
 
 
 class TestClassify:
@@ -308,3 +306,207 @@ class TestCrossRelations:
     def test_requires_origin_pole(self):
         with pytest.raises(PreconditionNotPR):
             spc_cross_relations(ratfun_new([1], [1, 1]))
+
+
+def _bandpass(w0, zeta):
+    """B(s) = 2 zeta w0 s / (s^2 + 2 zeta w0 s + w0^2), ascending coefficients."""
+    return np.array([0.0, 2.0 * zeta * w0]), np.array([w0 * w0, 2.0 * zeta * w0, 1.0])
+
+
+def _re_bandpass(w, w0, zeta):
+    """Re B(jw) = 1 / (1 + Q^2) with Q = (w0^2 - w^2) / (2 zeta w0 w)."""
+    q = (w0 * w0 - w * w) / (2.0 * zeta * w0 * w)
+    return 1.0 / (1.0 + q * q)
+
+
+def _notch_plant(terms, tail=(1.0,)):
+    """(1 - sum a B(s; w0, zeta)) * 1/tail(s) over one common denominator."""
+    from numpy.polynomial import polynomial as npp
+
+    den = np.array([1.0])
+    for _, w0, zeta in terms:
+        den = npp.polymul(den, _bandpass(w0, zeta)[1])
+    num = den.copy()
+    for i, (a, w0, zeta) in enumerate(terms):
+        part = a * _bandpass(w0, zeta)[0]
+        for j, (_, w1, z1) in enumerate(terms):
+            if j != i:
+                part = npp.polymul(part, _bandpass(w1, z1)[1])
+        num = npp.polysub(num, part)
+    return ratfun_new(num, npp.polymul(den, tail))
+
+
+class TestNarrowNotches:
+    """Features far narrower than any grid spacing, with hand-derived truth."""
+
+    def test_roadmap_notch_is_not_pr(self):
+        # g = 1 - 1.5 B(s; 1.2345, 1e-3) - 0.9 B(s; 100, 0.5); at w = 1.2345
+        # the first term's real part is 1, so Re g = -0.5 - 0.9 Re B2
+        g = _notch_plant([(1.5, 1.2345, 1e-3), (0.9, 100.0, 0.5)])
+        at_notch = 1.0 - 1.5 - 0.9 * _re_bandpass(1.2345, 100.0, 0.5)
+        assert at_notch == pytest.approx(-0.500137, abs=1e-6)
+        c = classify_pr(g)
+        assert c.grade is Grade.NOT_PR
+        assert any("changes sign" in msg for msg in c.diagnostics)
+        margin = real_part_margin(g)
+        assert at_notch - 1e-6 <= margin <= at_notch
+
+    def test_micro_damped_notch_margin(self):
+        # zeta = 1e-6: the dip at w = 1.2345 is 2.5e-6 rad/s wide
+        g = _notch_plant([(0.7, 1.2345, 1e-6), (0.5, 100.0, 0.5)])
+        at_notch = 0.3 - 0.5 * _re_bandpass(1.2345, 100.0, 0.5)
+        assert at_notch == pytest.approx(0.299924, abs=1e-6)
+        c = classify_pr(g)
+        assert c.grade is Grade.SSPR
+        assert c.d == pytest.approx(at_notch, abs=1e-6)
+        assert c.d <= at_notch
+
+    def test_wspr_chain_constant_sees_the_notch(self):
+        # g = (1 - 0.97 B(s; 3, 1e-6)) / (s + 100). Near w = 3, with
+        # Q = (9 - w^2)/(6e-6 w), (1 + w^2) Re g = 10 (100 - 97 c + 2.91 Q c)
+        # / 10009 with c = 1/(1 + Q^2); the minimum over Q of
+        # (2.91 Q - 97)/(1 + Q^2) is -(97 + sqrt(97^2 + 2.91^2))/2
+        g = _notch_plant([(0.97, 3.0, 1e-6)], tail=(100.0, 1.0))
+        assert classify_pr(g).grade is Grade.WSPR
+        at_resonance = 10.0 * (0.03 * 100.0 / 10009.0)  # (1 + 9) Re g(3j)
+        infimum = 10.0 * (100.0 - (97.0 + np.hypot(97.0, 2.91)) / 2.0) / 10009.0
+        c_w = wspr_chain_constant(g)
+        assert c_w <= at_resonance
+        assert c_w == pytest.approx(infimum, rel=1e-6)
+
+
+class TestTangency:
+    """Re g(jw) touching zero at a finite frequency: a root of even
+    multiplicity of R(w^2) that is no sign change, hand-derived."""
+
+    def test_axis_pole_pair_with_constant_real_part(self):
+        # (s^2 + s + 1)/(s^2 + 1) = 1 + s/(s^2 + 1): Re g(jw) = 1 off the
+        # poles, so R = Q = (1 - w^2)^2 has a double root at w = 1
+        c = classify_pr(ratfun_new([1, 1, 1], [1, 0, 1]))
+        assert c.grade is Grade.PR
+        assert c.d == pytest.approx(1.0, rel=1e-9)
+
+    def test_tangent_relative_degree_zero_is_pr(self):
+        # (s^2 + 1)/(s + 1)^2: Re g(jw) = (1 - w^2)^2/(1 + w^2)^2, zero at w = 1
+        g = ratfun_new([1, 0, 1], [1, 2, 1])
+        c = classify_pr(g)
+        assert c.grade is Grade.PR
+        assert c.d == 0.0
+        assert -1e-9 <= real_part_margin(g) <= 0.0
+
+    def test_rounded_axis_pair_is_pr(self):
+        # s/(s^2 + 3) + 1/(s + 0.1) over the product denominator, whose
+        # constant 0.1*3 rounds to 0.30000000000000004: den(j sqrt 3) is
+        # about 2.8e-17, not 0. Off the poles Re g(jw) = 0.1/(w^2 + 0.01)
+        from fractions import Fraction
+
+        from numpy.polynomial import polynomial as npp
+
+        den = npp.polymul([3.0, 0.0, 1.0], [0.1, 1.0])
+        assert Fraction(den[0]) != 3 * Fraction(0.1)  # the product rounded
+        num = npp.polyadd(npp.polymul([0.0, 1.0], [0.1, 1.0]), [3.0, 0.0, 1.0])
+        c = classify_pr(ratfun_new(num, den))
+        assert c.grade is Grade.PR
+        assert c.d == 0.0
+        # + 0.3: Re g(jw) = 0.3 + 0.1/(w^2 + 0.01), infimum 0.3 at infinity
+        c = classify_pr(ratfun_new(npp.polyadd(num, 0.3 * den), den))
+        assert c.grade is Grade.PR
+        assert c.d == pytest.approx(0.3, abs=1e-9)
+        # the unreduced rounded g dips far below zero next to the pole, and
+        # the certified margin follows it there and still terminates
+        assert real_part_margin(ratfun_new(num, den)) < -1e16
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.05, 20.0), st.floats(0.05, 5.0), st.floats(0.01, 10.0))
+    def test_axis_pair_plus_positive_part_is_pr(self, w0, r, a):
+        # 2r s/(s^2 + w0^2) + 1/(s + a) with rounded product coefficients
+        from numpy.polynomial import polynomial as npp
+
+        pair = [w0 * w0, 0.0, 1.0]
+        num = npp.polyadd(npp.polymul([0.0, 2.0 * r], [a, 1.0]), pair)
+        c = classify_pr(ratfun_new(num, npp.polymul(pair, [a, 1.0])))
+        assert c.grade is Grade.PR
+
+    def test_tangent_relative_degree_one_is_not_wspr(self):
+        # (s^2 + s + 2)/(s + 1)^3: Re g(jw) = 2 (1 - w^2)^2/(1 + w^2)^3 and
+        # w^2 Re g -> 2, but Re g(j1) = 0, so the grade is PR and c_w = 0
+        g = ratfun_new([2, 1, 1], [1, 3, 3, 1])
+        c = classify_pr(g)
+        assert c.grade is Grade.PR
+        assert c.d0 == 0.0
+        assert -1e-9 <= wspr_chain_constant(g) <= 0.0
+
+
+def _stable_plant(poles, zeros, gain):
+    """gain * prod(s - z) / prod(s - p) from (re, im) pairs in the left half
+    plane; im > 0 adds the conjugate pair. Zeros that would make the plant
+    improper are dropped."""
+    from numpy.polynomial import polynomial as npp
+
+    def expand(pairs):
+        roots = [complex(re, im) for re, im in pairs]
+        roots += [complex(re, -im) for re, im in pairs if im > 0.0]
+        return npp.polyfromroots(roots).real if roots else np.array([1.0])
+
+    den = expand(poles)
+    while zeros and len(expand(zeros)) > len(den):
+        zeros = zeros[:-1]
+    return ratfun_new(gain * expand(zeros), den)
+
+
+_root = st.tuples(st.floats(-5.0, -0.2), st.floats(0.0, 5.0))
+_plants = st.builds(
+    _stable_plant,
+    st.lists(_root, min_size=1, max_size=2),
+    st.lists(_root, min_size=0, max_size=2),
+    st.floats(0.2, 3.0),
+)
+
+
+def _dense_min(values, omegas):
+    with np.errstate(all="ignore"):
+        vals = values(np.asarray(omegas))
+    return float(np.min(vals[np.isfinite(vals)]))
+
+
+class TestExactAgainstDenseSweep:
+    """The certified margins never exceed a dense sweep of the same function,
+    and match it when the plant has no sharp features."""
+
+    OMEGAS = np.concatenate(([0.0], np.geomspace(1e-3, 1e6, 60001)))
+
+    @staticmethod
+    def _damping(g):
+        return min((-p.real / abs(p) for p in g.poles() if abs(p) > 0.0), default=1.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_plants)
+    def test_margins_bounded_by_the_sweep(self, g):
+        from hyperstab.ratfun import freq_response_array
+
+        def re(w):
+            return freq_response_array(g, w).real
+
+        sweep_d = _dense_min(re, self.OMEGAS)
+        if g.relative_degree == 0:
+            sweep_d = min(sweep_d, g.num.leading / g.den.leading)
+        else:
+            sweep_d = min(sweep_d, 0.0)
+        sweep_cw = _dense_min(lambda w: (1.0 + w * w) * re(w), self.OMEGAS)
+        d, c_w = real_part_margin(g), wspr_chain_constant(g)
+        assert d <= sweep_d + 1e-12 * max(1.0, abs(sweep_d))
+        assert c_w <= sweep_cw + 1e-12 * max(1.0, abs(sweep_cw))
+        if self._damping(g) >= 0.3:
+            assert d == pytest.approx(sweep_d, abs=1e-6 * max(1.0, abs(sweep_d)))
+            assert c_w == pytest.approx(sweep_cw, abs=1e-6 * max(1.0, abs(sweep_cw)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(
+        _plants,
+        st.builds(lambda a, r: ratfun_new([a, 1.0], [0.0, a * r, 1.0]),
+                  st.floats(0.1, 2.0), st.floats(1.5, 10.0)),
+    ))
+    def test_grid_sets_only_the_diagnostics(self, g):
+        coarse, fine = classify_pr(g, FrequencyGrid(points=64)), classify_pr(g)
+        assert coarse.grade is fine.grade
+        assert (coarse.d, coarse.d0, coarse.d1) == (fine.d, fine.d0, fine.d1)
