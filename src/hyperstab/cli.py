@@ -3,7 +3,8 @@
 Exit codes are part of the contract:
 
   0  success
-  2  parse/schema error (bad coefficients, malformed files, missing columns)
+  2  parse/schema error (bad coefficients, unreadable or malformed input
+     files, ragged trace rows, missing columns)
   3  improper transfer function
   4  simulation diverged (artifacts are still written)
   5  Parseval tolerance breach
@@ -13,6 +14,8 @@ Exit codes are part of the contract:
 all JSON files carry ascending-power coefficient arrays. ``--points``,
 ``--grid-min``, ``--grid-max`` and ``HYPERSTAB_GRID_POINTS`` set only the grid
 of the phase and hodograph diagnostics, never the grade or its margins.
+
+``main`` is the one place that turns an exception into an exit code.
 """
 
 from __future__ import annotations
@@ -24,14 +27,8 @@ import sys
 
 import numpy as np
 
-from .corpus import corpus_check, load_corpus
-from .errors import (
-    GridMismatch,
-    HyperstabError,
-    ImproperTransferFunction,
-    SchemaError,
-    ZeroDenominator,
-)
+from .corpus import corpus_check, load_corpus, read_json_file
+from .errors import GridMismatch, HyperstabError, ImproperTransferFunction, SchemaError
 from .harness import run_closed_loop, scenario_from_json_dict, write_run_artifacts
 from .ratfun import RationalFunction
 from .realness import FrequencyGrid, classify_pr
@@ -91,37 +88,13 @@ def _emit(data: dict, path: str | None) -> None:
 
 
 def cmd_classify(args) -> int:
-    try:
-        g = _parse_tf(args.tf)
-    except (SchemaError, ZeroDenominator, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ImproperTransferFunction as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IMPROPER
-    result = classify_pr(g, _grid_from_args(args))
+    result = classify_pr(_parse_tf(args.tf), _grid_from_args(args))
     _emit(result.to_report(), args.json)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    try:
-        with open(args.scenario) as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        print(f"error: scenario file not found: {args.scenario}", file=sys.stderr)
-        return EXIT_PARSE
-    except json.JSONDecodeError as exc:
-        print(f"error: scenario is not valid JSON: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        scenario = scenario_from_json_dict(data)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ImproperTransferFunction as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IMPROPER
+    scenario = scenario_from_json_dict(read_json_file(args.scenario, "scenario"))
     run = run_closed_loop(scenario)
     traces_path, report_path = write_run_artifacts(run, args.out_dir)
     print(f"wrote {traces_path} and {report_path}")
@@ -129,29 +102,24 @@ def cmd_simulate(args) -> int:
     return EXIT_DIVERGED if run.diverged_at is not None else EXIT_OK
 
 
-def _load_trace_signals(path):
+def _load_trace_signals(path, names: tuple[str, ...]):
+    """Signals of a trace file that must hold every column in ``names``."""
     try:
-        columns = read_trace_csv(path)
-        return signals_from_trace(columns)
-    except FileNotFoundError:
-        raise SchemaError(f"trace file not found: {path}") from None
+        signals = signals_from_trace(read_trace_csv(path))
+    except OSError as exc:
+        raise SchemaError(f"cannot read trace file: {exc}") from None
     except (GridMismatch, ValueError) as exc:
         raise SchemaError(f"malformed trace file: {exc}") from None
+    missing = [name for name in names if name not in signals]
+    if missing:
+        raise SchemaError(f"trace file needs columns {', '.join(missing)}")
+    return signals
 
 
 def cmd_audit(args) -> int:
-    try:
-        signals = _load_trace_signals(args.traces)
-        if "u" not in signals or "y" not in signals:
-            raise SchemaError("trace file needs u and y columns")
-        S = D = None
-        if args.with_storage:
-            if "S" not in signals or "D" not in signals:
-                raise SchemaError("--with-storage needs S and D columns")
-            S, D = signals["S"], signals["D"]
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    names = ("u", "y", "S", "D") if args.with_storage else ("u", "y")
+    signals = _load_trace_signals(args.traces, names)
+    S, D = (signals["S"], signals["D"]) if args.with_storage else (None, None)
     verdict = classify_taxonomy(signals["u"], signals["y"], S, D)
     residual_max = None
     if S is not None and D is not None:
@@ -162,13 +130,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_parseval(args) -> int:
-    try:
-        signals = _load_trace_signals(args.traces)
-        if "u" not in signals or "y" not in signals:
-            raise SchemaError("trace file needs u and y columns")
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    signals = _load_trace_signals(args.traces, ("u", "y"))
     u, y = signals["u"], signals["y"]
     time_energy = inner_product(u, y)
     freq_energy = frequency_energy(u, y)
@@ -185,14 +147,7 @@ def cmd_parseval(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    try:
-        entries = load_corpus(args.file)
-    except FileNotFoundError:
-        print(f"error: corpus file not found: {args.file}", file=sys.stderr)
-        return EXIT_PARSE
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    entries = load_corpus(args.file)
     report = corpus_check(entries)
     bad_ids = {m.entry_id for m in report.mismatches}
     print(f"{'entry':<16} {'expected':<8} status")
@@ -251,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except HyperstabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return EXIT_IMPROPER if isinstance(exc, ImproperTransferFunction) else EXIT_PARSE
 
 
 if __name__ == "__main__":

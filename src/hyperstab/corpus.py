@@ -50,17 +50,26 @@ def bundled_corpus_path() -> str:
     return str(resources.files("hyperstab").joinpath("data/corpus.json"))
 
 
+def read_json_file(path, what: str):
+    """Parse a JSON input file; an unreadable or malformed one is a SchemaError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise SchemaError(f"cannot read {what} file: {exc}") from None
+    except ValueError as exc:
+        raise SchemaError(f"{what} file is not valid JSON: {exc}") from None
+
+
 def load_corpus(path) -> list[CorpusEntry]:
     """Parse and validate a corpus file; SchemaError names the bad entry/field."""
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"corpus file is not valid JSON: {exc}") from None
+    raw = read_json_file(path, "corpus")
     if not isinstance(raw, list):
         raise SchemaError("corpus file must hold a JSON array of entries")
     entries = []
     for i, item in enumerate(raw):
+        if not isinstance(item, dict):
+            raise SchemaError(f"entry {i}: must be an object")
         entry_id = item.get("id", f"<entry {i}>")
         for fld in ("id", "num", "den", "grade"):
             if fld not in item:
@@ -75,10 +84,10 @@ def load_corpus(path) -> list[CorpusEntry]:
             plant = RationalFunction(item["num"], item["den"])
         except Exception as exc:
             raise SchemaError(f"entry {entry_id}: bad coefficients ({exc})") from None
-        margins = {}
-        for fld in _MARGIN_FIELDS:
-            if fld in item:
-                margins[fld] = float(item[fld])
+        try:
+            margins = {fld: float(item[fld]) for fld in _MARGIN_FIELDS if fld in item}
+        except (TypeError, ValueError):
+            raise SchemaError(f"entry {entry_id}: margins must be numbers") from None
         entries.append(
             CorpusEntry(
                 id=str(item["id"]),

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from array import array
 from dataclasses import dataclass, field
 from operator import mul
@@ -57,6 +58,7 @@ OVERFLOW_GUARD = 1e9
 NEWTON_MAX_ITER = 50
 NEWTON_TOL = 1e-12
 VIOLATION_CAP = 50
+MAX_STEPS = 10_000_000
 
 
 class Verdict(str, enum.Enum):
@@ -87,10 +89,13 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
-        if self.dt <= 0:
-            raise SchemaError("dt must be positive")
-        if self.horizon < 100 * self.dt:
-            raise SchemaError("horizon must cover at least 100 steps")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise SchemaError("dt must be positive and finite")
+        if not math.isfinite(self.horizon) or self.horizon < 100 * self.dt:
+            raise SchemaError("horizon must be finite and cover at least 100 steps")
+        # round(horizon/dt) > MAX_STEPS, without rounding an infinite ratio
+        if self.horizon / self.dt > MAX_STEPS + 0.5:
+            raise SchemaError(f"horizon/dt asks for more than {MAX_STEPS} steps")
         if not any(v != 0.0 for v in self.x0) and self.excitation is None:
             raise SchemaError(
                 "need a nonzero initial state or an excitation pulse: "
@@ -245,37 +250,23 @@ def _solve_output(c: float, D: float, e: float, f: Callable[[float], float],
     scale = 1.0 + abs(c) + abs(D * e)
     if abs(r) <= NEWTON_TOL * scale:
         return y
+    # walk away from y against the residual's sign until the residual flips
+    sign = -1.0 if r > 0.0 else 1.0
     step = 1.0 + abs(y)
-    if r > 0.0:
-        hi, fhi = y, r
-        lo = y - step
-        flo = phi(lo)
-        guard = 0
-        while flo > 0.0:
-            hi, fhi = lo, flo
-            step *= 2.0
-            lo -= step
-            flo = phi(lo)
-            guard += 1
-            if guard > 200:
-                raise AlgebraicLoopNoConvergence(
-                    f"no bracket at step {step_index}, residual {flo}"
-                )
-    else:
-        lo, flo = y, r
-        hi = y + step
-        fhi = phi(hi)
-        guard = 0
-        while fhi < 0.0:
-            lo, flo = hi, fhi
-            step *= 2.0
-            hi += step
-            fhi = phi(hi)
-            guard += 1
-            if guard > 200:
-                raise AlgebraicLoopNoConvergence(
-                    f"no bracket at step {step_index}, residual {fhi}"
-                )
+    near, far = y, y + sign * step
+    r = phi(far)
+    guard = 0
+    while sign * r < 0.0:
+        near = far
+        step *= 2.0
+        far += sign * step
+        r = phi(far)
+        guard += 1
+        if guard > 200:
+            raise AlgebraicLoopNoConvergence(
+                f"no bracket at step {step_index}, residual {r}"
+            )
+    lo, hi = (far, near) if sign < 0.0 else (near, far)
     y = 0.5 * (lo + hi)
     for _ in range(NEWTON_MAX_ITER):
         r = phi(y)

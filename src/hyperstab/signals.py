@@ -12,9 +12,9 @@ factor keeps both routes aligned to machine precision.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -304,30 +304,33 @@ def write_trace_csv(path, columns: dict[str, np.ndarray]) -> None:
     """Write aligned trace columns; 17 significant digits for exact round trips."""
     names = [c for c in TRACE_COLUMNS if c in columns]
     names += sorted(c for c in columns if c not in TRACE_COLUMNS)
-    n = len(columns[names[0]])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for i in range(n):
-            writer.writerow([format(float(columns[c][i]), ".17g") for c in names])
+    np.savetxt(path, np.column_stack([columns[c] for c in names]), fmt="%.17g",
+               delimiter=",", newline="\r\n", header=",".join(names), comments="")
 
 
 def read_trace_csv(path) -> dict[str, np.ndarray]:
-    """Read a trace CSV back into named float arrays; requires a t column."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise GridMismatch("empty trace file") from None
-        cols = {name.strip(): [] for name in header}
-        names = list(cols)
-        for row in reader:
-            if not row:
-                continue
-            for name, cell in zip(names, row):
-                cols[name].append(float(cell))
-    return {name: np.asarray(vals) for name, vals in cols.items()}
+    """Read a trace CSV back into named float arrays, one per header name.
+
+    A header-only file and a row whose cell count differs from the header's
+    raise GridMismatch.
+    """
+    with open(path) as fh:
+        header = fh.readline()
+        if not header:
+            raise GridMismatch("empty trace file")
+        names = [name.strip() for name in header.split(",")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns on a header-only file
+            try:
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                raise GridMismatch(f"malformed trace row: {exc}") from None
+    if data.shape[0] == 0 or data.shape[1] != len(names):
+        raise GridMismatch(
+            f"trace rows have {data.shape[1]} cells, the header names {len(names)}"
+            if data.size else "trace file has no rows"
+        )
+    return dict(zip(names, data.T))
 
 
 def signals_from_trace(columns: dict[str, np.ndarray]) -> dict[str, Signal]:

@@ -107,18 +107,24 @@ class TestSimulate:
         assert (tmp_path / "run" / "traces.csv").exists()
 
     def test_missing_file_exit_2(self, capsys, tmp_path):
-        code, _, err = run_cli(capsys, "simulate", "--scenario",
-                               str(tmp_path / "nope.json"),
-                               "--out-dir", str(tmp_path))
-        assert code == 2
+        for scenario in (tmp_path / "nope.json", tmp_path):
+            code, _, err = run_cli(capsys, "simulate", "--scenario", str(scenario),
+                                   "--out-dir", str(tmp_path / "run"))
+            assert code == 2
+            assert err.startswith("error:")
+            assert not (tmp_path / "run").exists()
 
     def test_schema_error_exit_2(self, capsys, tmp_path):
         base = {"plant": {"num": [1], "den": [1, 1]},
                 "device": {"kind": "Relay", "params": {"amplitude": 1.0}},
                 "x0": [1.0], "dt": 1e-3, "horizon": 1.0}
+        # dt = 1e-9 asks for 1e9 steps: refused before anything is allocated
         for data in ({"plant": {"num": [1]}},
                      {**base, "excitation": {"amplitude": "abc", "duration": 1}},
-                     {**base, "device": "Relay"}):
+                     {**base, "device": "Relay"},
+                     {**base, "dt": float("nan")},
+                     {**base, "horizon": float("inf")},
+                     {**base, "dt": 1e-9}):
             path = self._write_scenario(tmp_path, data)
             code, _, err = run_cli(capsys, "simulate", "--scenario", str(path),
                                    "--out-dir", str(tmp_path / "run"))
@@ -171,9 +177,16 @@ class TestAudit:
 
     def test_missing_column_exit_2(self, capsys, tmp_path):
         path = tmp_path / "trace.csv"
-        path.write_text("t,u\n0,1\n0.001,1\n")
-        code, _, err = run_cli(capsys, "audit", "--traces", str(path))
+        for text in ("t,u\n0,1\n0.001,1\n",
+                     "t,u,y\n0,1,1\n0.001,1\n0.002,1,1\n",
+                     "t,u,y\n0,1,1\n0.001,1,1,1\n0.002,1,1\n"):
+            path.write_text(text)
+            code, out, err = run_cli(capsys, "audit", "--traces", str(path))
+            assert code == 2
+            assert err.startswith("error:") and out == ""
+        code, _, err = run_cli(capsys, "audit", "--traces", str(tmp_path))
         assert code == 2
+        assert err.startswith("error:")
 
     def test_simulate_audit_round_trip(self, capsys, tmp_path):
         scenario = tmp_path / "scenario.json"
@@ -221,9 +234,13 @@ class TestParseval:
 
     def test_missing_columns_exit_2(self, capsys, tmp_path):
         path = tmp_path / "trace.csv"
-        path.write_text("t,z\n0,1\n0.001,1\n")
-        code, _, _ = run_cli(capsys, "parseval", "--traces", str(path))
-        assert code == 2
+        for text in ("t,z\n0,1\n0.001,1\n",
+                     "t,u,y\n0,1,1\n0.001,1\n0.002,1,1\n",
+                     "t,u,y\n0,1,1\n0.001,1,1,1\n0.002,1,1\n"):
+            path.write_text(text)
+            code, out, err = run_cli(capsys, "parseval", "--traces", str(path))
+            assert code == 2
+            assert err.startswith("error:") and out == ""
 
 
 class TestCorpus:
@@ -243,6 +260,14 @@ class TestCorpus:
 
     def test_schema_error_exit_2(self, capsys, tmp_path):
         path = tmp_path / "corpus.json"
-        path.write_text("{not json")
-        code, _, _ = run_cli(capsys, "corpus", "--file", str(path))
+        for text, named in (("{not json", ""),
+                            ("[1, 2]", "entry 0"),
+                            (json.dumps([{"id": "m", "num": [1], "den": [1, 1],
+                                          "grade": "WSPR", "d": "abc"}]), "entry m")):
+            path.write_text(text)
+            code, _, err = run_cli(capsys, "corpus", "--file", str(path))
+            assert code == 2
+            assert err.startswith("error:") and named in err
+        code, _, err = run_cli(capsys, "corpus", "--file", str(tmp_path))
         assert code == 2
+        assert err.startswith("error:")

@@ -276,6 +276,18 @@ class TestTraceRoundTrip:
         signals = signals_from_trace(back)
         assert signals["u"].dt == pytest.approx(DT)
 
+    def test_csv_golden_bytes(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, {
+            "y": np.array([2.0 / 3.0, -1.5]), "t": np.array([0.0, 0.1]),
+            "u": np.array([-0.0, 1e-300]), "E": np.array([1e300, 12345678901234567.0]),
+        })
+        assert path.read_bytes() == (
+            b"t,u,y,E\r\n"
+            b"0,-0,0.66666666666666663,1.0000000000000001e+300\r\n"
+            b"0.10000000000000001,1e-300,-1.5,12345678901234568\r\n"
+        )
+
     def test_non_uniform_grid_rejected(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("t,u,y\n0,1,1\n0.1,1,1\n0.3,1,1\n")
