@@ -44,15 +44,12 @@ from .ratfun import (
     times_s,
 )
 from .realness import (
-    DEFAULT_GRID,
-    FrequencyGrid,
     Grade,
     PRClassification,
     classify_pr,
     hodograph_quadrant_check,
     phase_deviation,
     real_part_margin,
-    spc_cross_relations,
     wspr_chain_constant,
 )
 from .signals import (

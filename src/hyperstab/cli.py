@@ -4,16 +4,16 @@ Exit codes are part of the contract:
 
   0  success
   2  parse/schema error (bad coefficients, unreadable or malformed input
-     files, ragged trace rows, missing columns)
+     files, ragged trace rows, missing columns) or an unwritable output path
   3  improper transfer function
   4  simulation diverged (artifacts are still written)
   5  Parseval tolerance breach
   6  corpus mismatches
 
 ``--tf`` strings use MATLAB-style descending powers ("1;1,0" is 1/s), while
-all JSON files carry ascending-power coefficient arrays. ``--points``,
-``--grid-min``, ``--grid-max`` and ``HYPERSTAB_GRID_POINTS`` set only the grid
-of the phase and hodograph diagnostics, never the grade or its margins.
+all JSON files carry ascending-power coefficient arrays. ``classify`` decides
+the grade and its report exactly from the coefficients; it samples no
+frequency grid.
 
 ``main`` is the one place that turns an exception into an exit code.
 """
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -31,7 +30,7 @@ from .corpus import corpus_check, load_corpus, read_json_file
 from .errors import GridMismatch, HyperstabError, ImproperTransferFunction, SchemaError
 from .harness import run_closed_loop, scenario_from_json_dict, write_run_artifacts
 from .ratfun import RationalFunction
-from .realness import FrequencyGrid, classify_pr
+from .realness import classify_pr
 from .signals import (
     PARSEVAL_TOL,
     classify_taxonomy,
@@ -65,19 +64,6 @@ def _parse_tf(text: str) -> RationalFunction:
     return RationalFunction(num[::-1], den[::-1])
 
 
-def _grid_from_args(args) -> FrequencyGrid:
-    points = args.points
-    env = os.environ.get("HYPERSTAB_GRID_POINTS")
-    try:
-        if points is None:
-            points = int(env) if env else 4096
-        return FrequencyGrid(
-            omega_min=args.grid_min, omega_max=args.grid_max, points=points
-        )
-    except ValueError as exc:
-        raise SchemaError(f"bad diagnostic grid: {exc}") from None
-
-
 def _emit(data: dict, path: str | None) -> None:
     text = json.dumps(data, indent=2) + "\n"
     if path:
@@ -88,7 +74,7 @@ def _emit(data: dict, path: str | None) -> None:
 
 
 def cmd_classify(args) -> int:
-    result = classify_pr(_parse_tf(args.tf), _grid_from_args(args))
+    result = classify_pr(_parse_tf(args.tf))
     _emit(result.to_report(), args.json)
     return EXIT_OK
 
@@ -106,8 +92,6 @@ def _load_trace_signals(path, names: tuple[str, ...]):
     """Signals of a trace file that must hold every column in ``names``."""
     try:
         signals = signals_from_trace(read_trace_csv(path))
-    except OSError as exc:
-        raise SchemaError(f"cannot read trace file: {exc}") from None
     except (GridMismatch, ValueError) as exc:
         raise SchemaError(f"malformed trace file: {exc}") from None
     missing = [name for name in names if name not in signals]
@@ -173,9 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="grade a transfer function")
     p.add_argument("--tf", required=True,
                    help="'num;den', comma-separated descending coefficients")
-    p.add_argument("--grid-min", type=float, default=1e-4)
-    p.add_argument("--grid-max", type=float, default=1e6)
-    p.add_argument("--points", type=int, default=None)
     p.add_argument("--json", default=None, help="write the report here instead of stdout")
     p.set_defaults(func=cmd_classify)
 
@@ -204,7 +185,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except HyperstabError as exc:
+    except (HyperstabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IMPROPER if isinstance(exc, ImproperTransferFunction) else EXIT_PARSE
 

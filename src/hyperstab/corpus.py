@@ -13,7 +13,7 @@ from importlib import resources
 
 from .errors import SchemaError
 from .ratfun import RationalFunction
-from .realness import DEFAULT_GRID, FrequencyGrid, Grade, classify_pr
+from .realness import Grade, classify_pr
 
 MARGIN_RTOL = 1e-6
 _MARGIN_FIELDS = ("d", "d0", "d1")
@@ -100,13 +100,11 @@ def load_corpus(path) -> list[CorpusEntry]:
     return entries
 
 
-def corpus_check(
-    entries: list[CorpusEntry], grid: FrequencyGrid = DEFAULT_GRID
-) -> CorpusReport:
+def corpus_check(entries: list[CorpusEntry]) -> CorpusReport:
     """Classify every entry and report grade or margin disagreements."""
     mismatches: list[Mismatch] = []
     for entry in entries:
-        result = classify_pr(entry.plant, grid)
+        result = classify_pr(entry.plant)
         if result.grade is not entry.expected_grade:
             mismatches.append(
                 Mismatch(entry.id, "grade", entry.expected_grade.value,

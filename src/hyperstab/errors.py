@@ -33,10 +33,6 @@ class PoleOnGrid(HyperstabError):
     pass
 
 
-class PreconditionNotPR(HyperstabError):
-    pass
-
-
 class GridMismatch(HyperstabError):
     pass
 

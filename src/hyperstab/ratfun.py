@@ -152,10 +152,14 @@ def _cancel_common_roots(num: Polynomial, den: Polynomial):
             den_roots.pop(hit)
     if len(kept_num) == len(num_roots):
         return num, den
-    return (
-        _poly_from_roots(kept_num, num.leading),
-        _poly_from_roots(den_roots, den.leading),
-    )
+
+    def rebuilt(rts, leading):
+        # a repeated real root can come back as a pair a hair off the real
+        # axis; once one member is cancelled, the other is that real root
+        snap = [abs(r.imag) <= ROOT_MATCH_TOL * (1.0 + abs(r)) for r in rts]
+        return _poly_from_roots([r.real if s else r for r, s in zip(rts, snap)], leading)
+
+    return rebuilt(kept_num, num.leading), rebuilt(den_roots, den.leading)
 
 
 class StabilityClass(str, enum.Enum):

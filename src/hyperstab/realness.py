@@ -15,9 +15,11 @@ functions, nonnegativity of the real part on the imaginary axis together with
 stability is equivalent (maximum principle) to nonnegativity of Re g on the
 whole closed right half-plane.
 
-``FrequencyGrid`` feeds only the diagnostics: the phase deviation, the
-hodograph quadrant check and the cross relations of ``s*g``. It never changes
-a grade or a margin.
+The grade and every field of its report come from these exact tests, and
+``quadrant_ok`` is the ``Re g >= -TOL_MARGIN`` test itself; no frequency grid
+is sampled. ``phase_deviation`` and ``hodograph_quadrant_check`` sample the
+same condition on ``DIAGNOSTIC_OMEGAS`` for callers that want the hodograph
+itself; nothing in the grading calls them.
 
 Grades, from weakest to strongest:
 
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .errors import ImproperTransferFunction, PoleOnGrid, PreconditionNotPR
+from .errors import ImproperTransferFunction, PoleOnGrid
 from .ratfun import (
     TOL_AXIS,
     RationalFunction,
@@ -54,6 +56,9 @@ TOL_MARGIN = 1e-9
 # A margin estimate is certified at est - CERT_REL * max(1, |est|) when the
 # estimate itself fails; bisection on t stops at twice that width.
 CERT_REL = 1e-9
+# Frequencies sampled by phase_deviation and hodograph_quadrant_check.
+DIAGNOSTIC_OMEGAS = np.geomspace(1e-4, 1e6, 4096)
+DIAGNOSTIC_OMEGAS.setflags(write=False)
 
 
 class Grade(str, enum.Enum):
@@ -64,27 +69,6 @@ class Grade(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class FrequencyGrid:
-    """Logarithmic frequency grid of the phase and hodograph diagnostics."""
-
-    omega_min: float = 1e-4
-    omega_max: float = 1e6
-    points: int = 4096
-
-    def __post_init__(self):
-        if not (self.omega_min > 0 and self.omega_min < self.omega_max):
-            raise ValueError("need 0 < omega_min < omega_max")
-        if self.points < 64:
-            raise ValueError("grid needs at least 64 points")
-
-    def omegas(self) -> np.ndarray:
-        return np.geomspace(self.omega_min, self.omega_max, self.points)
-
-
-DEFAULT_GRID = FrequencyGrid()
-
-
-@dataclass(frozen=True)
 class PRClassification:
     grade: Grade
     d: float = 0.0
@@ -92,7 +76,7 @@ class PRClassification:
     d1: float = 0.0
     single_pole_at_origin: bool = False
     g1_grade: Grade | None = None
-    phase_deviation_deg: float | None = None
+    # the exact Re g(jw) >= -TOL_MARGIN test; None if the grade came first
     quadrant_ok: bool | None = None
     diagnostics: tuple[str, ...] = ()
 
@@ -104,7 +88,6 @@ class PRClassification:
             "d1": self.d1,
             "single_pole_at_origin": self.single_pole_at_origin,
             "g1_grade": self.g1_grade.value if self.g1_grade else None,
-            "phase_deviation_deg": self.phase_deviation_deg,
             "quadrant_ok": self.quadrant_ok,
             "diagnostics": list(self.diagnostics),
         }
@@ -327,23 +310,18 @@ def wspr_chain_constant(g: RationalFunction) -> float:
     return _infimum(_mul([1, 1], r), q, lambda w: (1.0 + w * w) * _re_value(g)(w))
 
 
-def _axis_pole_omegas(g: RationalFunction) -> np.ndarray:
-    return np.array(
-        [abs(p.imag) for p in g.poles() if abs(p.real) <= TOL_AXIS], dtype=float
-    )
+def _pole_free_omegas(g: RationalFunction) -> np.ndarray:
+    """DIAGNOSTIC_OMEGAS; PoleOnGrid if an axis pole lies in their range."""
+    lo, hi = DIAGNOSTIC_OMEGAS[0], DIAGNOSTIC_OMEGAS[-1]
+    for p in g.poles():
+        if abs(p.real) <= TOL_AXIS and lo <= abs(p.imag) <= hi:
+            raise PoleOnGrid(f"axis pole at omega={abs(p.imag)} inside the grid range")
+    return DIAGNOSTIC_OMEGAS
 
 
-def _pole_free_omegas(g: RationalFunction, grid: FrequencyGrid) -> np.ndarray:
-    """The grid's frequencies; PoleOnGrid if an axis pole lies in its range."""
-    for wp in _axis_pole_omegas(g):
-        if grid.omega_min <= wp <= grid.omega_max:
-            raise PoleOnGrid(f"axis pole at omega={wp} inside the grid range")
-    return grid.omegas()
-
-
-def phase_deviation(g: RationalFunction, grid: FrequencyGrid = DEFAULT_GRID) -> float:
-    """Largest |arg g(jw)| over the grid, in degrees."""
-    vals = freq_response_array(g, _pole_free_omegas(g, grid))
+def phase_deviation(g: RationalFunction) -> float:
+    """Largest |arg g(jw)| over DIAGNOSTIC_OMEGAS, in degrees."""
+    vals = freq_response_array(g, _pole_free_omegas(g))
     return float(np.max(np.abs(np.degrees(np.angle(vals)))))
 
 
@@ -355,16 +333,14 @@ class QuadrantReport:
     first_violation_omega: float | None
 
 
-def hodograph_quadrant_check(
-    g: RationalFunction, grid: FrequencyGrid = DEFAULT_GRID
-) -> QuadrantReport:
-    """First/third-quadrant confinement of the hodograph for w >= 0.
+def hodograph_quadrant_check(g: RationalFunction) -> QuadrantReport:
+    """First/third-quadrant confinement of the hodograph, sampled for w >= 0.
 
     Conjugate symmetry extends the verdict to negative frequencies. Tangency
     with the imaginary axis (Re within TOL_MARGIN of zero) is reported, since
     it rules the strongest grade out.
     """
-    omegas = _pole_free_omegas(g, grid)
+    omegas = _pole_free_omegas(g)
     re = freq_response_array(g, omegas).real
     ok = bool(np.all(re >= -TOL_MARGIN))
     viol = np.nonzero(re < -TOL_MARGIN)[0]
@@ -377,26 +353,19 @@ def hodograph_quadrant_check(
     )
 
 
-def classify_pr(
-    g: RationalFunction, grid: FrequencyGrid = DEFAULT_GRID
-) -> PRClassification:
+def classify_pr(g: RationalFunction) -> PRClassification:
     """Grade a transfer function and compute the margins d, d0, d1.
 
-    The grid sets only the phase and hodograph diagnostics.
+    ``quadrant_ok`` is the exact test that decides PR, Re g(jw) >= -TOL_MARGIN
+    at every w: True for PR, WSPR and SSPR, False when it fails, and None when
+    the grade is decided before it runs (an unstable plant, or an axis pole
+    whose residue is not real and nonnegative).
     """
     diagnostics: list[str] = []
-    try:
-        pdeg = phase_deviation(g, grid)
-    except PoleOnGrid:
-        pdeg = None
-        diagnostics.append("phase sweep skipped: axis pole inside grid range")
-    try:
-        quad = hodograph_quadrant_check(g, grid).ok
-    except PoleOnGrid:
-        quad = None
+    quad: bool | None = None
 
     def graded(grade: Grade, **margins) -> PRClassification:
-        return PRClassification(grade, phase_deviation_deg=pdeg, quadrant_ok=quad,
+        return PRClassification(grade, quadrant_ok=quad,
                                 diagnostics=tuple(diagnostics), **margins)
 
     stability = stability_class(g)
@@ -419,7 +388,8 @@ def classify_pr(
     g_free = _axis_free_part(g, axis)
     r, q = _real_part_polys(g_free)
     tol_num, tol_den = TOL_MARGIN.as_integer_ratio()
-    if not _nonnegative(_lin(r, tol_den, q, -tol_num)):
+    quad = _nonnegative(_lin(r, tol_den, q, -tol_num))
+    if not quad:
         diagnostics.append(
             "Re g(jw) < 0 at some w: R(w^2) + TOL_MARGIN*Q(w^2) changes sign "
             "at w^2 > 0 or is negative at infinity; "
@@ -443,7 +413,7 @@ def classify_pr(
     d1 = 0.0
     if single:
         try:
-            sub = classify_pr(times_s(g), grid)
+            sub = classify_pr(times_s(g))
             g1_grade = sub.grade
             if sub.grade is Grade.SSPR:
                 d1 = sub.d
@@ -451,66 +421,3 @@ def classify_pr(
             diagnostics.append("s*g(s) is improper; no derived-function margin")
     return graded(Grade.PR, d=max(0.0, margin), single_pole_at_origin=single,
                   g1_grade=g1_grade, d1=d1)
-
-
-@dataclass(frozen=True)
-class CrossRelationReport:
-    """Residuals of the real/imaginary cross-identities between g and s*g."""
-
-    max_identity_residual: float
-    identity_violations: tuple[tuple[float, str, float], ...]
-    sign_violations: tuple[tuple[float, str, float], ...]
-
-    @property
-    def identities_hold(self) -> bool:
-        return not self.identity_violations
-
-
-def spc_cross_relations(
-    g: RationalFunction,
-    grid: FrequencyGrid = DEFAULT_GRID,
-    rel_tol: float = 1e-9,
-) -> CrossRelationReport:
-    """Check Re g = Im g1 / w and Re g1 = -w Im g for g1(s) = s g(s).
-
-    Requires g to be PR with a single simple origin pole. The auxiliary sign
-    conditions Im g <= 0 and Im g1 <= 0 are checked as well and every failure
-    is reported rather than raised; the second one fails for legitimate
-    members of this class, so it is diagnostic only.
-    """
-    cls = classify_pr(g, grid)
-    if cls.grade not in (Grade.PR, Grade.WSPR, Grade.SSPR) or not cls.single_pole_at_origin:
-        raise PreconditionNotPR(
-            "cross relations need a PR function with a single simple origin pole"
-        )
-    g1 = times_s(g)
-    omegas = grid.omegas()
-    for wp in _axis_pole_omegas(g):  # skip grid points on an axis pole
-        omegas = omegas[np.abs(omegas - wp) > 1e-6]
-    gv = freq_response_array(g, omegas)
-    g1v = freq_response_array(g1, omegas)
-
-    identity_violations: list[tuple[float, str, float]] = []
-    sign_violations: list[tuple[float, str, float]] = []
-    res1 = np.abs(gv.real - g1v.imag / omegas)
-    res2 = np.abs(g1v.real + omegas * gv.imag)
-    scale1 = 1.0 + np.abs(gv.real)
-    scale2 = 1.0 + np.abs(g1v.real)
-    for w, r, s in zip(omegas, res1, scale1):
-        if r > rel_tol * s:
-            identity_violations.append((float(w), "Re g != Im g1 / w", float(r)))
-    for w, r, s in zip(omegas, res2, scale2):
-        if r > rel_tol * s:
-            identity_violations.append((float(w), "Re g1 != -w Im g", float(r)))
-    for w, v in zip(omegas, gv.imag):
-        if v > TOL_MARGIN:
-            sign_violations.append((float(w), "Im g > 0", float(v)))
-    for w, v in zip(omegas, g1v.imag):
-        if v > TOL_MARGIN:
-            sign_violations.append((float(w), "Im g1 > 0", float(v)))
-    max_res = float(max(np.max(res1 / scale1), np.max(res2 / scale2)))
-    return CrossRelationReport(
-        max_identity_residual=max_res,
-        identity_violations=tuple(identity_violations),
-        sign_violations=tuple(sign_violations),
-    )

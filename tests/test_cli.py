@@ -43,9 +43,12 @@ class TestClassify:
         code, _, _ = run_cli(capsys, "classify", "--tf", "1,0,0;1,1")
         assert code == 3
 
-    def test_garbage_exit_2(self, capsys):
-        code, _, _ = run_cli(capsys, "classify", "--tf", "a,b;c")
-        assert code == 2
+    def test_garbage_exit_2(self, capsys, tmp_path):
+        for argv in (["--tf", "a,b;c"],
+                     ["--tf", "1;1,1", "--json", str(tmp_path / "missing" / "x.json")]):
+            code, _, err = run_cli(capsys, "classify", *argv)
+            assert code == 2
+            assert err.startswith("error:")
 
     def test_json_file_output(self, capsys, tmp_path):
         out_file = tmp_path / "cls.json"
@@ -57,21 +60,12 @@ class TestClassify:
         assert report["grade"] == "WSPR"
         assert report["d0"] == pytest.approx(1.0)
 
-    def test_grid_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("HYPERSTAB_GRID_POINTS", "128")
-        code, out, _ = run_cli(capsys, "classify", "--tf", "2,1;1,1")
-        assert code == 0
-        assert json.loads(out)["grade"] == "SSPR"
-
-    def test_bad_grid_env_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("HYPERSTAB_GRID_POINTS", "banana")
-        code, _, err = run_cli(capsys, "classify", "--tf", "2,1;1,1")
-        assert code == 2
-
     def test_unknown_flag_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["classify", "--tf", "1;1,1", "--frobnicate"])
-        assert exc.value.code == 2
+        for flag in (["--frobnicate"], ["--points", "128"], ["--grid-min", "1"],
+                     ["--grid-max", "10"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["classify", "--tf", "1;1,1", *flag])
+            assert exc.value.code == 2
 
 
 class TestSimulate:
@@ -113,6 +107,16 @@ class TestSimulate:
             assert code == 2
             assert err.startswith("error:")
             assert not (tmp_path / "run").exists()
+        # an existing file as the output directory
+        scenario = self._write_scenario(tmp_path, {
+            "plant": {"num": [2, 1], "den": [1, 1]},
+            "device": {"kind": "StaticSector", "params": {"k1": 1.0, "k2": 1.0}},
+            "x0": [1.0], "excitation": None, "dt": 1e-2, "horizon": 1.0,
+        })
+        code, _, err = run_cli(capsys, "simulate", "--scenario", str(scenario),
+                               "--out-dir", str(scenario))
+        assert code == 2
+        assert err.startswith("error:")
 
     def test_schema_error_exit_2(self, capsys, tmp_path):
         base = {"plant": {"num": [1], "den": [1, 1]},

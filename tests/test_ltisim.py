@@ -14,7 +14,6 @@ from hyperstab.ltisim import (
     simulate_forced,
 )
 from hyperstab.ratfun import ratfun_new
-from hyperstab.realness import DEFAULT_GRID
 from hyperstab.signals import Signal
 
 DT = 1e-3

@@ -40,11 +40,13 @@ class TestConstruction:
         assert g.num.coeffs == (2.0, 1.0)
 
     def test_common_factor_cancellation(self):
-        # (s+1) / (s+1)^2 with (s+1)^2 = s^2 + 2s + 1 expanded by hand
-        g = ratfun_new([1, 1], [1, 2, 1])
-        assert g.num.isclose(Polynomial([1.0]))
-        assert g.den.isclose(Polynomial([1.0, 1.0]))
-        assert g.relative_degree == 1
+        # (s+a) / (s+a)^2 with (s+a)^2 = s^2 + 2as + a^2 expanded by hand; at
+        # a = 0.375 the double pole's computed roots split off the real axis
+        for a in (1.0, 0.375):
+            g = ratfun_new([a, 1], [a * a, 2 * a, 1])
+            assert g.num.isclose(Polynomial([1.0]))
+            assert g.den.isclose(Polynomial([a, 1.0]))
+            assert g.relative_degree == 1
 
     def test_zero_denominator(self):
         with pytest.raises(ZeroDenominator):

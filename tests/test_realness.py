@@ -5,17 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperstab.errors import PoleOnGrid, PreconditionNotPR
+from hyperstab.errors import PoleOnGrid
 from hyperstab.ratfun import inverse, ratfun_new
 from hyperstab.realness import (
-    DEFAULT_GRID,
-    FrequencyGrid,
+    TOL_MARGIN,
     Grade,
     classify_pr,
     hodograph_quadrant_check,
     phase_deviation,
     real_part_margin,
-    spc_cross_relations,
     wspr_chain_constant,
 )
 
@@ -123,10 +121,6 @@ class TestClassify:
         c0, c1 = classify_pr(base), classify_pr(scaled)
         assert c0.grade is c1.grade
         assert c1.d == pytest.approx(alpha * c0.d, rel=1e-9)
-
-    def test_grid_override(self):
-        grid = FrequencyGrid(omega_min=1e-2, omega_max=1e4, points=256)
-        assert classify_pr(ratfun_new([2, 1], [1, 1]), grid).grade is Grade.SSPR
 
 
 class TestWSPRChainConstant:
@@ -277,12 +271,6 @@ class TestMultiAxisPoles:
 
 
 class TestCrossRelations:
-    def test_integrator_zero_residual(self):
-        rep = spc_cross_relations(ratfun_new([1], [0, 1]))
-        assert rep.identities_hold
-        assert rep.max_identity_residual <= 1e-12
-        assert not rep.sign_violations
-
     def test_hand_values_at_omega_one(self):
         # g = (s+1)/(s(s+2)): g(j) = (1-3j)/5, g1(j) = (3+j)/5 by hand
         g = ratfun_new([1, 1], [0, 2, 1])
@@ -294,18 +282,6 @@ class TestCrossRelations:
         assert g1j == pytest.approx(0.6 + 0.2j)
         assert gj.real == pytest.approx(g1j.imag / 1.0)
         assert g1j.real == pytest.approx(-1.0 * gj.imag)
-
-    def test_identities_hold_with_sign_caveat(self):
-        rep = spc_cross_relations(ratfun_new([1, 1], [0, 2, 1]))
-        assert rep.identities_hold
-        # Im g1 = w * Re g > 0 here, so the auxiliary sign condition on g1
-        # fails for this legitimate member; the report carries it
-        assert any("Im g1" in v[1] for v in rep.sign_violations)
-        assert not any("Im g >" in v[1] for v in rep.sign_violations)
-
-    def test_requires_origin_pole(self):
-        with pytest.raises(PreconditionNotPR):
-            spc_cross_relations(ratfun_new([1], [1, 1]))
 
 
 def _bandpass(w0, zeta):
@@ -347,6 +323,7 @@ class TestNarrowNotches:
         assert at_notch == pytest.approx(-0.500137, abs=1e-6)
         c = classify_pr(g)
         assert c.grade is Grade.NOT_PR
+        assert c.quadrant_ok is False
         assert any("changes sign" in msg for msg in c.diagnostics)
         margin = real_part_margin(g)
         assert at_notch - 1e-6 <= margin <= at_notch
@@ -464,9 +441,14 @@ _plants = st.builds(
 
 
 def _dense_min(values, omegas):
+    """Sampled minimum, polished on 2001 points between the argmin's neighbours."""
     with np.errstate(all="ignore"):
-        vals = values(np.asarray(omegas))
-    return float(np.min(vals[np.isfinite(vals)]))
+        vals = values(omegas)
+        vals[~np.isfinite(vals)] = np.inf
+        k = int(np.argmin(vals))
+        lo, hi = omegas[max(k - 1, 0)], omegas[min(k + 1, omegas.size - 1)]
+        fine = values(np.linspace(lo, hi, 2001))
+    return float(min(vals[k], np.min(fine[np.isfinite(fine)], initial=np.inf)))
 
 
 class TestExactAgainstDenseSweep:
@@ -496,17 +478,8 @@ class TestExactAgainstDenseSweep:
         d, c_w = real_part_margin(g), wspr_chain_constant(g)
         assert d <= sweep_d + 1e-12 * max(1.0, abs(sweep_d))
         assert c_w <= sweep_cw + 1e-12 * max(1.0, abs(sweep_cw))
+        if classify_pr(g).quadrant_ok:
+            assert sweep_d >= -TOL_MARGIN - 1e-12 * max(1.0, abs(sweep_d))
         if self._damping(g) >= 0.3:
             assert d == pytest.approx(sweep_d, abs=1e-6 * max(1.0, abs(sweep_d)))
             assert c_w == pytest.approx(sweep_cw, abs=1e-6 * max(1.0, abs(sweep_cw)))
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.one_of(
-        _plants,
-        st.builds(lambda a, r: ratfun_new([a, 1.0], [0.0, a * r, 1.0]),
-                  st.floats(0.1, 2.0), st.floats(1.5, 10.0)),
-    ))
-    def test_grid_sets_only_the_diagnostics(self, g):
-        coarse, fine = classify_pr(g, FrequencyGrid(points=64)), classify_pr(g)
-        assert coarse.grade is fine.grade
-        assert (coarse.d, coarse.d0, coarse.d1) == (fine.d, fine.d0, fine.d1)
