@@ -49,14 +49,17 @@ class PopovDeclaration(str, enum.Enum):
 class DeviceLaw:
     """One device kind with its parameters bound.
 
-    ``f(y, t)`` is the map v = F(y, t). ``affine`` is ``(gain(t), offset(t))``
-    when F(y, t) = gain(t)*y + offset(t), which lets the loop solve a direct
-    feedthrough exactly; otherwise None. ``injection`` is the pulse's
-    ``(t_start, t_end)`` interval, None for quadrant devices.
+    ``f(y, t)`` is the map v = F(y, t) at one sample. ``affine`` is
+    ``(gain(t), offset(t))`` when F(y, t) = gain(t)*y + offset(t), otherwise
+    None: both take the whole time grid as an array and return a new array
+    with one value per sample, so the closed loop can be stepped as a linear
+    recurrence, and ``f`` is built from them (``_affine``). ``injection`` is
+    the pulse's ``(t_start, t_end)`` interval, None for quadrant devices.
     """
 
     f: Callable[[float, float], float]
-    affine: tuple[Callable[[float], float], Callable[[float], float]] | None
+    affine: tuple[Callable[[np.ndarray], np.ndarray],
+                  Callable[[np.ndarray], np.ndarray]] | None
     declared: PopovDeclaration
     injection: tuple[float, float] | None = None
 
@@ -85,14 +88,25 @@ def _sector(params: dict) -> tuple[float, float]:
     return k1, gain
 
 
-def _zero(t: float) -> float:
-    return 0.0
+def _zeros(t: np.ndarray) -> np.ndarray:
+    return np.zeros(t.shape)
+
+
+def _affine(gains, offsets, declared: PopovDeclaration,
+            injection: tuple[float, float] | None = None) -> DeviceLaw:
+    """The law v = gain(t)*y + offset(t), with ``f`` read off the same array
+    rules at one sample, as the loop's scan records v."""
+    def f(y: float, t: float) -> float:
+        at = np.array([t])
+        return float(gains(at)[0] * y + offsets(at)[0])
+
+    return DeviceLaw(f, (gains, offsets), declared, injection)
 
 
 def _static_sector(params: dict) -> DeviceLaw:
     _, k = _sector(params)
-    return DeviceLaw(lambda y, t: k * y, (lambda t: k, _zero),
-                     PopovDeclaration.ALWAYS_ZERO_GAMMA)
+    return _affine(lambda t: np.full(t.shape, k), _zeros,
+                   PopovDeclaration.ALWAYS_ZERO_GAMMA)
 
 
 def _deadzone_sector(params: dict) -> DeviceLaw:
@@ -121,7 +135,8 @@ def _cubic_odd_power(params: dict) -> DeviceLaw:
 
 def _time_varying_gain(params: dict) -> DeviceLaw:
     try:
-        arr = np.asarray(params.get("samples", ()), dtype=float)
+        # a copy, so the law holds whatever happens to the given array
+        arr = np.array(params.get("samples", ()), dtype=float)
     except (TypeError, ValueError):
         raise InvalidParams("gain samples must be a list of numbers") from None
     sdt = _number(params, "sample_dt", 0.0)
@@ -129,14 +144,16 @@ def _time_varying_gain(params: dict) -> DeviceLaw:
         raise InvalidParams("time-varying gain needs samples and sample_dt > 0")
     if not np.all((arr >= 0.0) & (arr < np.inf)):
         raise InvalidParams("gain samples must be finite and nonnegative")
-    samples = tuple(arr.tolist())
-    last = len(samples) - 1
+    last = arr.size - 1
 
-    def gain(t: float) -> float:
-        return samples[min(int(t / sdt), last)]
+    # sample min(floor(t/sdt), last): clamp before truncating, so that a t/sdt
+    # that overflows to inf holds the last sample too; truncation is floor
+    # for t >= 0
+    def gains(t: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return arr[np.minimum(t / sdt, last).astype(np.intp)]
 
-    return DeviceLaw(lambda y, t: gain(t) * y, (gain, _zero),
-                     PopovDeclaration.ALWAYS_ZERO_GAMMA)
+    return _affine(gains, _zeros, PopovDeclaration.ALWAYS_ZERO_GAMMA)
 
 
 def _relay(params: dict) -> DeviceLaw:
@@ -156,13 +173,12 @@ def _regenerative_pulse(params: dict) -> DeviceLaw:
     if rate <= 0:
         raise InvalidParams("injection rate must be positive")
 
-    def offset(t: float) -> float:
-        return -rate if t0 <= t < t1 else 0.0
+    def offsets(t: np.ndarray) -> np.ndarray:
+        return np.where((t0 <= t) & (t < t1), -rate, 0.0)
 
     # the pulse injects a bounded amount of energy by construction, so a
     # finite Popov constant always exists
-    return DeviceLaw(lambda y, t: offset(t), (_zero, offset),
-                     PopovDeclaration.FINITE_GAMMA, injection=(t0, t1))
+    return _affine(_zeros, offsets, PopovDeclaration.FINITE_GAMMA, injection=(t0, t1))
 
 
 _LAWS: dict[DeviceKind, Callable[[dict], DeviceLaw]] = {

@@ -1,14 +1,20 @@
 """Closed-loop runner and bound-chain auditor for negative feedback loops.
 
 The loop is ``u = e - F(y)`` around a realized plant, stepped with the exact
-zero-order-hold discretization by one loop for every plant order, zero
-included: the state is a list of floats, ``c = C x`` and ``x' = Ad x + Bd u``
-are row sums, and the overflow guard on y runs at every order. Plants of
-relative degree zero have direct feedthrough, so each step solves the scalar
-algebraic loop ``y = c + D (e - F(y))``, exactly for affine devices and
-otherwise by safeguarded Newton with a bisection fallback; for monotone
-devices and ``D >= 0`` the residual is strictly increasing in y, which makes
-the root unique.
+zero-order-hold discretization at every plant order, zero included, with the
+overflow guard on y at every sample. There are two kernels.
+
+* Affine devices, ``F(y, t) = g(t) y + o(t)`` (static sector, time-varying
+  gain, regenerative pulse), make each step one affine map of the state, with
+  the algebraic loop ``y = C x + D (e - F(y))`` solved in closed form. The
+  whole trajectory comes from a blocked scan: prefix increments of the steps
+  of a block of SCAN_BLOCK samples, then one product per block.
+* Any other device is stepped one sample at a time: the state is a list of
+  floats, and ``c = C x`` and ``x' = Ad x + Bd u`` are row sums. Plants of
+  relative degree zero have direct feedthrough, so each step solves
+  ``y = c + D (e - F(y))`` by safeguarded Newton with a bisection fallback;
+  for monotone devices and ``D >= 0`` the residual is strictly increasing in
+  y, which makes the root unique.
 
 Energy bookkeeping. The trace energy ``E_io(t) = <u, y>_t`` uses the recorded
 output and is what the serialized CSV reproduces. The bound chains, however,
@@ -59,6 +65,7 @@ NEWTON_MAX_ITER = 50
 NEWTON_TOL = 1e-12
 VIOLATION_CAP = 50
 MAX_STEPS = 10_000_000
+SCAN_BLOCK = 256
 
 
 class Verdict(str, enum.Enum):
@@ -225,6 +232,9 @@ class BoundChainAudit:
 
 @dataclass(frozen=True)
 class SimulationRun:
+    """A completed run. ``kernel`` names the stepping path: "scan" for affine
+    devices, "loop" for the others when D = 0, "newton" when D != 0."""
+
     scenario: Scenario
     u: Signal
     y: Signal
@@ -235,6 +245,7 @@ class SimulationRun:
     device_status: DevicePopovStatus
     bound_audit: BoundChainAudit | None
     verdict: Verdict
+    kernel: str
     diverged_at: float | None = None
 
 
@@ -299,23 +310,112 @@ def _solve_output(c: float, D: float, e: float, f: Callable[[float], float],
     )
 
 
-def _simulate(sc: Scenario):
-    """Step the loop; returns raw trace arrays and the divergence time, if any."""
-    ss = realize(sc.plant)
-    if len(sc.x0) != ss.order:
-        raise DimensionMismatch(
-            f"x0 has {len(sc.x0)} entries, plant realization has order {ss.order}"
+def _prefix(inc: np.ndarray) -> np.ndarray:
+    """Prefix products of affine steps z -> z + [A_k | b_k] z on z = [x; 1].
+
+    ``inc`` stacks the m increments [A_k | b_k] (shape m x n x n+1); entry i
+    of the result is the increment of the first i steps together, so entry 0
+    is zero. A Hillis-Steele scan composes later after earlier as
+    P + Q + P[:, :n] Q, in ceil(log2(m + 1)) batched products. The identity is
+    never added, so it cannot swamp increments of order dt; equal increments
+    give the powers F^i - I.
+    """
+    n = inc.shape[1]
+    p = np.zeros((inc.shape[0] + 1,) + inc.shape[1:])
+    p[1:] = inc
+    o = 1
+    while o < len(p):
+        later, earlier = p[o:], p[:-o]
+        p[o:] = later + earlier + later[:, :, :n] @ earlier
+        o *= 2
+    return p
+
+
+def _scan_affine(sc: Scenario, ss, ad: np.ndarray, bd: np.ndarray, n_samples: int):
+    """Traces and divergence time of a loop whose device is affine.
+
+    With v = g*y + o and w = e - o, y = (C x + D w)/(1 + D g), so each step
+    adds [Ad - I - Bd g C/den | Bd w/den] z to x, with z = [x; 1]. The samples
+    go in blocks of SCAN_BLOCK: a block's outputs are one product of a table
+    built from the prefix increments of its steps with the state it starts
+    from. A block with one (g, w) throughout reuses the previous block's table
+    when that block had the same (g, w).
+    """
+    law = sc.device.law
+    t = np.arange(n_samples) * sc.dt
+    gain, offset = law.affine[0](t), law.affine[1](t)
+    e = np.zeros(n_samples)
+    if sc.excitation is not None:
+        e[t < sc.excitation.duration] = sc.excitation.amplitude
+    del t
+    w = e - offset
+    n, D = ss.order, ss.D
+    # the loop cannot be stepped past the first sample where 1 + D g vanishes
+    end = n_samples
+    if D != 0.0:
+        degenerate = np.nonzero(np.abs(1.0 + D * gain) < 1e-12)[0]
+        if degenerate.size:
+            end = int(degenerate[0])
+    g_run, w_run = gain[:end], w[:end]
+    change = np.nonzero((g_run[1:] != g_run[:-1]) | (w_run[1:] != w_run[:-1]))[0] + 1
+    mixed = np.zeros(end // SCAN_BLOCK + 1, dtype=bool)
+    mixed[change[change % SCAN_BLOCK != 0] // SCAN_BLOCK] = True
+
+    c = ss.C.reshape(-1)
+    bc = np.outer(bd, c)
+    am1 = ad - np.eye(n)  # exact while the diagonal of Ad is in [0.5, 2]
+    bd = bd.reshape(-1)
+    y = np.empty(n_samples)
+    z = np.append(np.asarray(sc.x0, dtype=float), 1.0)
+    table = out = key = stop = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(0, end, SCAN_BLOCK):
+            m = min(SCAN_BLOCK, end - s)
+            block_mixed = mixed[s // SCAN_BLOCK]
+            if block_mixed or key != (gain[s], w[s]):
+                g, wb = gain[s : s + m], w[s : s + m]
+                den = 1.0 + D * g
+                inc = np.empty((m, n, n + 1))
+                inc[:, :, :n] = am1 - (g / den)[:, None, None] * bc
+                inc[:, :, n] = (wb / den)[:, None] * bd
+                table = _prefix(inc)
+                # y_(s+i) = out[i] z_s = (C (x_s + P_i z_s) + D w)/(1 + D g)
+                out = c @ table[:m]
+                out[:, :n] += c
+                out[:, n] += D * wb
+                out /= den[:, None]
+                key = None if block_mixed else (gain[s], w[s])
+            ys = out[:m] @ z
+            ok = np.abs(ys) <= OVERFLOW_GUARD
+            if not ok.all():
+                stop = s + int(np.argmin(ok))
+                y[s:stop] = ys[: stop - s]
+                break
+            y[s : s + m] = ys
+            z[:n] += table[m] @ z
+    if stop is None and end < n_samples:
+        raise AlgebraicLoopNoConvergence(
+            f"degenerate affine loop at step {end}: 1 + D*k = {1.0 + D * gain[end]}"
         )
-    ad, bd = zoh_pair(ss, sc.dt)
+    del w
+    k = n_samples if stop is None else stop
+    # v = F(y, t) sample by sample, in the buffer of the gains; u = e - v
+    v = gain[:k]
+    v *= y[:k]
+    v += offset[:k]
+    e = e[:k]
+    return e - v, y[:k], v, e, None if stop is None else stop * sc.dt
+
+
+def _step_loop(sc: Scenario, ss, ad: np.ndarray, bd: np.ndarray, n_samples: int):
+    """Traces and divergence time of a loop stepped one sample at a time."""
     rows = list(zip(ad.tolist(), bd.reshape(-1).tolist()))
     c_row = ss.C.reshape(-1).tolist()
     x = list(sc.x0)
-    n_steps = int(round(sc.horizon / sc.dt))
     dt = sc.dt
     amp = sc.excitation.amplitude if sc.excitation else 0.0
     dur = sc.excitation.duration if sc.excitation else -1.0
     f = sc.device.law.f
-    gain, offset = sc.device.law.affine or (None, None)
     D = ss.D
     guard = OVERFLOW_GUARD
 
@@ -323,19 +423,12 @@ def _simulate(sc: Scenario):
     push_u, push_y = u_buf.append, y_buf.append
     push_v, push_e = v_buf.append, e_buf.append
     diverged_at = None
-    for k in range(n_steps + 1):
+    for k in range(n_samples):
         t = k * dt
         e = amp if t < dur else 0.0
         c = sum(map(mul, c_row, x), 0.0)
         if D == 0.0:
             yk = c
-        elif gain is not None:
-            denom = 1.0 + D * gain(t)
-            if abs(denom) < 1e-12:
-                raise AlgebraicLoopNoConvergence(
-                    f"degenerate affine loop at step {k}: 1 + D*k = {denom}"
-                )
-            yk = (c + D * (e - offset(t))) / denom
         else:
             yk = _solve_output(c, D, e, lambda yy: f(yy, t), k)
         if yk > guard or yk < -guard or yk != yk:
@@ -348,14 +441,36 @@ def _simulate(sc: Scenario):
         push_v(vk)
         push_e(e)
         x = [sum(map(mul, row, x), b * uk) for row, b in rows]
-    if len(u_buf) < 2:
-        raise AlgebraicLoopNoConvergence(
-            "trajectory left the overflow guard within the first step"
-        )
     return (
         np.frombuffer(u_buf), np.frombuffer(y_buf), np.frombuffer(v_buf),
         np.frombuffer(e_buf), diverged_at,
     )
+
+
+def _simulate(sc: Scenario):
+    """Step the loop; returns u, y, v, e, the divergence time and the kernel.
+
+    Affine devices go through the blocked scan ("scan"); any other device is
+    stepped one sample at a time, explicitly when D = 0 ("loop") and by the
+    scalar root solve otherwise ("newton").
+    """
+    ss = realize(sc.plant)
+    if len(sc.x0) != ss.order:
+        raise DimensionMismatch(
+            f"x0 has {len(sc.x0)} entries, plant realization has order {ss.order}"
+        )
+    ad, bd = zoh_pair(ss, sc.dt)
+    n_samples = int(round(sc.horizon / sc.dt)) + 1
+    if sc.device.law.affine is not None:
+        traces, kernel = _scan_affine(sc, ss, ad, bd, n_samples), "scan"
+    else:
+        traces = _step_loop(sc, ss, ad, bd, n_samples)
+        kernel = "loop" if ss.D == 0.0 else "newton"
+    if len(traces[0]) < 2:
+        raise AlgebraicLoopNoConvergence(
+            "trajectory left the overflow guard within the first step"
+        )
+    return *traces, kernel
 
 
 def _bound_chain_audit(
@@ -478,7 +593,7 @@ def _verdict(
 
 def run_closed_loop(sc: Scenario) -> SimulationRun:
     """Run the loop, audit both legs, and attach the evidence verdict."""
-    u_arr, y_arr, v_arr, e_arr, diverged_at = _simulate(sc)
+    u_arr, y_arr, v_arr, e_arr, diverged_at, kernel = _simulate(sc)
     u = Signal(sc.dt, u_arr)
     y = Signal(sc.dt, y_arr)
     v = Signal(sc.dt, v_arr)
@@ -498,6 +613,7 @@ def run_closed_loop(sc: Scenario) -> SimulationRun:
         device_status=device_status,
         bound_audit=audit,
         verdict=verdict,
+        kernel=kernel,
         diverged_at=diverged_at,
     )
 
@@ -530,6 +646,7 @@ def run_report(run: SimulationRun) -> dict:
         ),
         "verdict": run.verdict.value,
         "diverged_at": run.diverged_at,
+        "kernel": run.kernel,
         "device": run.device_status.to_report(),
         "energy": {
             "final_io": float(e_io[-1]),

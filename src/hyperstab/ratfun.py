@@ -2,7 +2,7 @@
 
 Coefficients are stored in ascending powers of s, so ``[2, 1]`` is ``s + 2``.
 Rational functions are normalized at construction: common numerator/denominator
-roots are cancelled, the denominator is made monic, and properness
+factors are divided out, the denominator is made monic, and properness
 (``deg den >= deg num``) is enforced. Everything here is immutable after
 construction and all operations are pure, so values can be shared across
 threads freely.
@@ -25,8 +25,14 @@ from .errors import (
     ZeroNumerator,
 )
 
-# Tolerance for matching roots during cancellation, relative to root scale.
+# Tolerance for treating roots as one (repeated poles, a real root with a
+# rounding-level imaginary part), relative to root scale.
 ROOT_MATCH_TOL = 1e-8
+# Grouping of numerator roots into candidate multiple roots, relative to root
+# scale, and the largest remainder, relative to the largest coefficient, that
+# still counts as exact division by a candidate common factor.
+CLUSTER_TOL = 1e-3
+FACTOR_REM_TOL = 1e-12
 # A pole is treated as lying on the imaginary axis when |Re| <= TOL_AXIS.
 TOL_AXIS = 1e-9
 # Relative threshold below which trailing coefficients are trimmed.
@@ -125,41 +131,60 @@ def _cluster_roots(rts: list[complex], tol: float = ROOT_MATCH_TOL) -> list[tupl
     return clusters
 
 
-def _poly_from_roots(rts, leading: float) -> Polynomial:
-    coeffs = npp.polyfromroots(rts) if len(rts) else np.array([1.0 + 0.0j])
-    coeffs = np.atleast_1d(coeffs)
-    if np.max(np.abs(coeffs.imag)) > 1e-9 * max(1.0, np.max(np.abs(coeffs))):
-        raise DegenerateInput("root set is not closed under conjugation")
-    return Polynomial(coeffs.real * leading)
+def _near(r: complex, rts: list[complex]) -> int:
+    """How many of ``rts`` lie within CLUSTER_TOL of r, relative to its scale."""
+    return sum(abs(x - r) <= CLUSTER_TOL * (1.0 + abs(r)) for x in rts)
+
+
+def _quotient(p: Polynomial, factor: np.ndarray) -> np.ndarray | None:
+    """p / factor, or None when the remainder is not negligible."""
+    quo, rem = npp.polydiv(p.coeffs, factor)
+    return quo if np.max(np.abs(rem)) <= FACTOR_REM_TOL * np.max(np.abs(p.coeffs)) else None
 
 
 def _cancel_common_roots(num: Polynomial, den: Polynomial):
-    """Remove root pairs shared by numerator and denominator."""
+    """Divide out the product of the factors (s - r)^m, or real quadratics of
+    pairs r, r*, that leave a negligible remainder in both num and den.
+
+    The candidates r are the means of the numerator roots grouped within
+    CLUSTER_TOL, then every root of either side, each only when a root of
+    the other side lies within CLUSTER_TOL. A root of multiplicity m comes
+    back from the eigenvalue solver split by about eps**(1/m), and the mean
+    of the split group is accurate to rounding; a simple root is accurate by
+    itself, also when a distinct root near it spoils the mean. m is at most
+    the number of roots of either side near r, and the division of both
+    sides by the product so far times (s - r)^m decides.
+    """
     if num.is_zero or num.degree == 0 or den.degree == 0:
         return num, den
-    num_roots = roots(num)
-    den_roots = roots(den)
-    kept_num = []
-    for rn in num_roots:
-        hit = None
-        for i, rd in enumerate(den_roots):
-            if abs(rn - rd) <= ROOT_MATCH_TOL * (1.0 + max(abs(rn), abs(rd))):
-                hit = i
-                break
-        if hit is None:
-            kept_num.append(rn)
-        else:
-            den_roots.pop(hit)
-    if len(kept_num) == len(num_roots):
+    num_roots, den_roots = roots(num), roots(den)
+    # a common root has a root of the other side near it
+    num_near = [r for r in num_roots if _near(r, den_roots)]
+    if not num_near:
         return num, den
-
-    def rebuilt(rts, leading):
-        # a repeated real root can come back as a pair a hair off the real
-        # axis; once one member is cancelled, the other is that real root
-        snap = [abs(r.imag) <= ROOT_MATCH_TOL * (1.0 + abs(r)) for r in rts]
-        return _poly_from_roots([r.real if s else r for r, s in zip(rts, snap)], leading)
-
-    return rebuilt(kept_num, num.leading), rebuilt(den_roots, den.leading)
+    den_near = [r for r in den_roots if _near(r, num_near)]
+    means = [c for c, _ in _cluster_roots(num_near, CLUSTER_TOL)]
+    common, taken, quotients = np.array([1.0]), [], (num, den)
+    for center in means + num_near + den_near:
+        if abs(center.imag) <= ROOT_MATCH_TOL * (1.0 + abs(center)):
+            factor = np.array([-center.real, 1.0])
+        elif center.imag > 0.0:
+            factor = np.array([abs(center) ** 2, -2.0 * center.real, 1.0])
+        else:
+            continue
+        if _near(center, taken):
+            continue
+        trial, size = common, len(common)
+        for _ in range(min(_near(center, num_roots), _near(center, den_roots))):
+            trial = npp.polymul(trial, factor)
+            q_num = _quotient(num, trial)
+            q_den = None if q_num is None else _quotient(den, trial)
+            if q_den is None:
+                break
+            common, quotients = trial, (Polynomial(q_num), Polynomial(q_den))
+        if len(common) > size:
+            taken.append(center)
+    return quotients
 
 
 class StabilityClass(str, enum.Enum):
@@ -258,17 +283,15 @@ def stability_class(g: RationalFunction) -> StabilityClass:
 
 def imaginary_axis_residues(g: RationalFunction) -> list[PoleInfo]:
     """Residues at all imaginary-axis poles; repeated axis poles are an error."""
-    poles = g.poles()
     out = []
-    dprime = g.den.derivative()
-    for location, mult in _cluster_roots(poles):
+    for location, mult in _cluster_roots(g.poles()):
         if abs(location.real) > TOL_AXIS:
             continue
         if mult > 1:
             raise RepeatedAxisPole(
                 f"axis pole at {location} has multiplicity {mult}"
             )
-        res = complex(g.num(location)) / complex(dprime(location))
+        res = complex(g.num(location)) / complex(g.den.derivative()(location))
         out.append(PoleInfo(location=location, multiplicity=1, residue=res))
     return out
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .errors import ImproperTransferFunction, PoleOnGrid
+from .errors import ImproperTransferFunction, PoleOnGrid, RepeatedAxisPole
 from .ratfun import (
     TOL_AXIS,
     RationalFunction,
@@ -288,14 +288,36 @@ def _re_value(g: RationalFunction):
     return lambda w: freq_response_array(g, w).real
 
 
-def real_part_margin(g: RationalFunction) -> float:
-    """Certified infimum of Re g(jw) over w >= 0, the w -> inf limit included.
+def _real_part(g: RationalFunction, axis) -> tuple[RationalFunction, list[int], list[int]] | None:
+    """(g_free, R, Q) with Re g(jw) = R(w^2)/Q(w^2) off the axis poles, g_free
+    being g without the axis poles in ``axis`` (``_axis_free_part``); None
+    when one of their residues is not real, so that Re g is unbounded below
+    next to that pole.
+    """
+    if any(abs(p.residue.imag) > TOL_MARGIN * (1.0 + abs(p.residue)) for p in axis):
+        return None
+    g_free = _axis_free_part(g, axis)
+    return (g_free, *_real_part_polys(g_free))
 
+
+def real_part_margin(g: RationalFunction) -> float:
+    """Certified infimum of Re g(jw) over w >= 0 off the axis poles, the
+    w -> inf limit included.
+
+    Axis poles with real residues leave Re g unchanged away from them, so they
+    are removed first, as in ``classify_pr`` (a repeated axis pole stays).
     Never above the true infimum; -inf when Re g is unbounded below (an axis
     pole with a residue that is not real).
     """
-    r, q = _real_part_polys(g)
-    return _infimum(r, q, _re_value(g))
+    try:
+        axis = imaginary_axis_residues(g)
+    except RepeatedAxisPole:
+        axis = []
+    part = _real_part(g, axis)
+    if part is None:
+        return -math.inf
+    g_free, r, q = part
+    return _infimum(r, q, _re_value(g_free))
 
 
 def wspr_chain_constant(g: RationalFunction) -> float:
@@ -385,8 +407,7 @@ def classify_pr(g: RationalFunction) -> PRClassification:
             return graded(Grade.NOT_PR)
 
     # Re g(jw) = R/Q off the axis poles; PR allows Re g >= -TOL_MARGIN
-    g_free = _axis_free_part(g, axis)
-    r, q = _real_part_polys(g_free)
+    g_free, r, q = _real_part(g, axis)
     tol_num, tol_den = TOL_MARGIN.as_integer_ratio()
     quad = _nonnegative(_lin(r, tol_den, q, -tol_num))
     if not quad:

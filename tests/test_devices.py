@@ -63,11 +63,18 @@ class TestApplyDevice:
         assert apply_device(spec, 1.0, 0.0) == 1.0
         assert apply_device(spec, 1.0, 1.5) == 2.0
         assert apply_device(spec, 1.0, 99.0) == 3.0  # held at the last sample
+        # t/sample_dt too large for an index, and at 5e-324 for a float
+        for sdt in (1e-300, 5e-324):
+            spec = DeviceSpec(kind="TimeVaryingGain",
+                              params={"samples": [0.5, 4.0], "sample_dt": sdt})
+            assert apply_device(spec, 1.0, 0.0) == 0.5
+            assert apply_device(spec, 1.0, 0.37) == 4.0
 
     def test_regenerative_pulse_window(self):
         spec = DeviceSpec(kind="RegenerativePulse",
                           params={"t_start": 1.0, "t_end": 2.0, "rate": 0.7})
         assert apply_device(spec, 5.0, 0.5) == 0.0
+        assert apply_device(spec, 5.0, 1.0) == -0.7  # on from t_start
         assert apply_device(spec, 5.0, 1.5) == -0.7
         assert apply_device(spec, 5.0, 2.0) == 0.0
 
@@ -75,6 +82,11 @@ class TestApplyDevice:
         for spec in quadrant_devices():
             v = apply_device(spec, 0.0, 3.21)
             assert v == 0.0
+
+    def test_non_affine_kinds_have_no_affine_law(self):
+        for kind, params in (("CubicOddPower", {"p": 3}), ("Relay", {"amplitude": 1.0}),
+                             ("DeadzoneSector", {"k2": 1.0, "deadzone": 0.1})):
+            assert DeviceSpec(kind=kind, params=params).law.affine is None
 
 
 class TestFrozenParams:

@@ -1,7 +1,10 @@
 """Closed-loop runner: loop algebra, verdicts, bound chains, determinism."""
 
+import dataclasses
+import decimal
 import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -16,9 +19,12 @@ from hyperstab.errors import (
 )
 from hyperstab.harness import (
     NEWTON_TOL,
+    OVERFLOW_GUARD,
+    SCAN_BLOCK,
     Excitation,
     Scenario,
     Verdict,
+    _simulate,
     _solve_output,
     batch_run,
     convergence_verdict,
@@ -28,7 +34,7 @@ from hyperstab.harness import (
     verify_bound_chain,
     write_run_artifacts,
 )
-from hyperstab.ltisim import realize, simulate_forced
+from hyperstab.ltisim import realize, simulate_forced, zoh_pair
 from hyperstab.ratfun import ratfun_new
 from hyperstab.realness import Grade
 from hyperstab.signals import Signal, energy_trace, read_trace_csv, signals_from_trace
@@ -182,6 +188,128 @@ class TestSteppingLoop:
         assert np.array_equal(run.u.values, run.e.values - run.v.values)
         v = [apply_device(device, yk, tk) for yk, tk in zip(y, run.y.times())]
         assert np.array_equal(run.v.values, v)
+
+
+AFFINE_DEVICES = [
+    DeviceSpec(kind="StaticSector", params={"k1": 0.5, "k2": 2.0}),
+    # sample_dt = 0.37 is not a multiple of dt = 0.01, and the last sample
+    # holds from t = 2.22 to the end
+    DeviceSpec(kind="TimeVaryingGain",
+               params={"samples": [0.5, 2.0, 1.0, 0.0, 3.0, 1.5], "sample_dt": 0.37}),
+    # a gain that changes exactly where the scan's blocks of dt = 0.01 meet
+    DeviceSpec(kind="TimeVaryingGain",
+               params={"samples": [1.0, 2.0, 0.5], "sample_dt": SCAN_BLOCK * 1e-2}),
+    # pulse edges on a sample (t = 0.5, t = 1.0) and between two
+    DeviceSpec(kind="RegenerativePulse",
+               params={"t_start": 0.5, "t_end": 1.234, "rate": 1.0}),
+    DeviceSpec(kind="RegenerativePulse",
+               params={"t_start": 0.123, "t_end": 1.0, "rate": 1.0}),
+]
+
+
+def demo_scenario(name):
+    path = resources.files("hyperstab").joinpath(f"data/scenarios/{name}.json")
+    return scenario_from_json_dict(json.loads(path.read_text()))
+
+
+class TestAffineScan:
+    @pytest.mark.parametrize("device", AFFINE_DEVICES, ids=lambda d: d.kind.value)
+    @pytest.mark.parametrize("order, feedthrough", sorted(STEPPING_PLANTS),
+                             ids=lambda v: str(v))
+    def test_scan_matches_forced_plant(self, order, feedthrough, device):
+        g = ratfun_new(*STEPPING_PLANTS[order, feedthrough])
+        ss = realize(g)
+        x0 = tuple(0.5 * (i + 1) for i in range(order))
+        # 1001 samples: the excitation ends inside the first block of the
+        # scan, and the last blocks hold one (gain, e - offset) throughout
+        sc = Scenario(plant=g, device=device, x0=x0,
+                      excitation=Excitation(1.5, 0.3), dt=1e-2, horizon=10.0)
+        run = run_closed_loop(sc)
+        assert run.kernel == "scan" and run.diverged_at is None
+        t = run.y.times()
+        y = run.y.values
+        ref = simulate_forced(ss, run.u, x0).values
+        assert np.max(np.abs(y - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
+        v = [apply_device(device, yk, tk) for yk, tk in zip(y, t)]
+        assert np.array_equal(run.v.values, v)
+        assert np.array_equal(run.u.values, run.e.values - run.v.values)
+        assert np.array_equal(run.e.values, np.where(t < 0.3, 1.5, 0.0))
+
+    def test_divergence_at_first_sample_past_guard(self):
+        # 1/(s - 1) under a gain that drops from 3 to 0.5 between two samples
+        # (t = 1.003): the output decays, then grows at rate 0.5
+        g = ratfun_new([1.0], [-1.0, 1.0])
+        device = DeviceSpec(kind="TimeVaryingGain",
+                            params={"samples": [3.0, 0.5], "sample_dt": 1.003})
+        sc = Scenario(plant=g, device=device, x0=(1.0,), dt=1e-2, horizon=60.0)
+        run = run_closed_loop(sc)
+        # the same recurrence stepped one sample at a time; y = x here
+        ad, bd = (float(m[0, 0]) for m in zoh_pair(realize(g), sc.dt))
+        x, k = 1.0, 0
+        while abs(x) <= OVERFLOW_GUARD:
+            x = ad * x - bd * apply_device(device, x, k * sc.dt)
+            k += 1
+        assert run.verdict is Verdict.DIVERGED
+        assert run.diverged_at == k * sc.dt
+        assert len(run.y) == len(run.u) == k
+        assert np.all(np.abs(run.y.values) <= OVERFLOW_GUARD)
+
+    def test_degenerate_loop_raises_at_first_reached_step(self):
+        # g = -1 has D = -1, so 1 + D*k = 0 where the gain reaches 1: at t = 0
+        # for a constant gain, and at the first sample with floor(t/0.37) = 2
+        g = ratfun_new([-1.0], [1.0])
+        for device, step in (
+            (DeviceSpec(kind="StaticSector", params={"k1": 1.0, "k2": 1.0}), 0),
+            (DeviceSpec(kind="TimeVaryingGain",
+                        params={"samples": [0.5, 0.25, 1.0], "sample_dt": 0.37}), 74),
+        ):
+            sc = Scenario(plant=g, device=device, excitation=Excitation(1.0, 0.5),
+                          dt=1e-2, horizon=3.0)
+            with pytest.raises(AlgebraicLoopNoConvergence,
+                               match=rf"degenerate affine loop at step {step}: "
+                                     r"1 \+ D\*k = 0\.0$"):
+                run_closed_loop(sc)
+        # a loop that leaves the guard before the degenerate step is a
+        # diverged run: (2 - s)/(s - 10) under gain 0.1 has its pole at 10.9
+        sc = Scenario(plant=ratfun_new([2.0, -1.0], [-10.0, 1.0]),
+                      device=DeviceSpec(kind="TimeVaryingGain",
+                                        params={"samples": [0.1, 1.0], "sample_dt": 2.5}),
+                      x0=(1.0,), dt=1e-2, horizon=5.0)
+        run = run_closed_loop(sc)
+        assert run.verdict is Verdict.DIVERGED and len(run.y) == 171
+        assert run.diverged_at == 171 * sc.dt
+
+    def test_integrator_demo_matches_exact_powers(self):
+        # 1/s under unit gain: y_k = (1 - dt)^k exactly, for the binary dt
+        sc = demo_scenario("integrator_unit_gain")
+        u, y, v, e, diverged_at, kernel = _simulate(sc)
+        assert kernel == "scan" and diverged_at is None and len(y) == 2_000_001
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            base = 1 - decimal.Decimal(sc.dt)
+            for k in (10**3, 10**5, 10**6, 2 * 10**6):
+                assert abs(y[k] - float(base**k)) <= 1e-13
+
+
+class TestKernel:
+    @pytest.mark.parametrize("name, kernel", [
+        ("sspr_sector", "scan"),
+        ("wspr_cubic", "loop"),
+        ("integrator_unit_gain", "scan"),
+        ("regenerative_pulse", "scan"),
+        ("unstable_gain", "scan"),
+    ])
+    def test_demo_kernels(self, name, kernel):
+        # the path depends on the device and on D only, so a short horizon will do
+        sc = dataclasses.replace(demo_scenario(name), horizon=1.0)
+        run = run_closed_loop(sc)
+        assert run.kernel == kernel
+        assert run_report(run)["kernel"] == kernel
+
+    def test_newton_kernel(self):
+        sc = sspr_scenario(device=DeviceSpec(kind="CubicOddPower", params={"p": 3}),
+                           horizon=1.0)
+        assert run_report(run_closed_loop(sc))["kernel"] == "newton"
 
 
 class TestSSPRRun:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npp
 
 from hyperstab.errors import (
     DegenerateInput,
@@ -47,6 +48,34 @@ class TestConstruction:
             assert g.num.isclose(Polynomial([1.0]))
             assert g.den.isclose(Polynomial([a, 1.0]))
             assert g.relative_degree == 1
+        # (s+1)^2/(s+1)^3: the triple pole's computed roots split by about
+        # 6e-6, yet the common factor is exact
+        g = ratfun_new([1, 2, 1], [1, 3, 3, 1])
+        assert g.num.isclose(Polynomial([1.0]))
+        assert g.den.isclose(Polynomial([1.0, 1.0]))
+        # (s+1)^3/(s+1)^4 and a repeated complex pair, (s^2+s+1)^2 (s+1) over
+        # (s^2+s+1)^2 (s+2)
+        g = ratfun_new([1, 3, 3, 1], [1, 4, 6, 4, 1])
+        assert g.num.isclose(Polynomial([1.0]))
+        assert g.den.isclose(Polynomial([1.0, 1.0]))
+        pair2 = npp.polypow([1.0, 1.0, 1.0], 2)
+        g = ratfun_new(npp.polymul(pair2, [1.0, 1.0]), npp.polymul(pair2, [2.0, 1.0]))
+        assert g.num.isclose(Polynomial([1.0, 1.0]))
+        assert g.den.isclose(Polynomial([2.0, 1.0]))
+        # a simple pair, (s+2), cancels as well as the split one
+        g = ratfun_new(npp.polymul(npp.polypow([1.0, 1.0], 2), [2.0, 1.0]),
+                       npp.polymul(npp.polypow([1.0, 1.0], 3), [6.0, 5.0, 1.0]))
+        assert g.num.isclose(Polynomial([1.0]))
+        assert g.den.isclose(Polynomial([3.0, 4.0, 1.0]))
+        # a common root next to a distinct one: the mean of the two is no
+        # factor, the root itself is
+        for b in (1.0005, 1.000001):
+            g = ratfun_new(npp.polymul([1.0, 1.0], [b, 1.0]), npp.polymul([1.0, 1.0], [3.0, 1.0]))
+            assert g.num.isclose(Polynomial([b, 1.0]))
+            assert g.den.isclose(Polynomial([3.0, 1.0]))
+        # a near miss is not a common factor
+        g = ratfun_new([1.0, 1.0], [1.0001, 1.0])
+        assert g.num.degree == 1 and g.den.degree == 1
 
     def test_zero_denominator(self):
         with pytest.raises(ZeroDenominator):
@@ -99,8 +128,6 @@ class TestRoots:
         real_roots = sorted(real_roots)
         if any(b - a < 0.25 for a, b in zip(real_roots, real_roots[1:])):
             return
-        from numpy.polynomial import polynomial as npp
-
         coeffs = npp.polyfromroots(real_roots).real
         found = roots(Polynomial(coeffs))
         rebuilt = npp.polyfromroots(sorted(r.real for r in found)).real
