@@ -12,9 +12,12 @@ overflow guard on y at every sample. There are two kernels.
 * Any other device is stepped one sample at a time: the state is a list of
   floats, and ``c = C x`` and ``x' = Ad x + Bd u`` are row sums. Plants of
   relative degree zero have direct feedthrough, so each step solves
-  ``y = c + D (e - F(y))`` by safeguarded Newton with a bisection fallback;
-  for monotone devices and ``D >= 0`` the residual is strictly increasing in
-  y, which makes the root unique.
+  ``y = c + D (e - F(y))`` by secant steps inside a bracket, started from the
+  previous output. For monotone devices and ``D > 0`` the residual
+  ``phi(y) = y - c - D (e - F(y))`` has ``phi' >= 1``, so the root is unique
+  and lies within ``|phi(y0)|`` of the start y0, which brackets it before the
+  first secant step. With ``D < 0`` the root reached from the previous output
+  is the one recorded.
 
 Energy bookkeeping. The trace energy ``E_io(t) = <u, y>_t`` uses the recorded
 output and is what the serialized CSV reproduces. The bound chains, however,
@@ -233,7 +236,9 @@ class BoundChainAudit:
 @dataclass(frozen=True)
 class SimulationRun:
     """A completed run. ``kernel`` names the stepping path: "scan" for affine
-    devices, "loop" for the others when D = 0, "newton" when D != 0."""
+    devices, "loop" for the others when D = 0, "newton" when D != 0. For
+    "newton", ``solve_evaluations[i]`` counts the steps whose root solve took
+    i device calls; it is None on the other paths."""
 
     scenario: Scenario
     u: Signal
@@ -247,61 +252,82 @@ class SimulationRun:
     verdict: Verdict
     kernel: str
     diverged_at: float | None = None
+    solve_evaluations: np.ndarray | None = None
 
 
-def _solve_output(c: float, D: float, e: float, f: Callable[[float], float],
-                  step_index: int) -> float:
-    """Root of phi(y) = y - c - D*(e - f(y)), increasing for monotone f, D >= 0."""
+def _solve_output(c: float, D: float, e: float, f: Callable[[float, float], float],
+                  t: float, y: float, step_index: int) -> tuple[float, int]:
+    """Root of phi(y) = y - c - D*(e - f(y, t)) reached from the start ``y``.
 
-    def phi(yv: float) -> float:
-        return yv - c - D * (e - f(yv))
-
-    y = c + D * e
-    r = phi(y)
+    Returns the root and the number of device calls spent on it. For D > 0
+    and a nondecreasing f, phi' >= 1: the root is unique (I + D F is strongly
+    monotone) and lies within |phi(y)| of the start, so the first trial point,
+    one residual away, brackets it. For D < 0 the root need not be unique; the
+    one returned is the root reached from the start, which the loop sets to
+    the previous output. Secant steps through the last two points refine the
+    bracket; a step bisects instead whenever the secant point leaves the
+    bracket or three steps have not halved it. The count is at most
+    2 + 200 + NEWTON_MAX_ITER, so it fits a byte.
+    """
     scale = 1.0 + abs(c) + abs(D * e)
-    if abs(r) <= NEWTON_TOL * scale:
-        return y
-    # walk away from y against the residual's sign until the residual flips
+    tol = NEWTON_TOL * scale
+    r = y - c - D * (e - f(y, t))
+    calls = 1
+    if abs(r) <= tol:
+        return y, calls
+    # walk away from y against the residual's sign until the residual flips;
+    # the first step of |r| does so whenever phi' >= 1
     sign = -1.0 if r > 0.0 else 1.0
-    step = 1.0 + abs(y)
-    near, far = y, y + sign * step
-    r = phi(far)
+    step = abs(r)
+    near, r_near = y, r
+    far = y + sign * step
+    r_far = far - c - D * (e - f(far, t))
+    calls += 1
+    if abs(r_far) <= tol:
+        return far, calls
     guard = 0
-    while sign * r < 0.0:
-        near = far
+    while sign * r_far < 0.0:
+        near, r_near = far, r_far
         step *= 2.0
         far += sign * step
-        r = phi(far)
+        r_far = far - c - D * (e - f(far, t))
+        calls += 1
         guard += 1
         if guard > 200:
             raise AlgebraicLoopNoConvergence(
-                f"no bracket at step {step_index}, residual {r}"
+                f"no bracket at step {step_index}, residual {r_far}"
             )
     lo, hi = (far, near) if sign < 0.0 else (near, far)
-    y = 0.5 * (lo + hi)
+    y_old, r_old, y, r = near, r_near, far, r_far
+    # bracket widths three, two and one iterations back
+    oldest = older = old = math.inf
     for _ in range(NEWTON_MAX_ITER):
-        r = phi(y)
-        if abs(r) <= NEWTON_TOL * scale:
-            return y
+        # secant through the last two points, unless it leaves the open
+        # bracket (lo does when the two residuals are equal) or the last three
+        # points did not halve the bracket, as secant points creeping along
+        # one steep side of the residual do
+        trial = y - r * (y - y_old) / (r - r_old) if r != r_old else lo
+        if not lo < trial < hi or hi - lo > 0.5 * oldest:
+            # bisect in asinh(y / scale): a bracket that spans decades beyond
+            # the solve's scale loses half of them, a narrow one half its width
+            trial = scale * math.sinh(
+                0.5 * (math.asinh(lo / scale) + math.asinh(hi / scale)))
+            if not lo < trial < hi:  # rounded onto an end
+                trial = 0.5 * (lo + hi)
+        oldest, older, old = older, old, hi - lo
+        y_old, r_old, y = y, r, trial
+        r = y - c - D * (e - f(y, t))
+        calls += 1
+        if abs(r) <= tol:
+            return y, calls
         if r > 0.0:
             hi = y
         else:
             lo = y
-        h = 1e-7 * (1.0 + abs(y))
-        slope = (phi(y + h) - phi(y - h)) / (2.0 * h)
-        if slope > 0.0:
-            candidate = y - r / slope
-        else:
-            candidate = y
-        if lo < candidate < hi:
-            y = candidate
-        else:
-            y = 0.5 * (lo + hi)
         if hi - lo <= 1e-15 * (1.0 + abs(y)):
             break
-    r = phi(y)
     if abs(r) <= 1e-9 * scale:
-        return y
+        return y, calls
     # a collapsed bracket with a large residual means the device response
     # jumps across the loop equation: no consistent output exists
     raise AlgebraicLoopNoConvergence(
@@ -408,7 +434,13 @@ def _scan_affine(sc: Scenario, ss, ad: np.ndarray, bd: np.ndarray, n_samples: in
 
 
 def _step_loop(sc: Scenario, ss, ad: np.ndarray, bd: np.ndarray, n_samples: int):
-    """Traces and divergence time of a loop stepped one sample at a time."""
+    """Traces, divergence time and solve effort of a loop stepped one sample
+    at a time.
+
+    With D != 0 each step solves the loop equation from the previous output
+    (step 0 from c + D e); the effort is ``np.bincount`` of the device calls
+    per step's solve, None when D = 0.
+    """
     rows = list(zip(ad.tolist(), bd.reshape(-1).tolist()))
     c_row = ss.C.reshape(-1).tolist()
     x = list(sc.x0)
@@ -419,9 +451,8 @@ def _step_loop(sc: Scenario, ss, ad: np.ndarray, bd: np.ndarray, n_samples: int)
     D = ss.D
     guard = OVERFLOW_GUARD
 
-    u_buf, y_buf, v_buf, e_buf = array("d"), array("d"), array("d"), array("d")
-    push_u, push_y = u_buf.append, y_buf.append
-    push_v, push_e = v_buf.append, e_buf.append
+    y_buf, v_buf, calls_buf = array("d"), array("d"), array("B")
+    push_y, push_v, push_calls = y_buf.append, v_buf.append, calls_buf.append
     diverged_at = None
     for k in range(n_samples):
         t = k * dt
@@ -430,29 +461,34 @@ def _step_loop(sc: Scenario, ss, ad: np.ndarray, bd: np.ndarray, n_samples: int)
         if D == 0.0:
             yk = c
         else:
-            yk = _solve_output(c, D, e, lambda yy: f(yy, t), k)
+            yk, calls = _solve_output(c, D, e, f, t, yk if k else c + D * e, k)
+            push_calls(calls)
         if yk > guard or yk < -guard or yk != yk:
             diverged_at = t
             break
         vk = f(yk, t)
         uk = e - vk
-        push_u(uk)
         push_y(yk)
         push_v(vk)
-        push_e(e)
         x = [sum(map(mul, row, x), b * uk) for row, b in rows]
-    return (
-        np.frombuffer(u_buf), np.frombuffer(y_buf), np.frombuffer(v_buf),
-        np.frombuffer(e_buf), diverged_at,
-    )
+    y, v = np.frombuffer(y_buf), np.frombuffer(v_buf)
+    # a diverged step's solve is not one of the recorded samples
+    evaluations = (None if D == 0.0
+                   else np.bincount(np.frombuffer(calls_buf, np.uint8)[: len(y)]))
+    del calls_buf  # before e and u: at most four 8-byte values per sample
+    # the same floats as the per-step e and u above
+    e = np.where(np.arange(len(y)) * dt < dur, amp, 0.0)
+    return e - v, y, v, e, diverged_at, evaluations
 
 
 def _simulate(sc: Scenario):
-    """Step the loop; returns u, y, v, e, the divergence time and the kernel.
+    """Step the loop; returns u, y, v, e, the divergence time, the kernel and
+    the solve effort.
 
     Affine devices go through the blocked scan ("scan"); any other device is
     stepped one sample at a time, explicitly when D = 0 ("loop") and by the
-    scalar root solve otherwise ("newton").
+    scalar root solve otherwise ("newton"). The solve effort, a histogram of
+    device calls per step, exists for "newton" only.
     """
     ss = realize(sc.plant)
     if len(sc.x0) != ss.order:
@@ -463,14 +499,15 @@ def _simulate(sc: Scenario):
     n_samples = int(round(sc.horizon / sc.dt)) + 1
     if sc.device.law.affine is not None:
         traces, kernel = _scan_affine(sc, ss, ad, bd, n_samples), "scan"
+        evaluations = None
     else:
-        traces = _step_loop(sc, ss, ad, bd, n_samples)
+        *traces, evaluations = _step_loop(sc, ss, ad, bd, n_samples)
         kernel = "loop" if ss.D == 0.0 else "newton"
     if len(traces[0]) < 2:
         raise AlgebraicLoopNoConvergence(
             "trajectory left the overflow guard within the first step"
         )
-    return *traces, kernel
+    return *traces, kernel, evaluations
 
 
 def _bound_chain_audit(
@@ -593,7 +630,7 @@ def _verdict(
 
 def run_closed_loop(sc: Scenario) -> SimulationRun:
     """Run the loop, audit both legs, and attach the evidence verdict."""
-    u_arr, y_arr, v_arr, e_arr, diverged_at, kernel = _simulate(sc)
+    u_arr, y_arr, v_arr, e_arr, diverged_at, kernel, evaluations = _simulate(sc)
     u = Signal(sc.dt, u_arr)
     y = Signal(sc.dt, y_arr)
     v = Signal(sc.dt, v_arr)
@@ -615,6 +652,7 @@ def run_closed_loop(sc: Scenario) -> SimulationRun:
         verdict=verdict,
         kernel=kernel,
         diverged_at=diverged_at,
+        solve_evaluations=evaluations,
     )
 
 
@@ -647,6 +685,9 @@ def run_report(run: SimulationRun) -> dict:
         "verdict": run.verdict.value,
         "diverged_at": run.diverged_at,
         "kernel": run.kernel,
+        "solve_evaluations": (
+            None if run.solve_evaluations is None else run.solve_evaluations.tolist()
+        ),
         "device": run.device_status.to_report(),
         "energy": {
             "final_io": float(e_io[-1]),

@@ -8,6 +8,8 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hyperstab.corpus import bundled_corpus_path, load_corpus
 from hyperstab.devices import DeviceKind, DeviceSpec, apply_device
@@ -98,18 +100,19 @@ class TestScenarioValidation:
 class TestAlgebraicLoop:
     def test_solve_output_linear(self):
         # y = c + D(e - k y) -> y = (c + D e)/(1 + D k)
-        y = _solve_output(1.0, 1.0, 0.0, lambda yy: yy, 0)
+        y, _ = _solve_output(1.0, 1.0, 0.0, lambda yy, t: yy, 0.0, 1.0, 0)
         assert y == pytest.approx(0.5, abs=1e-12)
 
     def test_solve_output_cubic(self):
         # y + D y^3 = c with c = 2, D = 1: root of y^3 + y - 2 = 0 is y = 1
-        y = _solve_output(2.0, 1.0, 0.0, lambda yy: yy**3, 0)
+        y, _ = _solve_output(2.0, 1.0, 0.0, lambda yy, t: yy**3, 0.0, 2.0, 0)
         assert y == pytest.approx(1.0, abs=1e-10)
 
     def test_solve_output_relay(self):
         # y = c - D*a*sign(y): c = 2, D = 1, a = 1 -> y = 1
-        y = _solve_output(2.0, 1.0, 0.0,
-                          lambda yy: 1.0 if yy > 0 else (-1.0 if yy < 0 else 0.0), 0)
+        y, _ = _solve_output(2.0, 1.0, 0.0,
+                             lambda yy, t: 1.0 if yy > 0 else (-1.0 if yy < 0 else 0.0),
+                             0.0, 2.0, 0)
         assert y == pytest.approx(1.0, abs=1e-9)
 
     def test_newton_path_matches_affine_path(self):
@@ -125,7 +128,7 @@ class TestAlgebraicLoop:
         for k in range(5):
             c = 0.3 * (k + 1)
             c_vals.append(c)
-            y_solutions.append(_solve_output(c, D, 0.0, lambda yy: yy, k))
+            y_solutions.append(_solve_output(c, D, 0.0, lambda yy, t: yy, 0.0, c, k)[0])
         for c, y in zip(c_vals, y_solutions):
             assert y == pytest.approx(c / 2.0, abs=1e-12)
         assert run_affine.verdict in (Verdict.ASYMPTOTIC, Verdict.HYPERSTABLE)
@@ -139,7 +142,82 @@ class TestAlgebraicLoop:
         # solution for 0 < e < 1, and the solver must say so
         with pytest.raises(AlgebraicLoopNoConvergence):
             _solve_output(0.5, 1.0, 0.0,
-                          lambda yy: 1.0 if yy > 0 else (-1.0 if yy < 0 else 0.0), 0)
+                          lambda yy, t: 1.0 if yy > 0 else (-1.0 if yy < 0 else 0.0),
+                          0.0, 0.5, 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(["cubic", "quintic", "relay", "deadzone"]),
+        st.floats(min_value=0.5, max_value=3.0),
+        st.floats(min_value=1e-3, max_value=5.0),
+        st.floats(min_value=-20.0, max_value=20.0),
+        st.floats(min_value=-2.0, max_value=2.0),
+        st.floats(min_value=-20.0, max_value=20.0),
+    )
+    def test_monotone_bracket_from_first_residual(self, name, a, D, c, e, y0):
+        # for D > 0 and a nondecreasing device phi' >= 1, so the first trial
+        # point, |phi(y0)| from y0, brackets the root: every later device call
+        # lies between the first two, and the root meets the stop rule. The
+        # relay and the deadzone jump, and for |c + D e| inside the jump
+        # there is no root
+        kind, params, gap = {
+            "cubic": ("CubicOddPower", {"p": 3}, (0.0, 0.0)),
+            "quintic": ("CubicOddPower", {"p": 5}, (0.0, 0.0)),
+            "relay": ("Relay", {"amplitude": a}, (0.0, D * a)),
+            "deadzone": ("DeadzoneSector",
+                         {"k1": 0.0, "k2": a, "gain": a, "deadzone": 0.2},
+                         (0.2, 0.2 * (1.0 + D * a))),
+        }[name]
+        f = DeviceSpec(kind=kind, params=params).law.f
+        calls = []
+
+        def device(yy, t):
+            calls.append(yy)
+            return f(yy, t)
+
+        b = c + D * e
+        assume(all(abs(abs(b) - edge) > 1e-6 for edge in gap))
+        try:
+            y, spent = _solve_output(c, D, e, device, 0.0, y0, 0)
+        except AlgebraicLoopNoConvergence:
+            assert gap[0] < abs(b) < gap[1]
+            return
+        assert not gap[0] < abs(b) < gap[1]
+        scale = 1.0 + abs(c) + abs(D * e)
+        assert abs(y - c - D * (e - f(y, 0.0))) <= NEWTON_TOL * scale
+        assert spent == len(calls)
+        lo, hi = min(calls[:2]), max(calls[:2])
+        assert all(lo <= yy <= hi for yy in calls[2:])
+
+    def test_relay_raises_at_the_step_with_no_root(self):
+        # y = Cx + D(e - a sign(y)) has no root once 0 < |Cx| <= D a: the
+        # output of (s+2)/(s+1) decays into that band at step 694
+        sc = sspr_scenario(device=DeviceSpec(kind="Relay", params={"amplitude": 1.0}),
+                           x0=(3.0,), horizon=5.0)
+        with pytest.raises(AlgebraicLoopNoConvergence, match="at step 694:"):
+            run_closed_loop(sc)
+
+    def test_negative_feedthrough_keeps_the_previous_branch(self):
+        # (0.5 - 0.3s)/(1 + s) has D = -0.3: with a relay both y = b + |D|a
+        # and y = b - |D|a solve the loop equation while |b| < |D|a. Each
+        # recorded y satisfies it, on the branch of the previous output
+        # whenever that branch has a root
+        a = 0.5
+        sc = Scenario(plant=ratfun_new([0.5, -0.3], [1.0, 1.0]),
+                      device=DeviceSpec(kind="Relay", params={"amplitude": a}),
+                      x0=(1.0,), dt=1e-3, horizon=5.0)
+        run = run_closed_loop(sc)
+        ss = realize(sc.plant)
+        assert ss.D == -0.3 and run.kernel == "newton"
+        y, u, v, e = run.y.values, run.u.values, run.v.values, run.e.values
+        ref = simulate_forced(ss, run.u, sc.x0).values
+        scale = 1.0 + np.abs(ref - ss.D * u) + np.abs(ss.D * e)
+        assert np.all(np.abs(y - ref) <= 2.0 * NEWTON_TOL * scale)
+        b = ref + ss.D * v  # C x + D e
+        branch = np.sign(y[:-1])
+        kept = branch * b[1:] + abs(ss.D) * a > 0.0
+        assert np.count_nonzero(kept) > 0.9 * len(kept)
+        assert np.array_equal(np.sign(y[1:])[kept], branch[kept])
 
     def test_cubic_with_feedthrough_satisfies_implicit_equation(self):
         # plant (s+2)/(s+1) has D = 1; with v = y^3 each step solves
@@ -282,7 +360,7 @@ class TestAffineScan:
     def test_integrator_demo_matches_exact_powers(self):
         # 1/s under unit gain: y_k = (1 - dt)^k exactly, for the binary dt
         sc = demo_scenario("integrator_unit_gain")
-        u, y, v, e, diverged_at, kernel = _simulate(sc)
+        u, y, v, e, diverged_at, kernel, _ = _simulate(sc)
         assert kernel == "scan" and diverged_at is None and len(y) == 2_000_001
         with decimal.localcontext() as ctx:
             ctx.prec = 40
@@ -305,11 +383,27 @@ class TestKernel:
         run = run_closed_loop(sc)
         assert run.kernel == kernel
         assert run_report(run)["kernel"] == kernel
+        # no demo solves a loop equation: none has a nonlinear device with D != 0
+        assert run.solve_evaluations is None
+        assert run_report(run)["solve_evaluations"] is None
 
     def test_newton_kernel(self):
         sc = sspr_scenario(device=DeviceSpec(kind="CubicOddPower", params={"p": 3}),
                            horizon=1.0)
-        assert run_report(run_closed_loop(sc))["kernel"] == "newton"
+        run = run_closed_loop(sc)
+        report = run_report(run)
+        assert report["kernel"] == "newton"
+        # one histogram entry per recorded step, indexed by device calls
+        assert run.solve_evaluations.sum() == len(run.y)
+        assert report["solve_evaluations"] == run.solve_evaluations.tolist()
+        assert run.solve_evaluations[0] == 0
+        # the solve of the step that leaves the overflow guard is not counted
+        sc = Scenario(plant=ratfun_new([2.0, 1.0], [-1.0, 1.0]),
+                      device=DeviceSpec(kind="Relay", params={"amplitude": 0.1}),
+                      x0=(5.0,), dt=1e-3, horizon=30.0)
+        run = run_closed_loop(sc)
+        assert run.kernel == "newton" and run.diverged_at is not None
+        assert run.solve_evaluations.sum() == len(run.y)
 
 
 class TestSSPRRun:
