@@ -130,7 +130,14 @@ def _cubic_odd_power(params: dict) -> DeviceLaw:
     if int(p) != p or p < 1 or p % 2 == 0:
         raise InvalidParams(f"exponent must be an odd integer >= 1, got {p}")
     exp = int(p)
-    return DeviceLaw(lambda y, t: y ** exp, None, PopovDeclaration.ALWAYS_ZERO_GAMMA)
+
+    def f(y: float, t: float) -> float:
+        try:
+            return y ** exp
+        except OverflowError:  # past the float range, as numpy's power gives
+            return math.copysign(math.inf, y)
+
+    return DeviceLaw(f, None, PopovDeclaration.ALWAYS_ZERO_GAMMA)
 
 
 def _time_varying_gain(params: dict) -> DeviceLaw:

@@ -22,8 +22,10 @@ overflow guard on y at every sample. There are two kernels.
 Energy bookkeeping. The trace energy ``E_io(t) = <u, y>_t`` uses the recorded
 output and is what the serialized CSV reproduces. The bound chains, however,
 are statements about the plant as a convolution operator: they are audited on
-the zero-state energy ``E_op(t) = <u, g*u>_t``, which coincides with E_io
-whenever the initial state is zero. With a nonzero initial state the
+the zero-state energy ``E_op(t) = <u, g*u>_t``. With a zero initial state
+the two agree only to within the audit's discretization error (its
+trapezoidal convolution of the sampled impulse response), which is first
+order in dt and can exceed ``tol_bound``. With a nonzero initial state the
 discharge of the stored energy rides on the feedback leg: the equivalent
 feedback signal seen by the convolution operator is ``-u``, and the tightest
 finite-horizon Popov constant of that leg is ``gamma0^2 = max(0, sup_t
@@ -471,6 +473,11 @@ def _step_loop(sc: Scenario, ss, ad: np.ndarray, bd: np.ndarray, n_samples: int)
         push_y(yk)
         push_v(vk)
         x = [sum(map(mul, row, x), b * uk) for row, b in rows]
+    if v_buf and not math.isfinite(v_buf[-1]):
+        # the device output left the float range; only the last sample can
+        # hold it, since the state is not finite after it
+        diverged_at = (len(v_buf) - 1) * dt
+        del y_buf[-1], v_buf[-1]
     y, v = np.frombuffer(y_buf), np.frombuffer(v_buf)
     # a diverged step's solve is not one of the recorded samples
     evaluations = (None if D == 0.0

@@ -11,6 +11,7 @@ threads freely.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,18 +41,36 @@ COEFF_TRIM_TOL = 1e-12
 
 
 def _trim(coeffs) -> tuple[float, ...]:
-    arr = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    if arr.ndim != 1 or arr.size == 0:
+    if isinstance(coeffs, np.ndarray):
+        coeffs = coeffs.tolist()
+    if isinstance(coeffs, (list, tuple)) and all(isinstance(c, (float, int)) for c in coeffs):
+        vals = [float(c) for c in coeffs]
+    else:
+        arr = np.atleast_1d(np.asarray(coeffs, dtype=float))
+        vals = arr.tolist() if arr.ndim == 1 else []
+    if not vals:
         raise DegenerateInput("coefficient list must be a nonempty 1-d sequence")
-    if not np.all(np.isfinite(arr)):
+    if not all(map(math.isfinite, vals)):
         raise DegenerateInput("coefficients must be finite")
-    scale = np.max(np.abs(arr))
+    scale = max(map(abs, vals))
     if scale == 0.0:
         return (0.0,)
-    keep = np.nonzero(np.abs(arr) > COEFF_TRIM_TOL * scale)[0]
-    if keep.size == 0:
-        return (0.0,)
-    return tuple(float(c) for c in arr[: keep[-1] + 1])
+    cut = COEFF_TRIM_TOL * scale
+    end = len(vals)
+    while abs(vals[end - 1]) <= cut:
+        end -= 1
+    return tuple(vals[:end])
+
+
+def _horner(coeffs, x):
+    """``npp.polyval(x, coeffs)`` in its operation order, without building
+    numpy arrays for a scalar x (an array x is evaluated elementwise)."""
+    if isinstance(x, (tuple, list)):
+        x = np.asarray(x)
+    val = coeffs[-1] + x * 0
+    for c in coeffs[-2::-1]:
+        val = c + val * x
+    return val
 
 
 @dataclass(frozen=True)
@@ -76,12 +95,12 @@ class Polynomial:
         return self.coeffs[-1]
 
     def __call__(self, s):
-        return npp.polyval(s, self.coeffs)
+        return _horner(self.coeffs, s)
 
     def derivative(self) -> "Polynomial":
         if self.degree == 0:
             return Polynomial([0.0])
-        return Polynomial(npp.polyder(self.coeffs))
+        return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def scaled(self, factor: float) -> "Polynomial":
         return Polynomial([c * factor for c in self.coeffs])
@@ -97,18 +116,42 @@ class Polynomial:
 
 
 def roots(p: Polynomial) -> list[complex]:
-    """All roots of ``p`` (with multiplicity) via the companion matrix.
-
-    numpy's root finder diagonalizes the companion matrix, which is accurate
-    for the small degrees this package deals with.
+    """All roots of ``p`` (with multiplicity), sorted by real then imaginary
+    part: the eigenvalues of the companion matrix that ``np.roots`` builds,
+    after the roots at zero that its zero low-order coefficients give.
     """
     if p.is_zero:
         raise DegenerateInput("zero polynomial has no well-defined roots")
     if p.degree < 1:
         raise DegenerateInput("constant polynomial has no roots")
-    rts = np.roots(np.asarray(p.coeffs[::-1], dtype=float))
-    order = np.lexsort((rts.imag, rts.real))
-    return [complex(r) for r in rts[order]]
+    c = p.coeffs
+    low = 0
+    while c[low] == 0.0:
+        low += 1
+    n = p.degree - low
+    rts = [0.0] * low
+    if n:
+        companion = np.eye(n, k=-1)
+        companion[0] = [-x / c[-1] for x in reversed(c[low:-1])]
+        rts = np.linalg.eigvals(companion).tolist() + rts
+    return sorted(map(complex, rts), key=lambda r: (r.real, r.imag))
+
+
+def _mean(group: list[complex]) -> complex:
+    """``np.mean`` of a list of complex numbers, with numpy's rounding.
+
+    numpy adds fewer than four complex values in order, from 0.0, and divides
+    by the count as a complex number: by multiplying with 1/count. Larger
+    groups, a root of multiplicity four or more, keep np.mean's pairwise sum.
+    """
+    if len(group) >= 4:
+        return complex(np.mean(group))
+    re = im = 0.0
+    for r in group:
+        re += r.real
+        im += r.imag
+    scl = 1.0 / len(group)
+    return complex((re + im * 0.0) * scl, (im - re * 0.0) * scl)
 
 
 def _cluster_roots(rts: list[complex], tol: float = ROOT_MATCH_TOL) -> list[tuple[complex, int]]:
@@ -126,8 +169,7 @@ def _cluster_roots(rts: list[complex], tol: float = ROOT_MATCH_TOL) -> list[tupl
             else:
                 rest.append(r)
         remaining = rest
-        center = complex(np.mean(group))
-        clusters.append((center, len(group)))
+        clusters.append((_mean(group), len(group)))
     return clusters
 
 
@@ -136,10 +178,35 @@ def _near(r: complex, rts: list[complex]) -> int:
     return sum(abs(x - r) <= CLUSTER_TOL * (1.0 + abs(r)) for x in rts)
 
 
-def _quotient(p: Polynomial, factor: np.ndarray) -> np.ndarray | None:
+def _trimseq(c: list[float]) -> list[float]:
+    """c without trailing zeros, keeping at least one coefficient."""
+    end = len(c)
+    while end > 1 and c[end - 1] == 0.0:
+        end -= 1
+    return c[:end]
+
+
+def _polydiv(c1, c2) -> tuple[list[float], list[float]]:
+    """``npp.polydiv(c1, c2)`` (quotient, remainder) on plain floats, in its
+    operation order."""
+    c1, c2 = _trimseq([float(c) for c in c1]), _trimseq([float(c) for c in c2])
+    if len(c1) < len(c2):
+        return [c1[0] * 0], c1
+    if len(c2) == 1:
+        return [c / c2[0] for c in c1], [c1[0] * 0]
+    scl = c2[-1]
+    c2 = [c / scl for c in c2[:-1]]
+    n = len(c2)
+    for j in range(len(c1) - 1, n - 1, -1):
+        lead = c1[j]
+        c1[j - n:j] = [a - b * lead for a, b in zip(c1[j - n:j], c2)]
+    return [c / scl for c in c1[n:]], _trimseq(c1[:n])
+
+
+def _quotient(p: Polynomial, factor: np.ndarray) -> list[float] | None:
     """p / factor, or None when the remainder is not negligible."""
-    quo, rem = npp.polydiv(p.coeffs, factor)
-    return quo if np.max(np.abs(rem)) <= FACTOR_REM_TOL * np.max(np.abs(p.coeffs)) else None
+    quo, rem = _polydiv(p.coeffs, factor)
+    return quo if max(map(abs, rem)) <= FACTOR_REM_TOL * max(map(abs, p.coeffs)) else None
 
 
 def _cancel_common_roots(num: Polynomial, den: Polynomial):
@@ -263,30 +330,30 @@ def freq_response(g: RationalFunction, omega: float) -> complex:
 def freq_response_array(g: RationalFunction, omegas: np.ndarray) -> np.ndarray:
     """Vectorized frequency response without the pole guard (caller filters)."""
     s = 1j * np.asarray(omegas, dtype=float)
-    return npp.polyval(s, g.num.coeffs) / npp.polyval(s, g.den.coeffs)
+    return _horner(g.num.coeffs, s) / _horner(g.den.coeffs, s)
 
 
-def stability_class(g: RationalFunction) -> StabilityClass:
-    """Classify pole locations against the imaginary axis."""
-    poles = g.poles()
-    if not poles:
-        return StabilityClass.STRICTLY_STABLE
-    if max(p.real for p in poles) > TOL_AXIS:
+def _axis_poles(poles: list[complex]) -> list[tuple[complex, int]]:
+    """The clusters of ``poles`` on the imaginary axis, as (location,
+    multiplicity) pairs."""
+    return [(p, m) for p, m in _cluster_roots(poles) if abs(p.real) <= TOL_AXIS]
+
+
+def _stability(poles: list[complex], axis_poles) -> StabilityClass:
+    """Stability class of ``poles``, of which ``axis_poles`` lie on the axis."""
+    if poles and max(p.real for p in poles) > TOL_AXIS:
         return StabilityClass.UNSTABLE
-    axis = [(p, m) for p, m in _cluster_roots(poles) if abs(p.real) <= TOL_AXIS]
-    if not axis:
+    if not axis_poles:
         return StabilityClass.STRICTLY_STABLE
-    if any(m > 1 for _, m in axis):
+    if any(m > 1 for _, m in axis_poles):
         return StabilityClass.UNSTABLE
     return StabilityClass.CRITICALLY_STABLE
 
 
-def imaginary_axis_residues(g: RationalFunction) -> list[PoleInfo]:
-    """Residues at all imaginary-axis poles; repeated axis poles are an error."""
+def _residues(g: RationalFunction, axis_poles) -> list[PoleInfo]:
+    """Residues of g at its ``axis_poles``; a repeated one is an error."""
     out = []
-    for location, mult in _cluster_roots(g.poles()):
-        if abs(location.real) > TOL_AXIS:
-            continue
+    for location, mult in axis_poles:
         if mult > 1:
             raise RepeatedAxisPole(
                 f"axis pole at {location} has multiplicity {mult}"
@@ -294,6 +361,17 @@ def imaginary_axis_residues(g: RationalFunction) -> list[PoleInfo]:
         res = complex(g.num(location)) / complex(g.den.derivative()(location))
         out.append(PoleInfo(location=location, multiplicity=1, residue=res))
     return out
+
+
+def stability_class(g: RationalFunction) -> StabilityClass:
+    """Classify pole locations against the imaginary axis."""
+    poles = g.poles()
+    return _stability(poles, _axis_poles(poles))
+
+
+def imaginary_axis_residues(g: RationalFunction) -> list[PoleInfo]:
+    """Residues at all imaginary-axis poles; repeated axis poles are an error."""
+    return _residues(g, _axis_poles(g.poles()))
 
 
 def times_s(g: RationalFunction) -> RationalFunction:

@@ -45,9 +45,13 @@ from .ratfun import (
     TOL_AXIS,
     RationalFunction,
     StabilityClass,
+    _axis_poles,
+    _polydiv,
+    _residues,
+    _stability,
+    _trimseq,
     freq_response_array,
     imaginary_axis_residues,
-    stability_class,
     times_s,
 )
 
@@ -159,32 +163,49 @@ def _variations(values) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _positive_roots(p: list[int]) -> int:
-    """Distinct roots of p in (0, inf), by Sturm's theorem at 0 and infinity."""
-    while p[0] == 0:
-        p = p[1:]
-    chain = _sturm(p)
+def _sign_changes(chain: list[list[int]]) -> int:
+    """Distinct roots in (0, inf) of the first member of a Sturm sequence,
+    nonzero at 0, by Sturm's theorem at 0 and infinity."""
     return _variations(q[0] for q in chain) - _variations(q[-1] for q in chain)
 
 
-def _odd_part(p: list[int]) -> list[int]:
-    """The distinct factors of p of odd multiplicity, times a constant.
+def _positive_roots(p: list[int]) -> int:
+    """Distinct roots of p in (0, inf)."""
+    while p[0] == 0:
+        p = p[1:]
+    return _sign_changes(_sturm(p))
+
+
+def _odd_part(p: list[int], chain: list[list[int]]) -> list[int]:
+    """The distinct factors of p of odd multiplicity, times a constant;
+    ``chain`` is ``_sturm(p)``.
 
     A root of multiplicity m in p has multiplicity m - 1 in gcd(p, p'), so
     p / gcd keeps every root once and dividing out the odd part of the gcd
     drops the roots of even multiplicity.
     """
-    g = _sturm(p)[-1]
+    g = chain[-1]
     if len(g) == 1:
         return p
     squarefree = _primitive(_pdivmod(p, g)[0])
-    return _primitive(_pdivmod(squarefree, _odd_part(g))[0])
+    return _primitive(_pdivmod(squarefree, _odd_part(g, _sturm(g)))[0])
 
 
 def _nonnegative(f: list[int]) -> bool:
     """f(x) >= 0 on [0, inf): f is zero, or positive at infinity and it
     changes sign nowhere in (0, inf) (its value at 0 follows by continuity)."""
-    return f == [0] or (f[-1] > 0 and _positive_roots(_odd_part(f)) == 0)
+    if f == [0]:
+        return True
+    if f[-1] <= 0:
+        return False
+    # a factor x^k is positive on (0, inf) and changes no sign there
+    while f[0] == 0:
+        f = f[1:]
+    chain = _sturm(f)
+    if len(chain[-1]) > 1:
+        # a repeated root changes sign only at odd multiplicity
+        chain = _sturm(_odd_part(f, chain))
+    return _sign_changes(chain) == 0
 
 
 def _real_part_polys(g: RationalFunction) -> tuple[list[int], list[int]]:
@@ -205,6 +226,17 @@ def _real_part_polys(g: RationalFunction) -> tuple[list[int], list[int]]:
     return even(_mul(num, den_neg)), even(_mul(den, den_neg))
 
 
+def _polyroots(c: list[float]) -> np.ndarray:
+    """``P.polyroots(c)`` unsorted: the eigenvalues of the same companion
+    matrix, without converting the short list to numpy series first."""
+    c = _trimseq(c)
+    if len(c) < 3:
+        return np.array([-c[0] / c[1]] if len(c) == 2 else [])
+    companion = np.eye(len(c) - 1, k=-1)
+    companion[:, -1] = [0.0 - x / c[-1] for x in c[:-1]]
+    return np.linalg.eigvals(companion)
+
+
 def _infimum(n: list[int], q: list[int], value) -> float:
     """inf over x >= 0 of n(x)/q(x), certified never to exceed the true value.
 
@@ -223,7 +255,7 @@ def _infimum(n: list[int], q: list[int], value) -> float:
     top = max(abs(c) for c in crit)
     xs = np.zeros(1)
     if top:
-        xs = np.concatenate((xs, np.maximum(P.polyroots([c / top for c in crit]).real, 0.0)))
+        xs = np.concatenate((xs, np.maximum(_polyroots([c / top for c in crit]).real, 0.0)))
     with np.errstate(all="ignore"):
         vals = value(np.sqrt(xs))
     vals = vals[np.isfinite(vals)]
@@ -276,12 +308,12 @@ def _axis_free_part(g: RationalFunction, axis) -> RationalFunction:
     axis_poly = np.array([1.0])
     for f in factors:
         axis_poly = P.polymul(axis_poly, f)
-    rest = P.polydiv(g.den.coeffs, axis_poly)[0]
+    rest = _polydiv(g.den.coeffs, axis_poly)[0]
     num = np.array(g.num.coeffs)
     for k, frac in enumerate(fracs):
-        others = P.polydiv(axis_poly, factors[k])[0]
+        others = _polydiv(axis_poly, factors[k])[0]
         num = P.polysub(num, P.polymul(frac, P.polymul(others, rest)))
-    return RationalFunction(P.polydiv(num, axis_poly)[0], rest)
+    return RationalFunction(_polydiv(num, axis_poly)[0], rest)
 
 
 def _re_value(g: RationalFunction):
@@ -390,12 +422,15 @@ def classify_pr(g: RationalFunction) -> PRClassification:
         return PRClassification(grade, quadrant_ok=quad,
                                 diagnostics=tuple(diagnostics), **margins)
 
-    stability = stability_class(g)
+    # the poles are found once; every pole test below reads them
+    poles = g.poles()
+    axis_poles = _axis_poles(poles)
+    stability = _stability(poles, axis_poles)
     if stability is StabilityClass.UNSTABLE:
         diagnostics.append("denominator has a pole with positive real part "
                            "or a repeated axis pole")
         return graded(Grade.NOT_PR)
-    axis = imaginary_axis_residues(g)
+    axis = _residues(g, axis_poles)
     for info in axis:
         res = info.residue
         scale = 1.0 + abs(res)
@@ -429,7 +464,7 @@ def classify_pr(g: RationalFunction) -> PRClassification:
         if d0 > TOL_MARGIN and r[0] > 0 and _positive_roots(r) == 0:
             return graded(Grade.WSPR, d0=d0)
 
-    single = sum(1 for p in g.poles() if abs(p) <= TOL_AXIS) == 1
+    single = sum(1 for p in poles if abs(p) <= TOL_AXIS) == 1
     g1_grade: Grade | None = None
     d1 = 0.0
     if single:

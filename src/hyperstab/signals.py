@@ -298,14 +298,26 @@ def classify_taxonomy(
 # --- trace file round trip ---------------------------------------------------
 
 TRACE_COLUMNS = ("t", "u", "y", "v", "S", "D", "E")
+# rows formatted by one % operation when writing a trace CSV
+CSV_BLOCK_ROWS = 4096
 
 
 def write_trace_csv(path, columns: dict[str, np.ndarray]) -> None:
-    """Write aligned trace columns; 17 significant digits for exact round trips."""
+    """Write aligned trace columns; 17 significant digits for exact round trips.
+
+    The bytes are those of ``np.savetxt`` with ``fmt="%.17g"``, ``","`` and
+    ``"\\r\\n"``, but each block of CSV_BLOCK_ROWS rows is formatted by one
+    ``%`` operation instead of one per row.
+    """
     names = [c for c in TRACE_COLUMNS if c in columns]
     names += sorted(c for c in columns if c not in TRACE_COLUMNS)
-    np.savetxt(path, np.column_stack([columns[c] for c in names]), fmt="%.17g",
-               delimiter=",", newline="\r\n", header=",".join(names), comments="")
+    data = np.column_stack([columns[c] for c in names])
+    row = ",".join(["%.17g"] * len(names)) + "\r\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(names) + "\r\n")
+        for start in range(0, len(data), CSV_BLOCK_ROWS):
+            block = data[start:start + CSV_BLOCK_ROWS]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_trace_csv(path) -> dict[str, np.ndarray]:

@@ -136,6 +136,33 @@ class TestSimulate:
             assert err.startswith("error:")
             assert not (tmp_path / "run").exists()
 
+    def test_device_overflow_is_typed_or_diverged(self, capsys, tmp_path):
+        # (1 - s)/(1 + s) has D = -1: from x0 = 10 the solve walks off towards
+        # +inf, where y**5 leaves the float range; it ends in a typed error
+        path = self._write_scenario(tmp_path, {
+            "plant": {"num": [1, -1], "den": [1, 1]},
+            "device": {"kind": "CubicOddPower", "params": {"p": 5}},
+            "x0": [10.0], "excitation": None, "dt": 1e-3, "horizon": 1.0,
+        })
+        code, _, err = run_cli(capsys, "simulate", "--scenario", str(path),
+                               "--out-dir", str(tmp_path / "run"))
+        assert code == 2
+        assert err.startswith("error:") and "no bracket at step 0" in err
+        # D = 0: y**101 leaves the float range at the third sample while |y|
+        # is far below the divergence guard; the run diverges there
+        path = self._write_scenario(tmp_path, {
+            "plant": {"num": [1], "den": [-1, 1]},
+            "device": {"kind": "CubicOddPower", "params": {"p": 101}},
+            "x0": [1.08], "excitation": None, "dt": 1e-3, "horizon": 1.0,
+        })
+        code, _, _ = run_cli(capsys, "simulate", "--scenario", str(path),
+                             "--out-dir", str(tmp_path / "run2"))
+        assert code == 4
+        report = json.loads((tmp_path / "run2" / "report.json").read_text())
+        assert report["verdict"] == "Diverged"
+        assert report["diverged_at"] == pytest.approx(2e-3)
+        assert len((tmp_path / "run2" / "traces.csv").read_text().splitlines()) == 3
+
     @pytest.mark.parametrize("device", [
         {"kind": "StaticSector", "params": {"k1": None}},
         {"kind": "StaticSector", "params": {"k1": "abc"}},

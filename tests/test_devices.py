@@ -40,6 +40,12 @@ class TestApplyDevice:
         v = apply_device(DeviceSpec(kind="CubicOddPower", params={"p": 3}), 2.0, 0.0)
         assert v == 8.0
 
+    def test_odd_power_past_float_range_is_infinite(self):
+        spec = DeviceSpec(kind="CubicOddPower", params={"p": 5})
+        assert apply_device(spec, 1e62, 0.0) == float("inf")
+        assert apply_device(spec, -1e62, 0.0) == float("-inf")
+        assert apply_device(spec, 1e61, 0.0) == 1e61 ** 5
+
     def test_unit_sector(self):
         spec = DeviceSpec(kind="StaticSector", params={"k1": 1.0, "k2": 1.0})
         v = apply_device(spec, -0.5, 0.0)

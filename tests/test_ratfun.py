@@ -16,6 +16,9 @@ from hyperstab.errors import (
 )
 from hyperstab.ratfun import (
     Polynomial,
+    _horner,
+    _mean,
+    _polydiv,
     RationalFunction,
     StabilityClass,
     freq_response,
@@ -132,6 +135,86 @@ class TestRoots:
         found = roots(Polynomial(coeffs))
         rebuilt = npp.polyfromroots(sorted(r.real for r in found)).real
         assert np.allclose(rebuilt, coeffs, rtol=1e-8, atol=1e-8)
+
+
+def _bits(values) -> bytes:
+    """The exact bytes of a sequence of complex numbers, signed zeros kept."""
+    return np.array([complex(v) for v in values], dtype=complex).tobytes()
+
+
+_coeff = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                   st.floats(min_value=-1e6, max_value=1e6, allow_subnormal=False))
+
+
+class TestNumpyEquivalence:
+    """The plain-float helpers give numpy's results bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_coeff, min_size=1, max_size=8),
+           st.integers(min_value=0, max_value=3),
+           st.floats(min_value=0.01, max_value=1e3))
+    def test_roots_match_np_roots(self, coeffs, low_zeros, lead):
+        # zero low-order coefficients give roots at 0; degree 1 is included
+        p = Polynomial([0.0] * low_zeros + coeffs + [lead])
+        if p.degree < 1:
+            return
+        expected = sorted(map(complex, np.roots(np.array(p.coeffs[::-1]))),
+                          key=lambda r: (r.real, r.imag))
+        assert _bits(roots(p)) == _bits(expected)
+
+    def test_roots_match_np_roots_by_hand(self):
+        for coeffs in ([3.0, 1.0], [0.0, 1.0], [0.0, 0.0, 2.0, -1.0], [-0.0, 1.0, 1.0],
+                       [1.0, 0.0, 1.0], [2.0, 0.0, 0.0, 5.0], [1.0, 3.0, 3.0, 1.0]):
+            p = Polynomial(coeffs)
+            expected = sorted(map(complex, np.roots(np.array(p.coeffs[::-1]))),
+                              key=lambda r: (r.real, r.imag))
+            assert _bits(roots(p)) == _bits(expected), coeffs
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_coeff, min_size=1, max_size=8),
+           st.floats(min_value=-1e3, max_value=1e3),
+           st.floats(min_value=-1e3, max_value=1e3))
+    def test_horner_matches_polyval(self, coeffs, a, b):
+        c = tuple(coeffs)
+        for x in (a, complex(a, b), 1j * b, 0.0, -0.0):
+            assert _bits([_horner(c, x)]) == _bits([npp.polyval(x, c)])
+        xs = np.array([a, b, 0.0, -0.0, 1e3])
+        for arr in (xs, 1j * xs, xs + 1j * xs[::-1]):
+            assert _horner(c, arr).tobytes() == npp.polyval(arr, c).tobytes()
+        assert _horner(c, [a, b]).tobytes() == npp.polyval([a, b], c).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_coeff, _coeff), min_size=1, max_size=9))
+    def test_cluster_mean_matches_np_mean(self, parts):
+        group = [complex(a, b) for a, b in parts]
+        assert _bits([_mean(group)]) == _bits([np.mean(group)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_coeff, min_size=1, max_size=8),
+           st.lists(_coeff, min_size=0, max_size=3),
+           st.floats(min_value=0.01, max_value=1e3))
+    def test_polydiv_matches_npp(self, c1, c2, lead):
+        c2 = c2 + [lead]
+        for a, b in ((c1, c2), (c1 + [0.0], c2 + [0.0, 0.0])):
+            quo, rem = _polydiv(a, b)
+            exp_quo, exp_rem = npp.polydiv(a, b)
+            assert np.array(quo).tobytes() == exp_quo.tobytes()
+            assert np.array(rem).tobytes() == exp_rem.tobytes()
+
+    def test_trim_errors(self):
+        for bad in ([], (), np.array([]), [[1.0, 2.0]], np.ones((2, 2)),
+                    [1.0, float("nan")], [float("inf")], np.array([1.0, -np.inf])):
+            with pytest.raises(DegenerateInput):
+                Polynomial(bad)
+
+    def test_trim_inputs(self):
+        # numbers, numpy scalars and arrays, and a bare scalar all trim alike
+        assert Polynomial([1, 2.5, 0, 1e-13]).coeffs == (1.0, 2.5)
+        assert Polynomial(np.array([1, 2, 0])).coeffs == (1.0, 2.0)
+        assert Polynomial([np.float32(0.5), np.int64(3)]).coeffs == (0.5, 3.0)
+        assert Polynomial(4).coeffs == (4.0,)
+        assert Polynomial([0.0, -0.0]).coeffs == (0.0,)
+        assert all(type(c) is float for c in Polynomial(np.array([1.0, 2.0])).coeffs)
 
 
 class TestFreqResponse:
