@@ -86,8 +86,10 @@ class Excitation:
     duration: float
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise SchemaError("excitation duration must be positive")
+        if not math.isfinite(self.amplitude):
+            raise SchemaError("excitation amplitude must be finite")
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise SchemaError("excitation duration must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -108,9 +110,11 @@ class Scenario:
         # round(horizon/dt) > MAX_STEPS, without rounding an infinite ratio
         if self.horizon / self.dt > MAX_STEPS + 0.5:
             raise SchemaError(f"horizon/dt asks for more than {MAX_STEPS} steps")
-        if not any(v != 0.0 for v in self.x0) and self.excitation is None:
+        if not all(map(math.isfinite, self.x0)):
+            raise SchemaError("x0 entries must be finite")
+        if not any(self.x0) and not (self.excitation and self.excitation.amplitude):
             raise SchemaError(
-                "need a nonzero initial state or an excitation pulse: "
+                "need a nonzero x0 or a nonzero excitation amplitude: "
                 "the identically-zero run carries no information"
             )
 
@@ -192,45 +196,39 @@ class Violation:
 class BoundChainAudit:
     """Finite-horizon audit of the supplied-energy bound chains.
 
-    Every *_lower trace is nondecreasing (nonnegative integrands); the chain
-    compares the zero-state energy trace against them pointwise with slack
-    ``tol_bound``, which covers quadrature error only. ``chain_violations``
-    maps each audited inequality to its number of violating samples; they sum
-    to ``violation_count``, while ``violations`` keeps at most
-    ``VIOLATION_CAP`` samples.
+    ``lower`` maps each audited inequality, ``"E >= c*int(w)"`` with a
+    nonnegative integrand w, to its nondecreasing lower trace ``c*int(w)``.
+    The zero-state energy trace ``energy_op`` is compared against each trace
+    pointwise with slack ``tol_bound``, which covers quadrature error only.
+    ``chain_violations`` maps the same inequalities to their numbers of
+    violating samples, which sum to ``violation_count``; ``violations`` keeps
+    at most ``VIOLATION_CAP`` samples. The upper side needs no count: the
+    measured ``gamma0_sq = max(0, max energy_op)`` dominates the energy by
+    construction.
     """
 
     gamma0_sq: float
     energy_op: np.ndarray
-    times: np.ndarray
     tol_bound: float
-    d_lower: np.ndarray | None = None
-    d_inv_lower: np.ndarray | None = None
-    d0_lower: np.ndarray | None = None
-    d1_lower: np.ndarray | None = None
-    cw_lower: np.ndarray | None = None
+    lower: dict[str, np.ndarray] = field(default_factory=dict)
     c_w: float | None = None
     violations: tuple[Violation, ...] = ()
-    violation_count: int = 0
     chain_violations: dict[str, int] = field(default_factory=dict)
     note: str = ""
 
+    @property
+    def violation_count(self) -> int:
+        return sum(self.chain_violations.values())
+
     def to_report(self) -> dict:
-        chains = {}
-        for name in ("d_lower", "d_inv_lower", "d0_lower", "d1_lower", "cw_lower"):
-            trace = getattr(self, name)
-            if trace is not None:
-                chains[name + "_final"] = float(trace[-1])
+        """The facts ``run_report`` does not state at its top level."""
+        chains = {name: float(trace[-1]) for name, trace in self.lower.items()}
         if self.c_w is not None:
             chains["c_w"] = self.c_w
         return {
-            "gamma0_sq": self.gamma0_sq,
-            "operator_energy_final": float(self.energy_op[-1]),
             "tol_bound": self.tol_bound,
             "chains": chains,
-            "violation_count": self.violation_count,
             "chain_violation_counts": dict(self.chain_violations),
-            "violations": [v.to_json_dict() for v in self.violations],
             "note": self.note,
         }
 
@@ -522,75 +520,67 @@ def _bound_chain_audit(
     classification: PRClassification,
     u: Signal,
 ) -> BoundChainAudit:
-    """Audit the grade's energy bound chain on the zero-state plant leg."""
+    """Audit the grade's energy bound chains on the zero-state plant leg."""
+    grade = classification.grade
+    if grade is Grade.NOT_PR:
+        raise GradeUnsupported("no bound chain is defined for a NotPR plant")
     n = len(u)
-    ir = impulse_response(sc.plant, T=(n - 1) * sc.dt, dt=sc.dt)
-    y_zs = convolve(ir, u)
-    e_op = _cumtrapz(u.values * y_zs.values, sc.dt)
-    times = sc.dt * np.arange(n)
+    dt = sc.dt
+    ir = impulse_response(sc.plant, T=(n - 1) * dt, dt=dt)
+    y_zs = convolve(ir, u).values
+    e_op = _cumtrapz(u.values * y_zs, dt)
     gamma0_sq = max(0.0, float(np.max(e_op)))
     tol_bound = 1e-6 * (1.0 + abs(float(e_op[-1])))
 
-    violations: list[Violation] = []
-    per_chain: dict[str, int] = {}
-
-    def _check(name: str, lower: np.ndarray) -> None:
-        bad = np.nonzero(e_op < lower - tol_bound)[0]
-        per_chain[name] = int(bad.size)
-        for idx in bad[: max(0, VIOLATION_CAP - len(violations))]:
-            violations.append(
-                Violation(float(times[idx]), name, float(e_op[idx]), float(lower[idx]))
-            )
-
-    grade = classification.grade
-    d_lower = d_inv_lower = d0_lower = d1_lower = cw_lower = c_w = None
+    # each chain E >= constant*int(integrand), named by its inequality
+    chains = []
+    c_w = None
     note = ""
-    if grade is Grade.NOT_PR:
-        raise GradeUnsupported("no bound chain is defined for a NotPR plant")
     if grade is Grade.SSPR:
-        d_lower = classification.d * _cumtrapz(u.values * u.values, sc.dt)
-        _check("E >= d*int(u^2)", d_lower)
-        d_inv = real_part_margin(inverse(sc.plant))
-        d_inv_lower = d_inv * _cumtrapz(y_zs.values * y_zs.values, sc.dt)
-        _check("E >= d_inv*int(y^2)", d_inv_lower)
+        chains = [
+            ("E >= d*int(u^2)", classification.d, u.values * u.values),
+            ("E >= d_inv*int(y^2)", real_part_margin(inverse(sc.plant)), y_zs * y_zs),
+        ]
     elif grade is Grade.WSPR:
-        delta = _cumtrapz(u.values, sc.dt)
-        d0_lower = classification.d0 * _cumtrapz(delta * delta, sc.dt)
-        _check("E >= d0*int(delta^2)", d0_lower)
-        # the squared-frequency chain above is not implied by WSPR; this one
-        # is: Re g(jw) >= c_w/(1 + w^2). xi comes from the same trapezoidal
+        delta = _cumtrapz(u.values, dt)
+        # the squared-frequency chain is not implied by WSPR; the c_w one is:
+        # Re g(jw) >= c_w/(1 + w^2). xi comes from the same trapezoidal
         # convolution as y_zs, so both sides share one discretization
         c_w = wspr_chain_constant(sc.plant)
-        lag = ImpulseResponse(g=Signal(sc.dt, np.exp(-times)), direct_delta_weight=0.0)
+        lag = ImpulseResponse(g=Signal(dt, np.exp(-(dt * np.arange(n)))),
+                              direct_delta_weight=0.0)
         xi = convolve(lag, u).values
-        cw_lower = c_w * _cumtrapz(xi * xi, sc.dt)
-        _check("E >= c_w*int(xi^2)", cw_lower)
+        chains = [
+            ("E >= d0*int(delta^2)", classification.d0, delta * delta),
+            ("E >= c_w*int(xi^2)", c_w, xi * xi),
+        ]
     elif grade is Grade.PR and classification.single_pole_at_origin \
             and classification.g1_grade is Grade.SSPR:
-        delta_abs = _cumtrapz(np.abs(u.values), sc.dt)
-        d1_lower = classification.d1 * _cumtrapz(delta_abs * np.abs(u.values), sc.dt)
-        _check("E >= d1*int(delta_abs*|u|)", d1_lower)
+        delta_abs = _cumtrapz(np.abs(u.values), dt)
+        chains = [("E >= d1*int(delta_abs*|u|)", classification.d1,
+                   delta_abs * np.abs(u.values))]
     else:
         note = f"no lower bound chain defined for grade {grade.value}"
 
-    # upper side: the measured constant dominates the energy by construction;
-    # recorded for completeness so report consumers see the full chain
-    per_chain["E <= gamma0_sq"] = int(np.count_nonzero(e_op > gamma0_sq + tol_bound))
+    lower: dict[str, np.ndarray] = {}
+    counts: dict[str, int] = {}
+    violations: list[Violation] = []
+    for name, constant, integrand in chains:
+        trace = lower[name] = constant * _cumtrapz(integrand, dt)
+        bad = np.nonzero(e_op < trace - tol_bound)[0]
+        counts[name] = int(bad.size)
+        for k in bad[: VIOLATION_CAP - len(violations)]:
+            violations.append(
+                Violation(float(dt * k), name, float(e_op[k]), float(trace[k])))
 
     return BoundChainAudit(
         gamma0_sq=gamma0_sq,
         energy_op=e_op,
-        times=times,
         tol_bound=tol_bound,
-        d_lower=d_lower,
-        d_inv_lower=d_inv_lower,
-        d0_lower=d0_lower,
-        d1_lower=d1_lower,
-        cw_lower=cw_lower,
+        lower=lower,
         c_w=c_w,
         violations=tuple(violations),
-        violation_count=sum(per_chain.values()),
-        chain_violations=per_chain,
+        chain_violations=counts,
         note=note,
     )
 

@@ -145,11 +145,8 @@ def frequency_energy(u: Signal, y: Signal, padding: int = 4) -> float:
     a = np.fft.rfft(u.values[:n] * w, m) * u.dt
     b = np.fft.rfft(y.values[:n] * w, m) * u.dt
     cross = a * np.conj(b)
-    total = cross[0].real + 2.0 * np.sum(cross[1:-1].real)
-    if m % 2 == 0:
-        total += cross[-1].real
-    else:
-        total += 2.0 * cross[-1].real
+    # m is even, so the last bin is the Nyquist one and counts once
+    total = cross[0].real + 2.0 * np.sum(cross[1:-1].real) + cross[-1].real
     return float(total / (m * u.dt))
 
 

@@ -109,8 +109,8 @@ def test_criterion_04_sspr_bound_chain():
     chain_ok = (
         audit.violation_count == 0
         and bool(np.all(e_op <= audit.gamma0_sq + tol))
-        and bool(np.all(e_op >= audit.d_lower - tol))
-        and bool(np.all(audit.d_lower[1:] > 0.0))
+        and bool(np.all(e_op >= audit.lower["E >= d*int(u^2)"] - tol))
+        and bool(np.all(audit.lower["E >= d*int(u^2)"][1:] > 0.0))
         and bool(np.all(e_op[1:] > 0.0))
     )
     peak_u = float(np.max(np.abs(run.u.values)))
@@ -168,7 +168,8 @@ def test_criterion_05_wspr_bound_chain_and_oracle():
           f"c_w = {audit.c_w:.12g}: {cw_violations} violations; "
           f"squared-frequency chain (not implied by WSPR, reported only): "
           f"{sq_violations} violations, since delta(10) = {delta_end:.6f} and "
-          f"d0*int(delta^2) reaches {audit.d0_lower[-1]:.3g} while E stays "
+          f"d0*int(delta^2) reaches "
+          f"{audit.lower['E >= d0*int(delta^2)'][-1]:.3g} while E stays "
           f"near {audit.energy_op[-1]:.3g}")
     assert oracle_ok, f"trajectory oracle RMS {rms}"
     assert upper_ok
@@ -193,7 +194,8 @@ def test_criterion_06_single_origin_pole_chain():
     t = run.y.times()
     rms = float(np.sqrt(np.mean((run.y.values - np.exp(-t)) ** 2)))
     audit = run.bound_audit
-    ok = rms < 1e-6 and audit.violation_count == 0 and audit.d1_lower is not None
+    ok = (rms < 1e-6 and audit.violation_count == 0
+          and "E >= d1*int(delta_abs*|u|)" in audit.lower)
     _line(6, ok, f"origin-pole chain E >= d1*int(delta_abs*|u|), "
                  f"{audit.violation_count} violations; decay oracle RMS {rms:.2e}")
     assert ok

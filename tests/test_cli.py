@@ -180,6 +180,27 @@ class TestSimulate:
         assert err.startswith("error:") and "unknown device kind" not in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("x0, excitation, field", [
+        ([0.0], {"amplitude": 1.0, "duration": math.nan}, "duration"),
+        ([0.0], {"amplitude": 1.0, "duration": math.inf}, "duration"),
+        ([0.0], {"amplitude": 0.0, "duration": 1.0}, "amplitude"),
+        ([1.0], {"amplitude": math.nan, "duration": 1.0}, "amplitude"),
+        ([math.inf], None, "x0"),
+    ], ids=["nan_duration", "inf_duration", "zero_amplitude", "nan_amplitude", "inf_x0"])
+    def test_empty_or_non_finite_scenario_exit_2(self, capsys, tmp_path, x0,
+                                                 excitation, field):
+        # each would write an all-zero run or one that overflows at step 0
+        path = self._write_scenario(tmp_path, {
+            "plant": {"num": [2, 1], "den": [1, 1]},
+            "device": {"kind": "StaticSector", "params": {"k1": 1.0, "k2": 1.0}},
+            "x0": x0, "excitation": excitation, "dt": 1e-3, "horizon": 1.0,
+        })
+        code, _, err = run_cli(capsys, "simulate", "--scenario", str(path),
+                               "--out-dir", str(tmp_path / "run"))
+        assert code == 2
+        assert err.startswith("error:") and field in err
+        assert not (tmp_path / "run").exists()
+
 
 class TestAudit:
     def test_unit_trace(self, capsys, tmp_path):

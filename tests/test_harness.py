@@ -427,21 +427,15 @@ class TestSSPRRun:
         run = run_closed_loop(sspr_scenario())
         audit = run.bound_audit
         assert audit.violation_count == 0
-        assert audit.d_lower is not None and audit.d_inv_lower is not None
+        assert "E >= d*int(u^2)" in audit.lower and "E >= d_inv*int(y^2)" in audit.lower
         # both sides strictly positive for t > 0
         assert np.all(audit.energy_op[1:] > 0.0)
-        assert np.all(audit.d_lower[1:] > 0.0)
+        assert np.all(audit.lower["E >= d*int(u^2)"][1:] > 0.0)
 
     def test_gamma0_dominates_energy(self):
         run = run_closed_loop(sspr_scenario())
         audit = run.bound_audit
         assert np.all(audit.energy_op <= audit.gamma0_sq + audit.tol_bound)
-
-    def test_chain_traces_nondecreasing(self):
-        run = run_closed_loop(sspr_scenario())
-        audit = run.bound_audit
-        for trace in (audit.d_lower, audit.d_inv_lower):
-            assert np.all(np.diff(trace) >= -1e-15)
 
     def test_pulse_excited_run_from_zero_state(self):
         # with x0 = 0 the trace energy and the operator energy are the same
@@ -482,10 +476,10 @@ class TestOriginPoleRun:
                       x0=(1.0,), dt=1e-4, horizon=10.0)
         run = run_closed_loop(sc)
         audit = run.bound_audit
-        assert audit.d1_lower is not None
+        assert "E >= d1*int(delta_abs*|u|)" in audit.lower
         assert audit.violation_count == 0
         # single-signed input: the derived-function chain is tight
-        gap = audit.energy_op - audit.d1_lower
+        gap = audit.energy_op - audit.lower["E >= d1*int(delta_abs*|u|)"]
         assert np.max(np.abs(gap)) < 1e-10
 
     def test_relay_on_integrator_at_least_hyperstable(self):
@@ -542,7 +536,8 @@ class TestGradeEdges:
         run = run_closed_loop(sc)
         audit = run.bound_audit
         assert audit is not None
-        assert audit.d_lower is None and audit.d1_lower is None
+        assert audit.lower == {} and audit.chain_violations == {}
+        assert audit.violation_count == 0
         assert "no lower bound chain" in audit.note
         assert np.all(audit.energy_op <= audit.gamma0_sq + audit.tol_bound)
 
@@ -568,7 +563,7 @@ class TestWSPRRun:
                       x0=(1.0,), dt=1e-3, horizon=10.0)
         run = run_closed_loop(sc)
         audit = run.bound_audit
-        assert audit.d0_lower is not None
+        assert "E >= d0*int(delta^2)" in audit.lower
         assert audit.violation_count > 0
         assert len(audit.violations) == 50
         assert audit.violations[0].inequality == "E >= d0*int(delta^2)"
@@ -587,13 +582,36 @@ class TestWSPRRun:
         assert audit.c_w == pytest.approx(2.0 / 3.0, rel=1e-9)
         assert run.classification.d0 == pytest.approx(2.0, rel=1e-6)
         assert audit.chain_violations["E >= c_w*int(xi^2)"] == 0
-        assert np.all(audit.cw_lower[1:] > 0.0)
+        assert np.all(audit.lower["E >= c_w*int(xi^2)"][1:] > 0.0)
         assert sum(audit.chain_violations.values()) == audit.violation_count
         fresh = verify_bound_chain(run)
         assert fresh.chain_violations == audit.chain_violations
         report = run_report(run)["bound_chain"]
         assert report["chain_violation_counts"] == audit.chain_violations
         assert report["chains"]["c_w"] == audit.c_w
+
+
+CHAIN_LOOPS = {
+    "sspr_sector": sspr_scenario(),
+    "wspr_cubic": Scenario(plant=ratfun_new([1], [1, 1]),
+                           device=DeviceSpec(kind="CubicOddPower", params={"p": 3}),
+                           x0=(1.0,), dt=1e-3, horizon=10.0),
+    "origin_pole": Scenario(plant=ratfun_new([1], [0, 1]), device=unit_sector(),
+                            x0=(1.0,), dt=1e-3, horizon=10.0),
+}
+
+
+class TestChainTable:
+    @pytest.mark.parametrize("name", list(CHAIN_LOOPS))
+    def test_chain_traces_nondecreasing(self, name):
+        run = run_closed_loop(CHAIN_LOOPS[name])
+        audit = run.bound_audit
+        assert audit.lower and audit.lower.keys() == audit.chain_violations.keys()
+        for trace in audit.lower.values():
+            assert np.all(np.diff(trace) >= -1e-15)
+        report = run_report(run)["bound_chain"]
+        extra = {"c_w"} if run.classification.grade is Grade.WSPR else set()
+        assert set(report["chains"]) == set(report["chain_violation_counts"]) | extra
 
 
 class TestOtherDevices:
