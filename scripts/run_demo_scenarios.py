@@ -3,7 +3,8 @@
 
 Each scenario goes through ``hyperstab simulate``, which writes traces.csv /
 report.json under --out-dir (default ./demo_runs); one line per run is printed
-from its report.
+from its report, with the total violation count, and one indented line per
+audited chain with its own count, so implied and non-implied chains read apart.
 """
 
 import argparse
@@ -41,6 +42,9 @@ def main() -> int:
             f"{name:<28} {report['classification']['grade']:<6} "
             f"{report['verdict']:<36} {'-' if n_viol is None else n_viol}"
         )
+        counts = (report["bound_chain"] or {}).get("chain_violation_counts", {})
+        for chain, count in counts.items():
+            print(f"    {chain:<67} {count}")
     print(f"artifacts under {args.out_dir}/")
     return status
 

@@ -16,21 +16,19 @@ overflow guard on y at every sample. There are two kernels.
   previous output. For monotone devices and ``D > 0`` the residual
   ``phi(y) = y - c - D (e - F(y))`` has ``phi' >= 1``, so the root is unique
   and lies within ``|phi(y0)|`` of the start y0, which brackets it before the
-  first secant step. With ``D < 0`` the root reached from the previous output
-  is the one recorded.
+  first secant step. With ``D < 0`` phi may fall through the root, so the
+  bracket is walked either way; the root reached from the previous output is
+  the one recorded.
 
-Energy bookkeeping. The trace energy ``E_io(t) = <u, y>_t`` uses the recorded
-output and is what the serialized CSV reproduces. The bound chains, however,
+Energy bookkeeping. The trace energy ``E_io(t) = <u, y>_t`` is the trapezoid
+of the recorded output, which the serialized CSV reproduces. The bound chains
 are statements about the plant as a convolution operator: they are audited on
-the zero-state energy ``E_op(t) = <u, g*u>_t``. With a zero initial state
-the two agree only to within the audit's discretization error (its
-trapezoidal convolution of the sampled impulse response), which is first
-order in dt and can exceed ``tol_bound``. With a nonzero initial state the
-discharge of the stored energy rides on the feedback leg: the equivalent
-feedback signal seen by the convolution operator is ``-u``, and the tightest
-finite-horizon Popov constant of that leg is ``gamma0^2 = max(0, sup_t
-E_op(t))``. The physical device's own declaration is audited separately on
-its (v, y) pair.
+the zero-state energy ``E_op(t) = <u, g*u>_t``, integrated exactly over each
+hold of the loop's own zero-order hold, so E_io differs from it by E_io's
+quadrature error when x0 = 0. With a nonzero initial state the discharge of
+the stored energy rides on the feedback leg, whose tightest finite-horizon
+Popov constant is ``gamma0^2 = max(0, sup_t E_op(t))``. The physical
+device's own declaration is audited separately on its (v, y) pair.
 """
 
 from __future__ import annotations
@@ -44,6 +42,7 @@ from operator import mul
 from typing import Callable
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .devices import DevicePopovStatus, DeviceSpec, device_popov_audit
 from .errors import (
@@ -52,7 +51,7 @@ from .errors import (
     GradeUnsupported,
     SchemaError,
 )
-from .ltisim import ImpulseResponse, convolve, impulse_response, realize, zoh_pair
+from .ltisim import power_record, realize, van_loan
 from .ratfun import RationalFunction, inverse
 from .realness import (
     Grade,
@@ -61,7 +60,7 @@ from .realness import (
     real_part_margin,
     wspr_chain_constant,
 )
-from .signals import EnergyTrace, Signal, _cumtrapz, energy_trace, write_trace_csv
+from .signals import EnergyTrace, Signal, energy_trace, write_trace_csv
 
 CONV_TOL = 1e-3
 BOUND_FACTOR = 10.0
@@ -199,7 +198,8 @@ class BoundChainAudit:
     ``lower`` maps each audited inequality, ``"E >= c*int(w)"`` with a
     nonnegative integrand w, to its nondecreasing lower trace ``c*int(w)``.
     The zero-state energy trace ``energy_op`` is compared against each trace
-    pointwise with slack ``tol_bound``, which covers quadrature error only.
+    pointwise with slack ``tol_bound``; both sides are exact for the held
+    input, so the slack covers round-off only.
     ``chain_violations`` maps the same inequalities to their numbers of
     violating samples, which sum to ``violation_count``; ``violations`` keeps
     at most ``VIOLATION_CAP`` samples. The upper side needs no count: the
@@ -262,12 +262,12 @@ def _solve_output(c: float, D: float, e: float, f: Callable[[float, float], floa
     Returns the root and the number of device calls spent on it. For D > 0
     and a nondecreasing f, phi' >= 1: the root is unique (I + D F is strongly
     monotone) and lies within |phi(y)| of the start, so the first trial point,
-    one residual away, brackets it. For D < 0 the root need not be unique; the
-    one returned is the root reached from the start, which the loop sets to
-    the previous output. Secant steps through the last two points refine the
-    bracket; a step bisects instead whenever the secant point leaves the
-    bracket or three steps have not halved it. The count is at most
-    2 + 200 + NEWTON_MAX_ITER, so it fits a byte.
+    one residual away, brackets it. For D < 0 the root need not be unique, and
+    phi may fall through it; the one returned is the root reached from the
+    start, which the loop sets to the previous output. Secant steps through
+    the last two points refine the bracket; a step bisects instead whenever
+    the secant point leaves the bracket or three steps have not halved it.
+    The count is at most 3 + 2*100 + NEWTON_MAX_ITER, so it fits a byte.
     """
     scale = 1.0 + abs(c) + abs(D * e)
     tol = NEWTON_TOL * scale
@@ -276,7 +276,8 @@ def _solve_output(c: float, D: float, e: float, f: Callable[[float, float], floa
     if abs(r) <= tol:
         return y, calls
     # walk away from y against the residual's sign until the residual flips;
-    # the first step of |r| does so whenever phi' >= 1
+    # the first step of |r| does so whenever phi' >= 1. After 100 doublings
+    # without a flip, phi falls through the root: walk from y the other way
     sign = -1.0 if r > 0.0 else 1.0
     step = abs(r)
     near, r_near = y, r
@@ -286,19 +287,24 @@ def _solve_output(c: float, D: float, e: float, f: Callable[[float, float], floa
     if abs(r_far) <= tol:
         return far, calls
     guard = 0
-    while sign * r_far < 0.0:
-        near, r_near = far, r_far
-        step *= 2.0
-        far += sign * step
-        r_far = far - c - D * (e - f(far, t))
-        calls += 1
+    while r_far * r > 0.0:
         guard += 1
-        if guard > 200:
+        if guard <= 100:
+            near, r_near = far, r_far
+            step *= 2.0
+        elif sign * r < 0.0:
+            sign, near, r_near, step, guard = -sign, y, r, abs(r), 0
+        else:
             raise AlgebraicLoopNoConvergence(
                 f"no bracket at step {step_index}, residual {r_far}"
             )
+        far = near + sign * step
+        r_far = far - c - D * (e - f(far, t))
+        calls += 1
+    # r is phi oriented to rise across the bracket: negative at lo
+    orient = 1.0 if sign * r < 0.0 else -1.0
     lo, hi = (far, near) if sign < 0.0 else (near, far)
-    y_old, r_old, y, r = near, r_near, far, r_far
+    y_old, r_old, y, r = near, orient * r_near, far, orient * r_far
     # bracket widths three, two and one iterations back
     oldest = older = old = math.inf
     for _ in range(NEWTON_MAX_ITER):
@@ -316,7 +322,7 @@ def _solve_output(c: float, D: float, e: float, f: Callable[[float, float], floa
                 trial = 0.5 * (lo + hi)
         oldest, older, old = older, old, hi - lo
         y_old, r_old, y = y, r, trial
-        r = y - c - D * (e - f(y, t))
+        r = orient * (y - c - D * (e - f(y, t)))
         calls += 1
         if abs(r) <= tol:
             return y, calls
@@ -332,7 +338,7 @@ def _solve_output(c: float, D: float, e: float, f: Callable[[float, float], floa
     # jumps across the loop equation: no consistent output exists
     raise AlgebraicLoopNoConvergence(
         f"algebraic loop has no solution at step {step_index}: "
-        f"residual {r} at y = {y}"
+        f"residual {orient * r} at y = {y}"
     )
 
 
@@ -486,21 +492,35 @@ def _step_loop(sc: Scenario, ss, ad: np.ndarray, bd: np.ndarray, n_samples: int)
     return e - v, y, v, e, diverged_at, evaluations
 
 
-def _simulate(sc: Scenario):
+def _hold(sc: Scenario):
+    """The plant's realization and the zero-order hold of w = [z; xi; u], the
+    plant state z and the state xi of the lag xi' = u - xi under a held input
+    u: F with e^(F dt) and int_0^dt e^(F s) ds. The loop steps with the plant
+    block of e^(F dt), so one expm serves the loop and the audit."""
+    ss = realize(sc.plant)
+    n = ss.order
+    f = np.zeros((n + 2, n + 2))
+    f[:n, :n], f[:n, -1] = ss.A, ss.B[:, 0]
+    f[n, n:] = -1.0, 1.0
+    return (ss, f, *van_loan(f, np.eye(n + 2), np.zeros_like(f), sc.dt)[:2])
+
+
+def _simulate(sc: Scenario, hold=None):
     """Step the loop; returns u, y, v, e, the divergence time, the kernel and
     the solve effort.
 
     Affine devices go through the blocked scan ("scan"); any other device is
     stepped one sample at a time, explicitly when D = 0 ("loop") and by the
     scalar root solve otherwise ("newton"). The solve effort, a histogram of
-    device calls per step, exists for "newton" only.
+    device calls per step, exists for "newton" only. ``hold`` is ``_hold(sc)``.
     """
-    ss = realize(sc.plant)
+    ss, _, phi, _ = hold or _hold(sc)
     if len(sc.x0) != ss.order:
         raise DimensionMismatch(
             f"x0 has {len(sc.x0)} entries, plant realization has order {ss.order}"
         )
-    ad, bd = zoh_pair(ss, sc.dt)
+    n = ss.order
+    ad, bd = phi[:n, :n], phi[:n, -1:]
     n_samples = int(round(sc.horizon / sc.dt)) + 1
     if sc.device.law.affine is not None:
         traces, kernel = _scan_affine(sc, ss, ad, bd, n_samples), "scan"
@@ -519,54 +539,79 @@ def _bound_chain_audit(
     sc: Scenario,
     classification: PRClassification,
     u: Signal,
+    hold,
 ) -> BoundChainAudit:
-    """Audit the grade's energy bound chains on the zero-state plant leg."""
+    """Audit the grade's energy bound chains on the zero-state plant leg.
+
+    The loop holds u_j from t_j to t_(j+1), so on that hold the zero-state leg
+    is w' = F w from w_j = [z_j; xi_j; u_j] (``hold`` is ``_hold(sc)``), and
+    every chain integrates exactly: int u*y is u_j [C 0 D] int_0^dt e^(F s) ds
+    w_j, int y^2 and int xi^2 are forms w_j' M w_j, and delta = int u is
+    linear in t.
+    """
     grade = classification.grade
     if grade is Grade.NOT_PR:
         raise GradeUnsupported("no bound chain is defined for a NotPR plant")
-    n = len(u)
-    dt = sc.dt
-    ir = impulse_response(sc.plant, T=(n - 1) * dt, dt=dt)
-    y_zs = convolve(ir, u).values
-    e_op = _cumtrapz(u.values * y_zs, dt)
+    ss, f, phi, psi = hold
+    n, dt, N = ss.order, sc.dt, len(u)
+    # row k of w is w_j of the hold that ends at sample k (row 0: no hold),
+    # restricted to the states the chains read, z and for WSPR xi; the zero
+    # states are u convolved with the record of (Ad^i Bd)
+    m = n + (grade is Grade.WSPR)
+    cols = [*range(m), n + 1]
+    nfft = next_fast_len(2 * N - 5, True)  # the first N - 2 terms do not wrap
+    spec = rfft(power_record(phi[:m, :m], phi[:m, -1], N - 2), nfft, axis=0)
+    spec *= rfft(u.values[:-2], nfft)[:, None]
+    w = np.zeros((N, m + 1))
+    w[2:, :m], w[1:, m] = irfft(spec, nfft, axis=0)[: N - 2], u.values[:-1]
+    del spec
+    held = w[:, m]
+    h_y = np.append(ss.C, [0.0, ss.D])
+
+    f = f[np.ix_(cols, cols)]  # nothing the chains read depends on the rest
+
+    def integral(h):  # of (h w)^2 over the holds, from t = 0 to each sample
+        _, g12, g22 = van_loan(-f.T, np.outer(h[cols], h[cols]), f, dt)
+        return np.cumsum(np.einsum("ij,ij->i", w @ (g22.T @ g12), w))
+
+    e_op = np.cumsum(held * (w @ (h_y @ psi)[cols]))
     gamma0_sq = max(0.0, float(np.max(e_op)))
     tol_bound = 1e-6 * (1.0 + abs(float(e_op[-1])))
 
-    # each chain E >= constant*int(integrand), named by its inequality
+    # each chain E >= constant*int(integrand), named by its inequality, with
+    # its integral from t = 0 to each sample
     chains = []
     c_w = None
     note = ""
     if grade is Grade.SSPR:
         chains = [
-            ("E >= d*int(u^2)", classification.d, u.values * u.values),
-            ("E >= d_inv*int(y^2)", real_part_margin(inverse(sc.plant)), y_zs * y_zs),
+            ("E >= d*int(u^2)", classification.d, np.cumsum(dt * held * held)),
+            ("E >= d_inv*int(y^2)", real_part_margin(inverse(sc.plant)), integral(h_y)),
         ]
     elif grade is Grade.WSPR:
-        delta = _cumtrapz(u.values, dt)
+        b = np.cumsum(dt * held)  # delta where each hold ends
+        a = np.r_[0.0, b[:-1]]  # and where it starts
         # the squared-frequency chain is not implied by WSPR; the c_w one is:
-        # Re g(jw) >= c_w/(1 + w^2). xi comes from the same trapezoidal
-        # convolution as y_zs, so both sides share one discretization
+        # Re g(jw) >= c_w/(1 + w^2), and xi is u through 1/(s+1)
         c_w = wspr_chain_constant(sc.plant)
-        lag = ImpulseResponse(g=Signal(dt, np.exp(-(dt * np.arange(n)))),
-                              direct_delta_weight=0.0)
-        xi = convolve(lag, u).values
         chains = [
-            ("E >= d0*int(delta^2)", classification.d0, delta * delta),
-            ("E >= c_w*int(xi^2)", c_w, xi * xi),
+            ("E >= d0*int(delta^2)", classification.d0,
+             np.cumsum(dt * (a * a + a * b + b * b) / 3)),
+            ("E >= c_w*int(xi^2)", c_w, integral(np.eye(n + 2)[n])),
         ]
     elif grade is Grade.PR and classification.single_pole_at_origin \
             and classification.g1_grade is Grade.SSPR:
-        delta_abs = _cumtrapz(np.abs(u.values), dt)
+        delta_abs = np.cumsum(dt * np.abs(held))
         chains = [("E >= d1*int(delta_abs*|u|)", classification.d1,
-                   delta_abs * np.abs(u.values))]
+                   delta_abs * delta_abs / 2)]
     else:
         note = f"no lower bound chain defined for grade {grade.value}"
 
     lower: dict[str, np.ndarray] = {}
     counts: dict[str, int] = {}
     violations: list[Violation] = []
-    for name, constant, integrand in chains:
-        trace = lower[name] = constant * _cumtrapz(integrand, dt)
+    for name, constant, integrated in chains:
+        trace = lower[name] = constant * integrated
         bad = np.nonzero(e_op < trace - tol_bound)[0]
         counts[name] = int(bad.size)
         for k in bad[: VIOLATION_CAP - len(violations)]:
@@ -589,7 +634,8 @@ def verify_bound_chain(run: SimulationRun) -> BoundChainAudit:
     """Recompute the bound-chain audit for a completed run."""
     if run.verdict is Verdict.DIVERGED:
         raise GradeUnsupported("bound chains are not audited on diverged runs")
-    return _bound_chain_audit(run.scenario, run.classification, run.u)
+    return _bound_chain_audit(run.scenario, run.classification, run.u,
+                              _hold(run.scenario))
 
 
 def convergence_verdict(run: SimulationRun) -> Verdict:
@@ -627,7 +673,8 @@ def _verdict(
 
 def run_closed_loop(sc: Scenario) -> SimulationRun:
     """Run the loop, audit both legs, and attach the evidence verdict."""
-    u_arr, y_arr, v_arr, e_arr, diverged_at, kernel, evaluations = _simulate(sc)
+    hold = _hold(sc)
+    u_arr, y_arr, v_arr, e_arr, diverged_at, kernel, evaluations = _simulate(sc, hold)
     u = Signal(sc.dt, u_arr)
     y = Signal(sc.dt, y_arr)
     v = Signal(sc.dt, v_arr)
@@ -637,7 +684,7 @@ def run_closed_loop(sc: Scenario) -> SimulationRun:
     device_status = device_popov_audit(sc.device, v, y)
     audit = None
     if diverged_at is None and classification.grade is not Grade.NOT_PR:
-        audit = _bound_chain_audit(sc, classification, u)
+        audit = _bound_chain_audit(sc, classification, u, hold)
     verdict = _verdict(sc, u, y, diverged_at, audit)
     return SimulationRun(
         scenario=sc,

@@ -81,43 +81,54 @@ def realize(g: RationalFunction) -> StateSpace:
     return StateSpace(A, B, rem, D)
 
 
+def van_loan(x: np.ndarray, y: np.ndarray, z: np.ndarray, dt: float):
+    """Blocks E11, E12 and E22 of expm([[X, Y], [0, Z]] dt), which give
+    integrals of matrix exponentials (Van Loan, "Computing integrals involving
+    the matrix exponential", IEEE TAC 23(3), 1978). With X = F, Y = I, Z = 0:
+    E11 = e^(F dt) and E12 = int_0^dt e^(F s) ds. With X = -F', Y = Q, Z = F:
+    E22' E12 = int_0^dt e^(F's) Q e^(F s) ds.
+    """
+    k = len(x)
+    block = np.zeros((2 * k, 2 * k))
+    block[:k, :k], block[:k, k:], block[k:, k:] = x * dt, y * dt, z * dt
+    e = expm(block)
+    return e[:k, :k], e[:k, k:], e[k:, k:]
+
+
 def zoh_pair(ss: StateSpace, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact discrete (Ad, Bd) for a zero-order-hold input of step dt."""
+    """Exact discrete (Ad, Bd) for a zero-order-hold input of step dt: the top
+    rows of e^(F dt), F = [[A, B], [0, 0]]."""
     n = ss.order
-    if n == 0:
-        return np.zeros((0, 0)), np.zeros((0, 1))
-    aug = np.zeros((n + 1, n + 1))
-    aug[:n, :n] = ss.A * dt
-    aug[:n, n:] = ss.B * dt
-    phi = expm(aug)
+    f = np.zeros((n + 1, n + 1))
+    f[:n, :n], f[:n, n:] = ss.A, ss.B
+    phi = van_loan(f, np.eye(n + 1), np.zeros_like(f), dt)[0]
     return phi[:n, :n], phi[:n, n:]
 
 
-def impulse_response(g: RationalFunction, T: float, dt: float) -> ImpulseResponse:
-    """Sampled C exp(A t) B on [0, T] plus the Dirac weight D.
+def power_record(step: np.ndarray, first: np.ndarray, count: int) -> np.ndarray:
+    """Rows step^i first for i < count, by doubling: once the first m rows
+    exist, the next m are one matrix product away, so the record costs
+    O(log count) small matmuls instead of count sequential steps."""
+    record = np.empty((count, first.size))
+    record[0] = first
+    power = step
+    m = 1
+    while m < count:
+        take = min(m, count - m)
+        record[m : m + take] = record[:take] @ power.T
+        if 2 * m < count:
+            power = power @ power
+        m *= 2
+    return record
 
-    The states exp(A k dt) B are generated by doubling: once the first m
-    samples exist, the next m are one matrix product away, so the whole record
-    costs O(log N) small matmuls instead of N sequential steps.
-    """
+
+def impulse_response(g: RationalFunction, T: float, dt: float) -> ImpulseResponse:
+    """Sampled C exp(A t) B on [0, T] plus the Dirac weight D."""
     if dt <= 0 or T < dt:
         raise ValueError("need dt > 0 and T >= dt")
     ss = realize(g)
     n_samp = int(round(T / dt)) + 1
-    if ss.order == 0:
-        samples = np.zeros(n_samp)
-    else:
-        states = np.empty((n_samp, ss.order))
-        states[0] = ss.B.ravel()
-        power = expm(ss.A * dt)
-        m = 1
-        while m < n_samp:
-            take = min(m, n_samp - m)
-            states[m : m + take] = states[:take] @ power.T
-            if 2 * m < n_samp:
-                power = power @ power
-            m *= 2
-        samples = states @ ss.C.ravel()
+    samples = power_record(expm(ss.A * dt), ss.B.ravel(), n_samp) @ ss.C.ravel()
     return ImpulseResponse(g=Signal(dt, samples), direct_delta_weight=ss.D)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from hyperstab.cli import main
 from hyperstab.corpus import bundled_corpus_path
-from hyperstab.signals import Signal, write_trace_csv
+from hyperstab.signals import Signal, read_trace_csv, write_trace_csv
 
 
 def run_cli(capsys, *argv):
@@ -137,17 +137,22 @@ class TestSimulate:
             assert not (tmp_path / "run").exists()
 
     def test_device_overflow_is_typed_or_diverged(self, capsys, tmp_path):
-        # (1 - s)/(1 + s) has D = -1: from x0 = 10 the solve walks off towards
-        # +inf, where y**5 leaves the float range; it ends in a typed error
+        # (1 - s)/(1 + s) has D = -1: from x0 = 10 the residual
+        # y - 20 - y**5 falls through its root, so the walk up from the start
+        # finds no sign change before y**5 leaves the float range; the walk
+        # down brackets the quintic's one real root
         path = self._write_scenario(tmp_path, {
             "plant": {"num": [1, -1], "den": [1, 1]},
             "device": {"kind": "CubicOddPower", "params": {"p": 5}},
             "x0": [10.0], "excitation": None, "dt": 1e-3, "horizon": 1.0,
         })
-        code, _, err = run_cli(capsys, "simulate", "--scenario", str(path),
-                               "--out-dir", str(tmp_path / "run"))
-        assert code == 2
-        assert err.startswith("error:") and "no bracket at step 0" in err
+        code, _, _ = run_cli(capsys, "simulate", "--scenario", str(path),
+                             "--out-dir", str(tmp_path / "run"))
+        assert code == 0
+        y0 = read_trace_csv(tmp_path / "run" / "traces.csv")["y"][0]
+        roots = np.roots([-1.0, 0.0, 0.0, 0.0, 1.0, -20.0])
+        real_root = float(roots[np.abs(roots.imag) < 1e-9].real[0])
+        assert y0 == pytest.approx(real_root, rel=1e-12)
         # D = 0: y**101 leaves the float range at the third sample while |y|
         # is far below the divergence guard; the run diverges there
         path = self._write_scenario(tmp_path, {
