@@ -26,7 +26,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import DeclarationViolated, InvalidParams
-from .signals import Signal, energy_trace, popov_audit
+from .signals import Signal, energy_trace
 
 QUADRANT_GAMMA_TOL = 1e-12
 
@@ -258,27 +258,25 @@ def device_popov_audit(spec: DeviceSpec, v: Signal, y: Signal) -> DevicePopovSta
     output there.
     """
     law = spec.law
-    audit = popov_audit(v, y)
+    trace = energy_trace(v, y)
+    gamma0_sq = trace.gamma0_sq
     injection_negative: bool | None = None
     if law.declared is PopovDeclaration.ALWAYS_ZERO_GAMMA:
-        if audit.gamma0_sq > QUADRANT_GAMMA_TOL:
+        if gamma0_sq > QUADRANT_GAMMA_TOL:
             raise DeclarationViolated(
-                f"{spec.kind.value} measured gamma0^2 = {audit.gamma0_sq}, "
+                f"{spec.kind.value} measured gamma0^2 = {gamma0_sq}, "
                 "expected 0 for a first/third-quadrant device"
             )
     if law.injection is not None:
         t0, t1 = law.injection
-        ts = v.times()
+        ts, n = trace.times, trace.times.size
         window = (ts > t0) & (ts <= t1)
         if np.any(window):
-            prod = v.values[: ts.size] * y.values[: ts.size]
+            prod = v.values[:n] * y.values[:n]
             opposed = bool(np.all(prod[window] <= 0.0) and np.any(prod[window] < 0.0))
-            trace = energy_trace(v, y)
-            injection_negative = bool(
-                opposed and np.min(trace.E[window]) < 0.0
-            )
+            injection_negative = bool(opposed and np.min(trace.E[window]) < 0.0)
     return DevicePopovStatus(
         declared=law.declared,
-        measured_gamma0_sq=audit.gamma0_sq,
+        measured_gamma0_sq=gamma0_sq,
         injection_energy_negative=injection_negative,
     )

@@ -2,7 +2,9 @@
 
 The loop is ``u = e - F(y)`` around a realized plant, stepped with the exact
 zero-order-hold discretization at every plant order, zero included, with the
-overflow guard on y at every sample. There are two kernels.
+overflow guard on y at every sample. ``_simulate`` builds the loop record: the
+time grid and the excitation e once, then u = e - v and the divergence time
+from the samples the kernel keeps. There are two kernels; each returns y and v.
 
 * Affine devices, ``F(y, t) = g(t) y + o(t)`` (static sector, time-varying
   gain, regenerative pulse), make each step one affine map of the state, with
@@ -38,6 +40,7 @@ import json
 import math
 from array import array
 from dataclasses import dataclass, field
+from itertools import count
 from operator import mul
 from typing import Callable
 
@@ -51,7 +54,7 @@ from .errors import (
     GradeUnsupported,
     SchemaError,
 )
-from .ltisim import power_record, realize, van_loan
+from .ltisim import power_record, realize, van_loan, zoh_hold
 from .ratfun import RationalFunction, inverse
 from .realness import (
     Grade,
@@ -266,8 +269,10 @@ def _solve_output(c: float, D: float, e: float, f: Callable[[float, float], floa
     phi may fall through it; the one returned is the root reached from the
     start, which the loop sets to the previous output. Secant steps through
     the last two points refine the bracket; a step bisects instead whenever
-    the secant point leaves the bracket or three steps have not halved it.
-    The count is at most 3 + 2*100 + NEWTON_MAX_ITER, so it fits a byte.
+    the secant point leaves the bracket or three steps have not halved it,
+    and from step NEWTON_MAX_ITER on always, until the bracket closes to
+    1e-15 relative or is not finite. The count stays far below 2**16: the
+    walk takes at most 3 + 2*100 calls, and bisection halves asinh(y/scale).
     """
     scale = 1.0 + abs(c) + abs(D * e)
     tol = NEWTON_TOL * scale
@@ -307,13 +312,13 @@ def _solve_output(c: float, D: float, e: float, f: Callable[[float, float], floa
     y_old, r_old, y, r = near, orient * r_near, far, orient * r_far
     # bracket widths three, two and one iterations back
     oldest = older = old = math.inf
-    for _ in range(NEWTON_MAX_ITER):
+    for i in count():
         # secant through the last two points, unless it leaves the open
         # bracket (lo does when the two residuals are equal) or the last three
         # points did not halve the bracket, as secant points creeping along
         # one steep side of the residual do
         trial = y - r * (y - y_old) / (r - r_old) if r != r_old else lo
-        if not lo < trial < hi or hi - lo > 0.5 * oldest:
+        if i >= NEWTON_MAX_ITER or not lo < trial < hi or hi - lo > 0.5 * oldest:
             # bisect in asinh(y / scale): a bracket that spans decades beyond
             # the solve's scale loses half of them, a narrow one half its width
             trial = scale * math.sinh(
@@ -330,7 +335,7 @@ def _solve_output(c: float, D: float, e: float, f: Callable[[float, float], floa
             hi = y
         else:
             lo = y
-        if hi - lo <= 1e-15 * (1.0 + abs(y)):
+        if not hi - lo > 1e-15 * (1.0 + abs(y)):  # closed, or not finite
             break
     if abs(r) <= 1e-9 * scale:
         return y, calls
@@ -363,8 +368,10 @@ def _prefix(inc: np.ndarray) -> np.ndarray:
     return p
 
 
-def _scan_affine(sc: Scenario, ss, ad: np.ndarray, bd: np.ndarray, n_samples: int):
-    """Traces and divergence time of a loop whose device is affine.
+def _scan_affine(sc: Scenario, ss, ad: np.ndarray, bd: np.ndarray,
+                 t: np.ndarray, e: np.ndarray):
+    """y and v of a loop whose device is affine, on the time grid t with
+    excitation e, up to the first sample past the overflow guard.
 
     With v = g*y + o and w = e - o, y = (C x + D w)/(1 + D g), so each step
     adds [Ad - I - Bd g C/den | Bd w/den] z to x, with z = [x; 1]. The samples
@@ -373,14 +380,10 @@ def _scan_affine(sc: Scenario, ss, ad: np.ndarray, bd: np.ndarray, n_samples: in
     from. A block with one (g, w) throughout reuses the previous block's table
     when that block had the same (g, w).
     """
-    law = sc.device.law
-    t = np.arange(n_samples) * sc.dt
-    gain, offset = law.affine[0](t), law.affine[1](t)
-    e = np.zeros(n_samples)
-    if sc.excitation is not None:
-        e[t < sc.excitation.duration] = sc.excitation.amplitude
-    del t
+    gains, offsets = sc.device.law.affine
+    gain, offset = gains(t), offsets(t)
     w = e - offset
+    n_samples = len(e)
     n, D = ss.order, ss.D
     # the loop cannot be stepped past the first sample where 1 + D g vanishes
     end = n_samples
@@ -431,17 +434,16 @@ def _scan_affine(sc: Scenario, ss, ad: np.ndarray, bd: np.ndarray, n_samples: in
         )
     del w
     k = n_samples if stop is None else stop
-    # v = F(y, t) sample by sample, in the buffer of the gains; u = e - v
+    # v = F(y, t) sample by sample, in the buffer of the gains
     v = gain[:k]
     v *= y[:k]
     v += offset[:k]
-    e = e[:k]
-    return e - v, y[:k], v, e, None if stop is None else stop * sc.dt
+    return y[:k], v
 
 
-def _step_loop(sc: Scenario, ss, ad: np.ndarray, bd: np.ndarray, n_samples: int):
-    """Traces, divergence time and solve effort of a loop stepped one sample
-    at a time.
+def _step_loop(sc: Scenario, ss, ad: np.ndarray, bd: np.ndarray, e: np.ndarray):
+    """y, v and solve effort of a loop stepped one sample at a time with
+    excitation e, up to the first sample past the overflow guard.
 
     With D != 0 each step solves the loop equation from the previous output
     (step 0 from c + D e); the effort is ``np.bincount`` of the device calls
@@ -451,88 +453,80 @@ def _step_loop(sc: Scenario, ss, ad: np.ndarray, bd: np.ndarray, n_samples: int)
     c_row = ss.C.reshape(-1).tolist()
     x = list(sc.x0)
     dt = sc.dt
-    amp = sc.excitation.amplitude if sc.excitation else 0.0
-    dur = sc.excitation.duration if sc.excitation else -1.0
     f = sc.device.law.f
     D = ss.D
     guard = OVERFLOW_GUARD
 
-    y_buf, v_buf, calls_buf = array("d"), array("d"), array("B")
+    y_buf, v_buf, calls_buf = array("d"), array("d"), array("H")
     push_y, push_v, push_calls = y_buf.append, v_buf.append, calls_buf.append
-    diverged_at = None
-    for k in range(n_samples):
+    for k, ek in enumerate(memoryview(e)):
         t = k * dt
-        e = amp if t < dur else 0.0
         c = sum(map(mul, c_row, x), 0.0)
         if D == 0.0:
             yk = c
         else:
-            yk, calls = _solve_output(c, D, e, f, t, yk if k else c + D * e, k)
+            yk, calls = _solve_output(c, D, ek, f, t, yk if k else c + D * ek, k)
             push_calls(calls)
         if yk > guard or yk < -guard or yk != yk:
-            diverged_at = t
             break
         vk = f(yk, t)
-        uk = e - vk
+        uk = ek - vk
         push_y(yk)
         push_v(vk)
         x = [sum(map(mul, row, x), b * uk) for row, b in rows]
     if v_buf and not math.isfinite(v_buf[-1]):
         # the device output left the float range; only the last sample can
         # hold it, since the state is not finite after it
-        diverged_at = (len(v_buf) - 1) * dt
         del y_buf[-1], v_buf[-1]
     y, v = np.frombuffer(y_buf), np.frombuffer(v_buf)
     # a diverged step's solve is not one of the recorded samples
     evaluations = (None if D == 0.0
-                   else np.bincount(np.frombuffer(calls_buf, np.uint8)[: len(y)]))
-    del calls_buf  # before e and u: at most four 8-byte values per sample
-    # the same floats as the per-step e and u above
-    e = np.where(np.arange(len(y)) * dt < dur, amp, 0.0)
-    return e - v, y, v, e, diverged_at, evaluations
+                   else np.bincount(np.frombuffer(calls_buf, np.uint16)[: len(y)]))
+    return y, v, evaluations
 
 
 def _hold(sc: Scenario):
-    """The plant's realization and the zero-order hold of w = [z; xi; u], the
-    plant state z and the state xi of the lag xi' = u - xi under a held input
-    u: F with e^(F dt) and int_0^dt e^(F s) ds. The loop steps with the plant
-    block of e^(F dt), so one expm serves the loop and the audit."""
+    """The plant's realization and its ``zoh_hold``: the loop steps with the
+    plant block of e^(F dt), so one expm serves the loop and the audit."""
     ss = realize(sc.plant)
-    n = ss.order
-    f = np.zeros((n + 2, n + 2))
-    f[:n, :n], f[:n, -1] = ss.A, ss.B[:, 0]
-    f[n, n:] = -1.0, 1.0
-    return (ss, f, *van_loan(f, np.eye(n + 2), np.zeros_like(f), sc.dt)[:2])
+    return (ss, *zoh_hold(ss, sc.dt))
 
 
-def _simulate(sc: Scenario, hold=None):
+def _simulate(sc: Scenario, hold):
     """Step the loop; returns u, y, v, e, the divergence time, the kernel and
-    the solve effort.
+    the solve effort. ``hold`` is ``_hold(sc)``.
 
-    Affine devices go through the blocked scan ("scan"); any other device is
-    stepped one sample at a time, explicitly when D = 0 ("loop") and by the
-    scalar root solve otherwise ("newton"). The solve effort, a histogram of
-    device calls per step, exists for "newton" only. ``hold`` is ``_hold(sc)``.
+    The time grid and the excitation e go to the kernel, which returns y and v
+    up to the first sample past the overflow guard; a record cut short sets
+    the divergence time. Affine devices go through the blocked scan ("scan");
+    any other device is stepped one sample at a time, explicitly when D = 0
+    ("loop") and by the scalar root solve otherwise ("newton"). The solve
+    effort, a histogram of device calls per step, exists for "newton" only.
     """
-    ss, _, phi, _ = hold or _hold(sc)
+    ss, _, phi, _ = hold
     if len(sc.x0) != ss.order:
         raise DimensionMismatch(
             f"x0 has {len(sc.x0)} entries, plant realization has order {ss.order}"
         )
-    n = ss.order
-    ad, bd = phi[:n, :n], phi[:n, -1:]
+    ad, bd = phi[:-2, :-2], phi[:-2, -1:]  # the plant block
     n_samples = int(round(sc.horizon / sc.dt)) + 1
+    t = np.arange(n_samples) * sc.dt
+    e = np.zeros(n_samples)
+    if sc.excitation is not None:
+        e[t < sc.excitation.duration] = sc.excitation.amplitude
     if sc.device.law.affine is not None:
-        traces, kernel = _scan_affine(sc, ss, ad, bd, n_samples), "scan"
-        evaluations = None
+        (y, v), kernel, evaluations = _scan_affine(sc, ss, ad, bd, t, e), "scan", None
     else:
-        *traces, evaluations = _step_loop(sc, ss, ad, bd, n_samples)
+        y, v, evaluations = _step_loop(sc, ss, ad, bd, e)
         kernel = "loop" if ss.D == 0.0 else "newton"
-    if len(traces[0]) < 2:
+    kept = len(y)
+    if kept < 2:
         raise AlgebraicLoopNoConvergence(
             "trajectory left the overflow guard within the first step"
         )
-    return *traces, kernel, evaluations
+    e = e[:kept]
+    diverged_at = None if kept == n_samples else kept * sc.dt
+    return e - v, y, v, e, diverged_at, kernel, evaluations
 
 
 def _bound_chain_audit(
@@ -640,23 +634,20 @@ def verify_bound_chain(run: SimulationRun) -> BoundChainAudit:
 
 def convergence_verdict(run: SimulationRun) -> Verdict:
     """Re-derive the evidence verdict from a completed run."""
-    return _verdict(run.scenario, run.u, run.y, run.diverged_at, run.bound_audit)
+    return _verdict(run.u, run.y, run.e, run.diverged_at, run.bound_audit)
 
 
 def _verdict(
-    sc: Scenario,
     u: Signal,
     y: Signal,
+    e: Signal,
     diverged_at: float | None,
     audit: BoundChainAudit | None,
 ) -> Verdict:
     """Decide the evidence level from the recorded traces."""
     if diverged_at is not None:
         return Verdict.DIVERGED
-    peak0 = max(abs(u.values[0]), abs(y.values[0]))
-    if sc.excitation is not None:
-        peak0 = max(peak0, abs(sc.excitation.amplitude))
-    peak0 = max(peak0, 1e-300)
+    peak0 = max(abs(u.values[0]), abs(y.values[0]), abs(e.values[0]), 1e-300)
     peak = max(float(np.max(np.abs(u.values))), float(np.max(np.abs(y.values))))
     tail_start = int(0.95 * len(u))
     tail = max(
@@ -685,7 +676,7 @@ def run_closed_loop(sc: Scenario) -> SimulationRun:
     audit = None
     if diverged_at is None and classification.grade is not Grade.NOT_PR:
         audit = _bound_chain_audit(sc, classification, u, hold)
-    verdict = _verdict(sc, u, y, diverged_at, audit)
+    verdict = _verdict(u, y, e, diverged_at, audit)
     return SimulationRun(
         scenario=sc,
         u=u, y=y, v=v, e=e,
@@ -713,12 +704,10 @@ def batch_run(scenarios: list[Scenario]) -> list[SimulationRun | Exception]:
 
 def run_report(run: SimulationRun) -> dict:
     """JSON-ready report for a completed run."""
-    e_io = run.E.E
-    gamma_trace = max(0.0, -float(np.min(e_io)))
     return {
         "classification": run.classification.to_report(),
         "gamma0_sq": run.bound_audit.gamma0_sq if run.bound_audit else None,
-        "gamma0_sq_trace": gamma_trace,
+        "gamma0_sq_trace": run.E.gamma0_sq,
         "bound_violations": (
             [v.to_json_dict() for v in run.bound_audit.violations]
             if run.bound_audit else []
@@ -734,7 +723,7 @@ def run_report(run: SimulationRun) -> dict:
         ),
         "device": run.device_status.to_report(),
         "energy": {
-            "final_io": float(e_io[-1]),
+            "final_io": run.E.final,
             "final_operator": (
                 float(run.bound_audit.energy_op[-1]) if run.bound_audit else None
             ),

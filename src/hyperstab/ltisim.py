@@ -1,10 +1,11 @@
 """State-space realization, impulse response and forced simulation.
 
 Realizations use the controllable canonical form. Time stepping is the exact
-zero-order-hold discretization (the matrix exponential of the augmented
-``[[A, B], [0, 0]]`` block), so the only discretization error in a simulation
-comes from holding the input constant over each step, never from the
-integrator itself. The Dirac part of a relative-degree-zero impulse response
+zero-order-hold discretization, built in one place, ``zoh_hold``: the loop,
+its audit and ``simulate_forced`` all step with the plant block of its one
+matrix exponential, so the only discretization error in a simulation comes
+from holding the input constant over each step, never from the integrator
+itself. The Dirac part of a relative-degree-zero impulse response
 is carried symbolically as ``direct_delta_weight`` - a sampled spike would
 corrupt every convolution and positivity check.
 """
@@ -17,7 +18,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.signal import fftconvolve
 
-from .errors import DimensionMismatch, GridMismatch, ImproperTransferFunction
+from .errors import DimensionMismatch, GridMismatch
 from .ratfun import RationalFunction
 from .signals import Signal
 
@@ -65,8 +66,6 @@ def realize(g: RationalFunction) -> StateSpace:
     num = np.asarray(g.num.coeffs, dtype=float)
     den = np.asarray(g.den.coeffs, dtype=float)  # monic by construction
     n = den.size - 1
-    if num.size - 1 > n:
-        raise ImproperTransferFunction("cannot realize an improper function")
     padded = np.zeros(n + 1)
     padded[: num.size] = num
     D = float(padded[n])
@@ -95,14 +94,17 @@ def van_loan(x: np.ndarray, y: np.ndarray, z: np.ndarray, dt: float):
     return e[:k, :k], e[:k, k:], e[k:, k:]
 
 
-def zoh_pair(ss: StateSpace, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact discrete (Ad, Bd) for a zero-order-hold input of step dt: the top
-    rows of e^(F dt), F = [[A, B], [0, 0]]."""
+def zoh_hold(ss: StateSpace, dt: float):
+    """The zero-order hold of w = [x; xi; u] over one step dt: the plant state
+    x, the state xi of the lag xi' = u - xi, and the held input u. Returns
+    F = [[A, 0, B], [0, -1, 1], [0, 0, 0]] with e^(F dt) and
+    int_0^dt e^(F s) ds; the plant's exact (Ad, Bd) are the first n rows of
+    e^(F dt), in the columns of x and of u."""
     n = ss.order
-    f = np.zeros((n + 1, n + 1))
-    f[:n, :n], f[:n, n:] = ss.A, ss.B
-    phi = van_loan(f, np.eye(n + 1), np.zeros_like(f), dt)[0]
-    return phi[:n, :n], phi[:n, n:]
+    f = np.zeros((n + 2, n + 2))
+    f[:n, :n], f[:n, -1] = ss.A, ss.B[:, 0]
+    f[n, n:] = -1.0, 1.0
+    return (f, *van_loan(f, np.eye(n + 2), np.zeros_like(f), dt)[:2])
 
 
 def power_record(step: np.ndarray, first: np.ndarray, count: int) -> np.ndarray:
@@ -143,9 +145,9 @@ def simulate_forced(ss: StateSpace, u: Signal, x0) -> Signal:
     y = np.empty(n_samp)
     if ss.order == 0:
         return Signal(u.dt, ss.D * u.values)
-    ad, bd = zoh_pair(ss, u.dt)
+    phi = zoh_hold(ss, u.dt)[1]
+    ad, bd = phi[:-2, :-2], phi[:-2, -1]
     c = ss.C.reshape(-1)
-    bd = bd.reshape(-1)
     for k in range(n_samp):
         y[k] = c @ x + ss.D * u.values[k]
         if k < n_samp - 1:

@@ -169,13 +169,6 @@ def _sign_changes(chain: list[list[int]]) -> int:
     return _variations(q[0] for q in chain) - _variations(q[-1] for q in chain)
 
 
-def _positive_roots(p: list[int]) -> int:
-    """Distinct roots of p in (0, inf)."""
-    while p[0] == 0:
-        p = p[1:]
-    return _sign_changes(_sturm(p))
-
-
 def _odd_part(p: list[int], chain: list[list[int]]) -> list[int]:
     """The distinct factors of p of odd multiplicity, times a constant;
     ``chain`` is ``_sturm(p)``.
@@ -461,7 +454,7 @@ def classify_pr(g: RationalFunction) -> PRClassification:
     if strictly_stable and g.relative_degree == 1:
         # w^2 Re g -> d0, the ratio of the x^(n-1) and x^n coefficients
         d0 = r[-1] / q[-1] if len(r) + 1 == len(q) else 0.0
-        if d0 > TOL_MARGIN and r[0] > 0 and _positive_roots(r) == 0:
+        if d0 > TOL_MARGIN and r[0] > 0 and _sign_changes(_sturm(r)) == 0:
             return graded(Grade.WSPR, d0=d0)
 
     single = sum(1 for p in poles if abs(p) <= TOL_AXIS) == 1

@@ -115,6 +115,11 @@ class EnergyTrace:
     def final(self) -> float:
         return float(self.E[-1])
 
+    @property
+    def gamma0_sq(self) -> float:
+        """The record's Popov constant: the least gamma0^2 with E >= -gamma0^2."""
+        return max(0.0, -float(np.min(self.E)))
+
     def at(self, t: float) -> float:
         k = int(round(t / (self.times[1] - self.times[0])))
         return float(self.E[min(max(k, 0), self.E.size - 1)])
@@ -215,12 +220,11 @@ def popov_audit(v: Signal, y: Signal) -> PopovAudit:
     """
     trace = energy_trace(v, y)
     k = int(np.argmin(trace.E))
-    min_e = float(trace.E[k])
     return PopovAudit(
         satisfied=True,
-        gamma0_sq=max(0.0, -min_e),
+        gamma0_sq=trace.gamma0_sq,
         finite_horizon_estimate=True,
-        min_energy=min_e,
+        min_energy=float(trace.E[k]),
         min_time=float(trace.times[k]),
     )
 
@@ -251,7 +255,6 @@ def classify_taxonomy(
     labels: set[TaxonomyLabel] = set()
 
     labels.add(TaxonomyLabel.POPOV_SATISFIED)  # finite record: finite minimum
-    gamma0_sq = max(0.0, -float(np.min(E)))
 
     if bool(np.all(E >= -tol)):
         labels.add(TaxonomyLabel.WEAKLY_PASSIVE)
@@ -288,7 +291,7 @@ def classify_taxonomy(
             labels.add(TaxonomyLabel.STRICTLY_PASSIVE)
 
     return TaxonomyVerdict(
-        labels=frozenset(labels), beta=beta, gamma0_sq=gamma0_sq, beta_s=beta_s
+        labels=frozenset(labels), beta=beta, gamma0_sq=trace.gamma0_sq, beta_s=beta_s
     )
 
 

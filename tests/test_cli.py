@@ -8,7 +8,8 @@ import pytest
 
 from hyperstab.cli import main
 from hyperstab.corpus import bundled_corpus_path
-from hyperstab.signals import Signal, read_trace_csv, write_trace_csv
+from hyperstab.errors import GridMismatch
+from hyperstab.signals import Signal, read_trace_csv, signals_from_trace, write_trace_csv
 
 
 def run_cli(capsys, *argv):
@@ -44,7 +45,7 @@ class TestClassify:
         assert code == 3
 
     def test_garbage_exit_2(self, capsys, tmp_path):
-        for argv in (["--tf", "a,b;c"],
+        for argv in (["--tf", "a,b;c"], ["--tf", "1,2"], ["--tf", ";1"],
                      ["--tf", "1;1,1", "--json", str(tmp_path / "missing" / "x.json")]):
             code, _, err = run_cli(capsys, "classify", *argv)
             assert code == 2
@@ -99,6 +100,17 @@ class TestSimulate:
         report = json.loads((tmp_path / "run" / "report.json").read_text())
         assert report["verdict"] == "Diverged"
         assert (tmp_path / "run" / "traces.csv").exists()
+
+    def test_overflow_in_first_step_exit_2(self, capsys, tmp_path):
+        path = self._write_scenario(tmp_path, {
+            "plant": {"num": [1], "den": [1, 1]},
+            "device": {"kind": "StaticSector", "params": {"k1": 1.0, "k2": 1.0}},
+            "x0": [2e9], "excitation": None, "dt": 1e-3, "horizon": 1.0,
+        })
+        code, _, err = run_cli(capsys, "simulate", "--scenario", str(path),
+                               "--out-dir", str(tmp_path / "run"))
+        assert code == 2
+        assert "left the overflow guard within the first step" in err
 
     def test_missing_file_exit_2(self, capsys, tmp_path):
         for scenario in (tmp_path / "nope.json", tmp_path):
@@ -244,6 +256,22 @@ class TestAudit:
         code, _, err = run_cli(capsys, "audit", "--traces", str(tmp_path))
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty trace file"),
+        ("t,u,y\n0,1\n0.001,1\n", "2 cells, the header names 3"),
+        ("u,y\n0,1\n1,1\n", "no t column"),
+        ("t,u,y\n0,1,1\n", "at least two rows"),
+    ])
+    def test_bad_trace_file_exit_2(self, capsys, tmp_path, text, message):
+        path = tmp_path / "trace.csv"
+        path.write_text(text)
+        with pytest.raises(GridMismatch, match=message):
+            signals_from_trace(read_trace_csv(path))
+        for command in ("audit", "parseval"):
+            code, out, err = run_cli(capsys, command, "--traces", str(path))
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and message in err
 
     def test_simulate_audit_round_trip(self, capsys, tmp_path):
         scenario = tmp_path / "scenario.json"

@@ -52,6 +52,12 @@ class TestLoad:
         with pytest.raises(SchemaError, match="den"):
             load_corpus(path)
 
+    def test_zero_denominator_names_entry(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([{"id": "w", "num": [1], "den": [0], "grade": "PR"}]))
+        with pytest.raises(SchemaError, match="entry w: bad coefficients"):
+            load_corpus(path)
+
     def test_not_an_array(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"id": "z"}')

@@ -1,5 +1,6 @@
 """Feedback devices: quadrant property, sector containment, Popov audits."""
 
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperstab.cli import main
 from hyperstab.devices import (
     DeviceKind,
     DeviceSpec,
@@ -163,6 +165,24 @@ class TestInvalidParams:
     def test_malformed_params(self, kind, params):
         with pytest.raises(InvalidParams):
             DeviceSpec(kind=kind, params=params)
+
+    @pytest.mark.parametrize("kind, params, message", [
+        ("StaticSector", {"k1": 1.0, "k2": 2.0, "gain": 3.0}, "inside"),
+        ("DeadzoneSector", {"k2": 1.0, "deadzone": -0.1}, "nonnegative"),
+        ("TimeVaryingGain", {"samples": ["a"], "sample_dt": 0.1}, "list of numbers"),
+        ("TimeVaryingGain", {"samples": [], "sample_dt": 0.1}, "sample_dt > 0"),
+        ("TimeVaryingGain", {"samples": [1.0], "sample_dt": 0.0}, "sample_dt > 0"),
+        ("Relay", {"amplitude": 0.0}, "positive"),
+        ("RegenerativePulse", {"t_start": 0.0, "t_end": 1.0, "rate": 0.0}, "positive"),
+    ])
+    def test_out_of_range_params_exit_2(self, kind, params, message, capsys, tmp_path):
+        with pytest.raises(InvalidParams, match=message):
+            DeviceSpec(kind=kind, params=params)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"plant": {"num": [1], "den": [1, 1]}, "x0": [1.0],
+                                    "device": {"kind": kind, "params": params}}))
+        code = main(["simulate", "--scenario", str(path), "--out-dir", str(tmp_path / "run")])
+        assert code == 2 and message in capsys.readouterr().err
 
     def test_unknown_kind_named_only_for_unknown_kinds(self):
         def scenario(kind, params):

@@ -26,6 +26,7 @@ from hyperstab.harness import (
     Excitation,
     Scenario,
     Verdict,
+    _hold,
     _simulate,
     _solve_output,
     batch_run,
@@ -36,7 +37,7 @@ from hyperstab.harness import (
     verify_bound_chain,
     write_run_artifacts,
 )
-from hyperstab.ltisim import realize, simulate_forced, zoh_pair
+from hyperstab.ltisim import realize, simulate_forced, zoh_hold
 from hyperstab.ratfun import ratfun_new
 from hyperstab.realness import Grade
 from hyperstab.signals import Signal, energy_trace, read_trace_csv, signals_from_trace
@@ -95,6 +96,18 @@ class TestScenarioValidation:
             scenario_from_json_dict(
                 {"plant": {"num": [1], "den": [1, 1]}, "device": {}, "x0": [1.0]}
             )
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("plant", {"num": ["x"], "den": [1, 1]}, "bad plant coefficients"),
+        ("excitation", {"amplitude": 1.0}, "excitation missing field 'duration'"),
+        ("x0", ["a"], "could not convert"),
+    ])
+    def test_malformed_field(self, field, value, message):
+        data = {"plant": {"num": [1], "den": [1, 1]}, "x0": [1.0],
+                "device": {"kind": "StaticSector", "params": {"k1": 1.0}}}
+        data[field] = value
+        with pytest.raises(SchemaError, match=message):
+            scenario_from_json_dict(data)
 
 
 class TestAlgebraicLoop:
@@ -188,6 +201,33 @@ class TestAlgebraicLoop:
         assert spent == len(calls)
         lo, hi = min(calls[:2]), max(calls[:2])
         assert all(lo <= yy <= hi for yy in calls[2:])
+
+    def test_far_starts_reach_the_root(self):
+        # a septic device with D up to 20, started up to 300 from the root;
+        # the first three draws ran out of secant steps with the bracket open
+        f = DeviceSpec(kind="CubicOddPower", params={"p": 7}).law.f
+        draws = [
+            (18.93033256829654, -8.506046202961453, 1.2440011872866918, -183.03200382749668),
+            (19.529131983538544, -15.006711866427418, -1.5582818526982067, -31.2341405493695),
+            (16.56507829907683, 14.943232198456947, 1.3699987236006228, -203.07100019342312),
+        ]
+        rng = np.random.default_rng(7)
+        draws += rng.uniform([1e-3, -20, -2, -300], [20, 20, 2, 300], (3000, 4)).tolist()
+        for D, c, e, y0 in draws:
+            y, calls = _solve_output(c, D, e, f, 0.0, y0, 0)
+            scale = 1.0 + abs(c) + abs(D * e)
+            assert abs(y - c - D * (e - f(y, 0.0))) <= 1e-9 * scale
+            assert calls < 2**16
+
+    def test_output_row_past_the_float_range_raises(self):
+        # C x0 = 3e308 overflows, so every residual is nan: the search stops
+        # at once instead of bisecting a bracket that cannot close
+        sc = Scenario(plant=ratfun_new([4.0, 1.0], [1.0, 1.0]),
+                      device=DeviceSpec(kind="CubicOddPower", params={"p": 41}),
+                      x0=(1e308,), dt=1e-3, horizon=0.2)
+        with pytest.raises(AlgebraicLoopNoConvergence,
+                           match="no solution at step 0: residual nan"):
+            run_closed_loop(sc)
 
     def test_relay_raises_at_the_step_with_no_root(self):
         # y = Cx + D(e - a sign(y)) has no root once 0 < |Cx| <= D a: the
@@ -322,7 +362,8 @@ class TestAffineScan:
         sc = Scenario(plant=g, device=device, x0=(1.0,), dt=1e-2, horizon=60.0)
         run = run_closed_loop(sc)
         # the same recurrence stepped one sample at a time; y = x here
-        ad, bd = (float(m[0, 0]) for m in zoh_pair(realize(g), sc.dt))
+        phi = zoh_hold(realize(g), sc.dt)[1]
+        ad, bd = float(phi[0, 0]), float(phi[0, -1])
         x, k = 1.0, 0
         while abs(x) <= OVERFLOW_GUARD:
             x = ad * x - bd * apply_device(device, x, k * sc.dt)
@@ -360,7 +401,7 @@ class TestAffineScan:
     def test_integrator_demo_matches_exact_powers(self):
         # 1/s under unit gain: y_k = (1 - dt)^k exactly, for the binary dt
         sc = demo_scenario("integrator_unit_gain")
-        u, y, v, e, diverged_at, kernel, _ = _simulate(sc)
+        u, y, v, e, diverged_at, kernel, _ = _simulate(sc, _hold(sc))
         assert kernel == "scan" and diverged_at is None and len(y) == 2_000_001
         with decimal.localcontext() as ctx:
             ctx.prec = 40

@@ -64,6 +64,10 @@ class TestImpulseResponse:
         assert np.max(np.abs(ir.g.values - np.exp(-t))) < 1e-12
         assert ir.direct_delta_weight == 0.0
 
+    def test_horizon_shorter_than_step_rejected(self):
+        with pytest.raises(ValueError, match="T >= dt"):
+            impulse_response(ratfun_new([1], [1, 1]), T=1e-4, dt=DT)
+
     def test_integrator_does_not_decay(self):
         ir = impulse_response(ratfun_new([1], [0, 1]), T=5.0, dt=DT)
         assert np.allclose(ir.g.values, 1.0)

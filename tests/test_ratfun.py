@@ -103,6 +103,16 @@ class TestRoots:
     def test_linear(self):
         assert np.allclose(roots(Polynomial([1, 1])), [-1.0])
 
+    def test_constant_has_no_roots(self):
+        with pytest.raises(DegenerateInput, match="constant"):
+            roots(Polynomial([3.0]))
+
+    def test_zeros_and_text(self):
+        g = ratfun_new([2, 1], [3, 4, 1])  # (s + 2)/((s + 1)(s + 3))
+        assert np.allclose(g.zeros(), [-2.0])
+        assert ratfun_new([1], [1, 1]).zeros() == []
+        assert str(g) == "([2.0, 1.0]) / ([3.0, 4.0, 1.0])"
+
     def test_pure_imaginary_pair(self):
         rts = roots(Polynomial([1, 0, 1]))
         assert np.allclose(sorted(r.imag for r in rts), [-1.0, 1.0])

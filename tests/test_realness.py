@@ -36,6 +36,14 @@ class TestMargin:
         g = ratfun_new([2, 2, 1], [2, 3, 1])
         assert real_part_margin(g) == pytest.approx(2.0 / 3.0, abs=1e-9)
 
+    @pytest.mark.parametrize("num, den, margin", [
+        ([1], [0, 0, 1], -np.inf),  # 1/s^2: a repeated axis pole stays in
+        ([1], [1, 0, 1], -np.inf),  # 1/(s^2 + 1): residue -j/2 is not real
+        ([-1, 1], [0, 1], 1.0),  # (s - 1)/s = 1 - 1/s: Re = 1 off the pole
+    ])
+    def test_axis_pole_edges(self, num, den, margin):
+        assert real_part_margin(ratfun_new(num, den)) == margin
+
     def test_axis_pole_excluded_vs_error(self):
         g = ratfun_new([0, 1], [1, 0, 1])  # poles at +/- j
         assert real_part_margin(g) == pytest.approx(0.0, abs=1e-12)
@@ -141,6 +149,9 @@ class TestPolyroots:
 
 class TestWSPRChainConstant:
     """c_w = inf over x = w^2 >= 0 of (1 + x) Re g(jw), hand-derived."""
+
+    def test_negative_constant(self):
+        assert wspr_chain_constant(ratfun_new([-1], [1])) == -np.inf
 
     def test_infimum_approached_only_at_infinity(self):
         # g = 1/(s + 0.5): (1 + x) * 0.5/(0.25 + x) falls from 2 towards d0

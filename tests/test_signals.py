@@ -38,7 +38,22 @@ def sampled(fn, T, dt=DT):
     return Signal(dt, fn(t))
 
 
+class TestSignal:
+    @pytest.mark.parametrize("dt, values, message", [
+        (0.0, [1.0, 2.0], "dt must be positive"),
+        (1e-3, [1.0], "at least two samples"),
+        (1e-3, [1.0, math.nan], "finite"),
+    ])
+    def test_rejected(self, dt, values, message):
+        with pytest.raises(ValueError, match=message):
+            Signal(dt, values)
+
+
 class TestInnerProduct:
+    def test_past_the_shorter_record(self):
+        with pytest.raises(TimeOutOfRange, match="common duration"):
+            inner_product(const(1.0, T=2.0), const(1.0, T=1.0), 1.5)
+
     def test_unit_square(self):
         u = const(1.0)
         assert inner_product(u, u, 1.0) == pytest.approx(1.0)
