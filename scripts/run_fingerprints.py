@@ -5,13 +5,17 @@
     PYTHONPATH=src python3 scripts/run_fingerprints.py --diff before.json after.json
 
 For each closed loop it records SHA-256 hashes of u, y, v, e, the trace energy
-E and the zero-state energy E_op, the kernel name and the text of report.json,
-or the error a run raises. The loops are the bundled demos (the integrator demo
-replaced by the benchmark's shorter copy in perfbench/scenarios) and every
-``affine_loops`` and ``nonlinear_loops`` case of the benchmark generator
-(perfbench/gen.py) at each seed. For every ``grade_batch`` plant at each seed
-and every corpus entry it records the grade report of ``classify_pr``,
-``real_part_margin`` and the normalized coefficients, as exact JSON floats.
+E, the zero-state energy E_op and each lower trace of the bound-chain audit, the
+kernel name and the text of report.json, or the error a run raises. The loops
+are the bundled demos (the integrator demo replaced by the benchmark's shorter
+copy in perfbench/scenarios) and every ``affine_loops`` and ``nonlinear_loops``
+case of the benchmark generator (perfbench/gen.py) at each seed. For each demo
+it also writes the run's artifacts to a temporary directory and records the
+hash of traces.csv and what ``hyperstab audit`` and ``hyperstab parseval``
+print on it, run through ``cli.main`` in this process. For every
+``grade_batch`` plant at each seed and every corpus entry it records the grade
+report of ``classify_pr``, ``real_part_margin`` and the normalized
+coefficients, as exact JSON floats.
 
 ``--diff`` prints each key whose value differs or that only one file has, and
 exits 1 when there is one.
@@ -20,18 +24,22 @@ exits 1 when there is one.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import sys
+import tempfile
 from importlib import resources
 
 import numpy as np
 
 from hyperstab import (RationalFunction, bundled_corpus_path, classify_pr, load_corpus,
                        real_part_margin, run_closed_loop, scenario_from_json_dict)
-from hyperstab.harness import run_report
+from hyperstab import cli
+from hyperstab.harness import run_report, write_run_artifacts
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -50,20 +58,39 @@ def _digest(values) -> str:
     return f"{a.size}:{hashlib.sha256(a.tobytes()).hexdigest()}"
 
 
-def _run_keys(prefix: str, scenario: dict, out: dict) -> None:
+def _run_keys(prefix: str, scenario: dict, out: dict):
+    """Record the run's keys; returns the run, or None when it raises."""
     try:
         run = run_closed_loop(scenario_from_json_dict(scenario))
     except Exception as exc:  # noqa: BLE001 - the error text is the fingerprint
         out[f"{prefix}:error"] = f"{type(exc).__name__}: {exc}"
-        return
+        return None
     for name in ("u", "y", "v", "e"):
         out[f"{prefix}:{name}"] = _digest(getattr(run, name).values)
     out[f"{prefix}:E"] = _digest(run.E.E)
     audit = run.bound_audit
     out[f"{prefix}:E_op"] = None if audit is None else _digest(audit.energy_op)
+    for name, trace in (audit.lower.items() if audit else ()):
+        out[f"{prefix}:lower:{name}"] = _digest(trace)
     out[f"{prefix}:kernel"] = run.kernel
     text = json.dumps(run_report(run), indent=2) + "\n"
     out[f"{prefix}:report"] = hashlib.sha256(text.encode()).hexdigest()
+    return run
+
+
+def _artifact_keys(prefix: str, run, out: dict) -> None:
+    """The hash of the run's traces.csv, and what ``audit`` and ``parseval``
+    print on it with their exit codes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        traces, _ = write_run_artifacts(run, tmp)
+        with open(traces, "rb") as fh:
+            out[f"{prefix}:traces.csv"] = hashlib.sha256(fh.read()).hexdigest()
+        for command in ("audit", "parseval"):
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed), \
+                    contextlib.redirect_stderr(printed):
+                code = cli.main([command, "--traces", traces])
+            out[f"{prefix}:cli_{command}"] = f"exit {code}: {printed.getvalue()}"
 
 
 def _grade_key(g) -> str:
@@ -86,8 +113,11 @@ def fingerprints(seeds: list[int]) -> dict:
             continue
         if path.name == "integrator_unit_gain.json":
             path = os.path.join(ROOT, "perfbench", "scenarios", path.name)
+        prefix = f"demo:{os.path.basename(path)}"
         with open(path) as fh:
-            _run_keys(f"demo:{os.path.basename(path)}", json.load(fh), out)
+            run = _run_keys(prefix, json.load(fh), out)
+        if run is not None:
+            _artifact_keys(prefix, run, out)
     for seed in seeds:
         for workload in ("affine_loops", "nonlinear_loops"):
             for case in gen.GENERATORS[workload](seed):

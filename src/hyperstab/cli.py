@@ -37,8 +37,7 @@ from .signals import (
     frequency_energy,
     inner_product,
     power_balance_residual,
-    read_trace_csv,
-    signals_from_trace,
+    read_trace_signals,
 )
 
 EXIT_OK = 0
@@ -89,9 +88,10 @@ def cmd_simulate(args) -> int:
 
 
 def _load_trace_signals(path, names: tuple[str, ...]):
-    """Signals of a trace file that must hold every column in ``names``."""
+    """Signals of a trace file that must hold every column in ``names``; the
+    file's other columns are checked but not kept."""
     try:
-        signals = signals_from_trace(read_trace_csv(path))
+        signals = read_trace_signals(path, names)
     except (GridMismatch, ValueError) as exc:
         raise SchemaError(f"malformed trace file: {exc}") from None
     missing = [name for name in names if name not in signals]

@@ -248,6 +248,17 @@ class DevicePopovStatus:
         }
 
 
+def _first_sample_after(t: float, dt: float, n: int) -> int:
+    """The least k < n with dt*k > t, or n; dt*k is monotone in k, so the
+    estimate t/dt is corrected by a step or two to the exact product."""
+    k = math.floor(min(max(t / dt, 0.0), n))  # t/dt may overflow to inf
+    while k > 0 and dt * (k - 1) > t:
+        k -= 1
+    while k < n and dt * k <= t:
+        k += 1
+    return k
+
+
 def device_popov_audit(spec: DeviceSpec, v: Signal, y: Signal) -> DevicePopovStatus:
     """Cross-check run traces against the device's Popov declaration.
 
@@ -268,13 +279,12 @@ def device_popov_audit(spec: DeviceSpec, v: Signal, y: Signal) -> DevicePopovSta
                 "expected 0 for a first/third-quadrant device"
             )
     if law.injection is not None:
-        t0, t1 = law.injection
-        ts, n = trace.times, trace.times.size
-        window = (ts > t0) & (ts <= t1)
-        if np.any(window):
-            prod = v.values[:n] * y.values[:n]
-            opposed = bool(np.all(prod[window] <= 0.0) and np.any(prod[window] < 0.0))
-            injection_negative = bool(opposed and np.min(trace.E[window]) < 0.0)
+        # the samples at t0 < t <= t1, with t = dt*k rounded as in dt*np.arange(n)
+        k0, k1 = (_first_sample_after(t, trace.dt, trace.E.size) for t in law.injection)
+        if k0 < k1:
+            prod = v.values[k0:k1] * y.values[k0:k1]
+            opposed = bool(np.max(prod) <= 0.0 and np.min(prod) < 0.0)
+            injection_negative = bool(opposed and np.min(trace.E[k0:k1]) < 0.0)
     return DevicePopovStatus(
         declared=law.declared,
         measured_gamma0_sq=gamma0_sq,

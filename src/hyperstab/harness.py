@@ -45,7 +45,6 @@ from operator import mul
 from typing import Callable
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
 from .devices import DevicePopovStatus, DeviceSpec, device_popov_audit
 from .errors import (
@@ -54,7 +53,7 @@ from .errors import (
     GradeUnsupported,
     SchemaError,
 )
-from .ltisim import power_record, realize, van_loan, zoh_hold
+from .ltisim import realize, van_loan, zero_states, zoh_hold
 from .ratfun import RationalFunction, inverse
 from .realness import (
     Grade,
@@ -63,7 +62,7 @@ from .realness import (
     real_part_margin,
     wspr_chain_constant,
 )
-from .signals import EnergyTrace, Signal, energy_trace, write_trace_csv
+from .signals import BLOCK, EnergyTrace, Signal, energy_trace, write_trace_csv
 
 CONV_TOL = 1e-3
 BOUND_FACTOR = 10.0
@@ -339,6 +338,10 @@ def _solve_output(c: float, D: float, e: float, f: Callable[[float, float], floa
             break
     if abs(r) <= 1e-9 * scale:
         return y, calls
+    if not math.isfinite(c):
+        # the state left the float range: return the output past the overflow
+        # guard, which ends the record as it does when D = 0
+        return c, calls
     # a collapsed bracket with a large residual means the device response
     # jumps across the loop equation: no consistent output exists
     raise AlgebraicLoopNoConvergence(
@@ -542,75 +545,114 @@ def _bound_chain_audit(
     every chain integrates exactly: int u*y is u_j [C 0 D] int_0^dt e^(F s) ds
     w_j, int y^2 and int xi^2 are forms w_j' M w_j, and delta = int u is
     linear in t.
+
+    The holds go in blocks of BLOCK samples, each sum carried from block to
+    block, so the audit allocates no full-length array but the E_op and lower
+    traces it returns. A record of one block is audited in one pass.
     """
     grade = classification.grade
     if grade is Grade.NOT_PR:
         raise GradeUnsupported("no bound chain is defined for a NotPR plant")
     ss, f, phi, psi = hold
     n, dt, N = ss.order, sc.dt, len(u)
-    # row k of w is w_j of the hold that ends at sample k (row 0: no hold),
-    # restricted to the states the chains read, z and for WSPR xi; the zero
-    # states are u convolved with the record of (Ad^i Bd)
+    # w is restricted to the states the chains read, z and for WSPR xi, and
+    # the held input; nothing the chains read depends on the rest
     m = n + (grade is Grade.WSPR)
     cols = [*range(m), n + 1]
-    nfft = next_fast_len(2 * N - 5, True)  # the first N - 2 terms do not wrap
-    spec = rfft(power_record(phi[:m, :m], phi[:m, -1], N - 2), nfft, axis=0)
-    spec *= rfft(u.values[:-2], nfft)[:, None]
-    w = np.zeros((N, m + 1))
-    w[2:, :m], w[1:, m] = irfft(spec, nfft, axis=0)[: N - 2], u.values[:-1]
-    del spec
-    held = w[:, m]
+    f = f[np.ix_(cols, cols)]
     h_y = np.append(ss.C, [0.0, ss.D])
 
-    f = f[np.ix_(cols, cols)]  # nothing the chains read depends on the rest
-
-    def integral(h):  # of (h w)^2 over the holds, from t = 0 to each sample
+    def form(h):  # int (h w)^2 over one hold, as a quadratic form in w
         _, g12, g22 = van_loan(-f.T, np.outer(h[cols], h[cols]), f, dt)
-        return np.cumsum(np.einsum("ij,ij->i", w @ (g22.T @ g12), w))
+        return g22.T @ g12
 
-    e_op = np.cumsum(held * (w @ (h_y @ psi)[cols]))
-    gamma0_sq = max(0.0, float(np.max(e_op)))
-    tol_bound = 1e-6 * (1.0 + abs(float(e_op[-1])))
+    carried: dict[str, float] = {}
+
+    def running(key, inc):
+        """inc summed from t = 0, in place: the sum carried under key from
+        the block before enters as the first term, as in one long cumsum."""
+        if key in carried:
+            inc[0] += carried[key]
+        np.cumsum(inc, out=inc)
+        carried[key] = inc[-1]
+        return inc
 
     # each chain E >= constant*int(integrand), named by its inequality, with
-    # its integral from t = 0 to each sample
+    # the block function giving its integral from t = 0 at each row of w
     chains = []
     c_w = None
     note = ""
     if grade is Grade.SSPR:
+        form_y = form(h_y)
         chains = [
-            ("E >= d*int(u^2)", classification.d, np.cumsum(dt * held * held)),
-            ("E >= d_inv*int(y^2)", real_part_margin(inverse(sc.plant)), integral(h_y)),
+            ("E >= d*int(u^2)", classification.d,
+             lambda w, held: running("u^2", dt * held * held)),
+            ("E >= d_inv*int(y^2)", real_part_margin(inverse(sc.plant)),
+             lambda w, held: running("y^2", np.einsum("ij,ij->i", w @ form_y, w))),
         ]
     elif grade is Grade.WSPR:
-        b = np.cumsum(dt * held)  # delta where each hold ends
-        a = np.r_[0.0, b[:-1]]  # and where it starts
+        form_xi = form(np.eye(n + 2)[n])
+
+        def delta_squared(w, held):
+            a0 = carried.get("delta", 0.0)  # delta where the block's first hold starts
+            b = running("delta", dt * held)  # and where each hold ends
+            a = np.concatenate(([a0], b[:-1]))
+            return running("delta^2", dt * (a * a + a * b + b * b) / 3)
+
         # the squared-frequency chain is not implied by WSPR; the c_w one is:
         # Re g(jw) >= c_w/(1 + w^2), and xi is u through 1/(s+1)
         c_w = wspr_chain_constant(sc.plant)
         chains = [
-            ("E >= d0*int(delta^2)", classification.d0,
-             np.cumsum(dt * (a * a + a * b + b * b) / 3)),
-            ("E >= c_w*int(xi^2)", c_w, integral(np.eye(n + 2)[n])),
+            ("E >= d0*int(delta^2)", classification.d0, delta_squared),
+            ("E >= c_w*int(xi^2)", c_w,
+             lambda w, held: running("xi^2", np.einsum("ij,ij->i", w @ form_xi, w))),
         ]
     elif grade is Grade.PR and classification.single_pole_at_origin \
             and classification.g1_grade is Grade.SSPR:
-        delta_abs = np.cumsum(dt * np.abs(held))
-        chains = [("E >= d1*int(delta_abs*|u|)", classification.d1,
-                   delta_abs * delta_abs / 2)]
+
+        def delta_abs_squared(w, held):
+            delta_abs = running("delta_abs", dt * np.abs(held))
+            # squared and halved in place: its running sum is already carried
+            delta_abs *= delta_abs
+            delta_abs /= 2
+            return delta_abs
+
+        chains = [("E >= d1*int(delta_abs*|u|)", classification.d1, delta_abs_squared)]
     else:
         note = f"no lower bound chain defined for grade {grade.value}"
 
-    lower: dict[str, np.ndarray] = {}
+    # row k of w is w_j of the hold that ends at sample k (row 0: no hold):
+    # [z_(k-1); xi_(k-1); u_(k-1)]. The zero states come block by block, so
+    # the only full-length arrays are E_op and the lower traces
+    h_op = (h_y @ psi)[cols]
+    e_op = np.empty(N)
+    lower = {name: np.empty(N) for name, _, _ in chains}
+    row = 0
+    for s, z in zero_states(phi[:m, :m], phi[:m, -1], u.values[:-2], BLOCK):
+        end = s + len(z) + 2  # the rows before end now have their states
+        w = np.zeros((end - row, m + 1))
+        w[end - row - len(z):, :m] = z
+        lead = 1 if row == 0 else 0
+        w[lead:, m] = u.values[row + lead - 1 : end - 1]
+        held = w[:, m]
+        e_op[row:end] = running("E", held * (w @ h_op))
+        for name, constant, integral in chains:
+            lower[name][row:end] = constant * integral(w, held)
+        row = end
+        del z, w, held  # before the next block's scratch is made
+
+    gamma0_sq = max(0.0, float(np.max(e_op)))
+    tol_bound = 1e-6 * (1.0 + abs(float(e_op[-1])))
     counts: dict[str, int] = {}
     violations: list[Violation] = []
-    for name, constant, integrated in chains:
-        trace = lower[name] = constant * integrated
-        bad = np.nonzero(e_op < trace - tol_bound)[0]
-        counts[name] = int(bad.size)
-        for k in bad[: VIOLATION_CAP - len(violations)]:
-            violations.append(
-                Violation(float(dt * k), name, float(e_op[k]), float(trace[k])))
+    for name, trace in lower.items():
+        counts[name] = 0
+        for s in range(0, N, BLOCK):
+            bad = np.nonzero(e_op[s:s + BLOCK] < trace[s:s + BLOCK] - tol_bound)[0] + s
+            counts[name] += int(bad.size)
+            for k in bad[: VIOLATION_CAP - len(violations)]:
+                violations.append(
+                    Violation(float(dt * k), name, float(e_op[k]), float(trace[k])))
 
     return BoundChainAudit(
         gamma0_sq=gamma0_sq,
@@ -666,10 +708,8 @@ def run_closed_loop(sc: Scenario) -> SimulationRun:
     """Run the loop, audit both legs, and attach the evidence verdict."""
     hold = _hold(sc)
     u_arr, y_arr, v_arr, e_arr, diverged_at, kernel, evaluations = _simulate(sc, hold)
-    u = Signal(sc.dt, u_arr)
-    y = Signal(sc.dt, y_arr)
-    v = Signal(sc.dt, v_arr)
-    e = Signal(sc.dt, e_arr)
+    # the kernels' arrays are fresh and held nowhere else: the Signals keep them
+    u, y, v, e = (Signal._adopt(sc.dt, a) for a in (u_arr, y_arr, v_arr, e_arr))
     trace = energy_trace(u, y)
     classification = classify_pr(sc.plant)
     device_status = device_popov_audit(sc.device, v, y)

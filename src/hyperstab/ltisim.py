@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import expm
 from scipy.signal import fftconvolve
 
@@ -122,6 +123,33 @@ def power_record(step: np.ndarray, first: np.ndarray, count: int) -> np.ndarray:
             power = power @ power
         m *= 2
     return record
+
+
+def zero_states(step: np.ndarray, first: np.ndarray, u: np.ndarray, block: int):
+    """The states x_(k+1) = step x_k + first u_k from x_0 = 0, for k < len(u),
+    in consecutive blocks of at most ``block`` rows: yields (s, rows) with
+    rows[i] = x_(s+i+1).
+
+    Each block is the FFT convolution of its inputs with the first terms of
+    ``power_record(step, first, ...)``, the same terms for every block, plus
+    the state carried in from the block before, propagated by the powers of
+    step: sectioned convolution (Stockham, "High-speed convolution and
+    correlation", AFIPS 1966) in state-space form. The scratch is a few
+    blocks; a record of one block is one plain FFT convolution.
+    """
+    size = min(len(u), block)
+    nfft = next_fast_len(2 * size - 1, True)  # the first size terms do not wrap
+    spec = rfft(power_record(step, first, size), nfft, axis=0)
+    x = None
+    for s in range(0, len(u), size):
+        ub = u[s:s + size]
+        # copied out of the FFT's buffer, which is twice as long
+        rows = irfft(spec * rfft(ub, nfft)[:, None], nfft, axis=0)[: ub.size].copy()
+        if x is not None:
+            rows += power_record(step, step @ x, ub.size)
+        x = rows[-1].copy()
+        yield s, rows
+        del rows  # before the next block's scratch is made
 
 
 def impulse_response(g: RationalFunction, T: float, dt: float) -> ImpulseResponse:

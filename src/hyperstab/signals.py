@@ -13,6 +13,7 @@ factor keeps both routes aligned to machine precision.
 from __future__ import annotations
 
 import enum
+import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -23,13 +24,38 @@ from .errors import GridMismatch, TimeOutOfRange
 
 PARSEVAL_TOL = 1e-6
 _DT_REL_TOL = 1e-9
+# samples per block of a running integral: its scratch stays this size
+BLOCK = 65_536
 
 
-def _cumtrapz(values: np.ndarray, dt: float) -> np.ndarray:
-    """Running trapezoidal integral with a leading zero."""
-    out = np.empty(values.size)
-    out[0] = 0.0
-    np.cumsum((values[1:] + values[:-1]) * (0.5 * dt), out=out[1:])
+def _trapz_blocks(a: np.ndarray, b: np.ndarray | None, dt: float):
+    """The running trapezoidal integral of a*b (of a when b is None) from
+    sample 0, in consecutive blocks of at most BLOCK samples: yields
+    (k, values), values[i] being the integral up to sample k + i, so the first
+    block starts with 0. Each block is fresh scratch; the running sum enters
+    the next block as part of its first increment, so the blocks equal one
+    cumsum over the record bit for bit.
+    """
+    total = 0.0
+    for k in range(0, a.size, BLOCK):
+        lo = max(k - 1, 0)
+        p = a[lo:k + BLOCK] if b is None else a[lo:k + BLOCK] * b[lo:k + BLOCK]
+        inc = p[1:] + p[:-1]
+        inc *= 0.5 * dt
+        if k:
+            inc[0] += total
+        np.cumsum(inc, out=inc)
+        block = inc if k else np.concatenate(([0.0], inc))
+        total = block[-1]
+        yield k, block
+
+
+def _cumtrapz(a: np.ndarray, b: np.ndarray | None, dt: float) -> np.ndarray:
+    """Running trapezoidal integral of a*b (of a when b is None) with a
+    leading zero; the only full-length array it makes is the one it returns."""
+    out = np.empty(a.size)
+    for k, block in _trapz_blocks(a, b, dt):
+        out[k:k + block.size] = block
     return out
 
 
@@ -41,16 +67,30 @@ class Signal:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)  # a copy the caller cannot write
+        vals.flags.writeable = False
+        object.__setattr__(self, "values", vals)
+        self._check()
+
+    @classmethod
+    def _adopt(cls, dt: float, values: np.ndarray) -> "Signal":
+        """A Signal over ``values`` itself: for the package's own fresh float
+        arrays, which nothing else writes. Checked and frozen, not copied."""
+        signal = object.__new__(cls)
+        values.flags.writeable = False
+        object.__setattr__(signal, "dt", dt)
+        object.__setattr__(signal, "values", values)
+        signal._check()
+        return signal
+
+    def _check(self) -> None:
+        vals = self.values
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if vals.ndim != 1 or vals.size < 2:
             raise ValueError("a signal needs at least two samples")
         if not np.all(np.isfinite(vals)):
             raise ValueError("signal samples must be finite")
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:
         return self.values.size
@@ -106,9 +146,9 @@ def inner_product(u: Signal, y: Signal, t: float | None = None) -> float:
 
 @dataclass(frozen=True)
 class EnergyTrace:
-    """Cumulative <u, y>_t on the sample grid; E(0) = 0."""
+    """Cumulative <u, y>_t at t = 0, dt, 2*dt, ...; E(0) = 0."""
 
-    times: np.ndarray
+    dt: float
     E: np.ndarray
 
     @property
@@ -121,37 +161,44 @@ class EnergyTrace:
         return max(0.0, -float(np.min(self.E)))
 
     def at(self, t: float) -> float:
-        k = int(round(t / (self.times[1] - self.times[0])))
+        k = int(round(t / self.dt))
         return float(self.E[min(max(k, 0), self.E.size - 1)])
 
 
 def energy_trace(u: Signal, y: Signal) -> EnergyTrace:
     _check_grids(u, y)
     n = _common_length(u, y)
-    prod = u.values[:n] * y.values[:n]
-    return EnergyTrace(times=u.dt * np.arange(n), E=_cumtrapz(prod, u.dt))
+    return EnergyTrace(dt=u.dt, E=_cumtrapz(u.values[:n], y.values[:n], u.dt))
 
 
-def frequency_energy(u: Signal, y: Signal, padding: int = 4) -> float:
+def frequency_energy(u: Signal, y: Signal) -> float:
     """(2*pi)^-1 * integral of u_hat(jw) * conj(y_hat(jw)) over the sampled band.
 
-    The transforms are taken by FFT of the zero-padded records. Endpoint
-    samples are scaled by sqrt(1/2) so the discrete Parseval sum reproduces
-    the trapezoidal time-domain inner product; the padding does not change
-    the value but gives the spectra a usable frequency resolution.
+    The transforms are FFTs of length m, the least power of two >= n (at
+    least 2), of the records padded with zeros: the discrete Parseval sum
+    holds at any m >= n, so a longer FFT would not change the value. Endpoint
+    samples are scaled by sqrt(1/2) so the sum reproduces the trapezoidal
+    time-domain inner product.
     """
     _check_grids(u, y)
     n = _common_length(u, y)
-    if padding < 1:
-        raise ValueError("padding factor must be >= 1")
-    m = 1 << max(int(math.ceil(math.log2(padding * n))), 1)
-    w = np.ones(n)
-    w[0] = w[-1] = math.sqrt(0.5)
-    a = np.fft.rfft(u.values[:n] * w, m) * u.dt
-    b = np.fft.rfft(y.values[:n] * w, m) * u.dt
-    cross = a * np.conj(b)
-    # m is even, so the last bin is the Nyquist one and counts once
-    total = cross[0].real + 2.0 * np.sum(cross[1:-1].real) + cross[-1].real
+    m = 1 << max((n - 1).bit_length(), 1)
+
+    def spectrum(s: Signal) -> np.ndarray:
+        x = np.zeros(m)
+        x[:n] = s.values[:n]
+        x[0] *= math.sqrt(0.5)
+        x[n - 1] *= math.sqrt(0.5)
+        f = np.fft.rfft(x)
+        f *= u.dt
+        return f
+
+    a = spectrum(u)
+    b = spectrum(y)
+    # Re(a conj(b)) summed over the bins; m is even, so the last bin is the
+    # Nyquist one and counts once, as does bin 0
+    edges = a[0].real * b[0].real + a[-1].real * b[-1].real
+    total = 2.0 * (np.dot(a.real, b.real) + np.dot(a.imag, b.imag)) - edges
     return float(total / (m * u.dt))
 
 
@@ -225,14 +272,14 @@ def popov_audit(v: Signal, y: Signal) -> PopovAudit:
         gamma0_sq=trace.gamma0_sq,
         finite_horizon_estimate=True,
         min_energy=float(trace.E[k]),
-        min_time=float(trace.times[k]),
+        min_time=float(trace.dt * k),
     )
 
 
 def input_integral(u: Signal, absolute: bool = False) -> Signal:
     """Running integral of u (or of |u| when absolute=True)."""
     vals = np.abs(u.values) if absolute else u.values
-    return Signal(u.dt, _cumtrapz(vals, u.dt))
+    return Signal._adopt(u.dt, _cumtrapz(vals, None, u.dt))
 
 
 def classify_taxonomy(
@@ -256,21 +303,28 @@ def classify_taxonomy(
 
     labels.add(TaxonomyLabel.POPOV_SATISFIED)  # finite record: finite minimum
 
-    if bool(np.all(E >= -tol)):
+    beta = float(np.min(E))
+    if beta >= -tol:
         labels.add(TaxonomyLabel.WEAKLY_PASSIVE)
-    if bool(np.all(E[1:] > 0.0)):
+    if np.min(E[1:]) > 0.0:
         labels.add(TaxonomyLabel.WEAKLY_STRICTLY_PASSIVE)
 
-    uu = _cumtrapz(u.values[:n] * u.values[:n], u.dt)
+    u_n = u.values[:n]
+
+    def live_blocks():
+        # int u^2 block by block, where it exceeds tol, with E there
+        for k, uu in _trapz_blocks(u_n, u_n, u.dt):
+            live = uu > tol
+            if live.any():
+                yield E[k:k + uu.size][live], uu[live]
+
     beta_s: float | None = None
-    live = uu > tol
-    if np.any(live):
-        ratios = E[live] / uu[live]
-        beta_s = float(np.min(ratios))
-        if beta_s > tol and bool(np.all(E[live] >= beta_s * uu[live] - tol)):
+    lows = [np.min(e / w) for e, w in live_blocks()]
+    if lows:
+        beta_s = float(np.min(lows))
+        if beta_s > tol and all(np.all(e >= beta_s * w - tol) for e, w in live_blocks()):
             labels.add(TaxonomyLabel.STRONGLY_STRICTLY_PASSIVE)
 
-    beta = float(np.min(E))
     if S is not None:
         _check_grids(u, S)
         ns = min(n, S.values.size)
@@ -300,24 +354,76 @@ def classify_taxonomy(
 TRACE_COLUMNS = ("t", "u", "y", "v", "S", "D", "E")
 # rows formatted by one % operation when writing a trace CSV
 CSV_BLOCK_ROWS = 4096
+# characters of a trace CSV parsed by one loadtxt call when reading
+CSV_READ_CHARS = 1 << 18
 
 
 def write_trace_csv(path, columns: dict[str, np.ndarray]) -> None:
     """Write aligned trace columns; 17 significant digits for exact round trips.
 
     The bytes are those of ``np.savetxt`` with ``fmt="%.17g"``, ``","`` and
-    ``"\\r\\n"``, but each block of CSV_BLOCK_ROWS rows is formatted by one
-    ``%`` operation instead of one per row.
+    ``"\\r\\n"``, but each block of CSV_BLOCK_ROWS rows is stacked and
+    formatted by one ``%`` operation, so no full-length table is built.
     """
     names = [c for c in TRACE_COLUMNS if c in columns]
     names += sorted(c for c in columns if c not in TRACE_COLUMNS)
-    data = np.column_stack([columns[c] for c in names])
+    cols = [columns[c] for c in names]
+    n_rows = len(cols[0]) if cols else 0
+    if not cols or any(len(c) != n_rows for c in cols):
+        raise ValueError("a trace needs at least one column, all of one length")
     row = ",".join(["%.17g"] * len(names)) + "\r\n"
     with open(path, "w") as fh:
         fh.write(",".join(names) + "\r\n")
-        for start in range(0, len(data), CSV_BLOCK_ROWS):
-            block = data[start:start + CSV_BLOCK_ROWS]
+        for start in range(0, n_rows, CSV_BLOCK_ROWS):
+            block = np.column_stack([c[start:start + CSV_BLOCK_ROWS] for c in cols])
             fh.write(row * len(block) % tuple(block.ravel().tolist()))
+
+
+def _parse_rows(text: str, width: int) -> np.ndarray:
+    """The rows of a piece of a trace CSV; each must have ``width`` cells."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # loadtxt warns on a piece without rows
+        try:
+            rows = np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise GridMismatch(f"malformed trace row: {exc}") from None
+    if rows.size and rows.shape[1] != width:
+        raise GridMismatch(f"trace rows have {rows.shape[1]} cells, the header names {width}")
+    return rows
+
+
+def _read_columns(path, keep: tuple[str, ...] | None) -> dict[str, np.ndarray]:
+    """The columns of a trace CSV named in ``keep`` (all when None). Every
+    row is parsed and checked, CSV_READ_CHARS characters at a time, but only
+    the kept columns are held."""
+    with open(path) as fh:
+        header = fh.readline()
+        if not header:
+            raise GridMismatch("empty trace file")
+        names = [name.strip() for name in header.split(",")]
+        kept = [i for i, name in enumerate(names) if keep is None or name in keep]
+        parts: list[list[np.ndarray]] = [[] for _ in kept]
+        rest, any_rows = "", False
+        while True:
+            more = fh.read(CSV_READ_CHARS)
+            text = rest + more
+            # whole lines only, until the last piece
+            cut = text.rfind("\n") + 1 if more else len(text)
+            text, rest = text[:cut], text[cut:]
+            rows = _parse_rows(text, len(names))
+            if rows.size:
+                any_rows = True
+                for part, i in zip(parts, kept):
+                    part.append(rows[:, i].copy())
+            if not more:
+                break
+    if not any_rows:
+        raise GridMismatch("trace file has no rows")
+    columns = {}
+    for part, i in zip(parts, kept):
+        columns[names[i]] = np.concatenate(part)
+        part.clear()  # each column's pieces go as soon as it is whole
+    return columns
 
 
 def read_trace_csv(path) -> dict[str, np.ndarray]:
@@ -326,27 +432,11 @@ def read_trace_csv(path) -> dict[str, np.ndarray]:
     A header-only file and a row whose cell count differs from the header's
     raise GridMismatch.
     """
-    with open(path) as fh:
-        header = fh.readline()
-        if not header:
-            raise GridMismatch("empty trace file")
-        names = [name.strip() for name in header.split(",")]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # loadtxt warns on a header-only file
-            try:
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
-            except ValueError as exc:
-                raise GridMismatch(f"malformed trace row: {exc}") from None
-    if data.shape[0] == 0 or data.shape[1] != len(names):
-        raise GridMismatch(
-            f"trace rows have {data.shape[1]} cells, the header names {len(names)}"
-            if data.size else "trace file has no rows"
-        )
-    return dict(zip(names, data.T))
+    return _read_columns(path, None)
 
 
-def signals_from_trace(columns: dict[str, np.ndarray]) -> dict[str, Signal]:
-    """Turn trace columns into Signals using the t column's uniform step."""
+def _trace_step(columns: dict[str, np.ndarray]) -> float:
+    """The uniform step of the t column of trace columns."""
     if "t" not in columns:
         raise GridMismatch("trace file has no t column")
     t = columns["t"]
@@ -354,10 +444,23 @@ def signals_from_trace(columns: dict[str, np.ndarray]) -> dict[str, Signal]:
         raise GridMismatch("trace needs at least two rows")
     steps = np.diff(t)
     dt = float(steps[0])
-    if dt <= 0 or np.max(np.abs(steps - dt)) > 1e-9 * max(dt, 1.0):
+    steps -= dt
+    if dt <= 0 or np.max(np.abs(steps, out=steps)) > 1e-9 * max(dt, 1.0):
         raise GridMismatch("trace time column is not uniformly spaced")
-    return {
-        name: Signal(dt, vals)
-        for name, vals in columns.items()
-        if name != "t"
-    }
+    return dt
+
+
+def signals_from_trace(columns: dict[str, np.ndarray]) -> dict[str, Signal]:
+    """Turn trace columns into Signals using the t column's uniform step."""
+    dt = _trace_step(columns)
+    return {name: Signal(dt, vals) for name, vals in columns.items() if name != "t"}
+
+
+def read_trace_signals(path, names: tuple[str, ...]) -> dict[str, Signal]:
+    """Signals of the columns in ``names`` of a trace CSV, on its t column's
+    uniform step. Only those columns and t are held, and each Signal keeps
+    the array it was read into; a missing name is simply absent."""
+    columns = _read_columns(path, ("t", *names))
+    dt = _trace_step(columns)
+    del columns["t"]
+    return {name: Signal._adopt(dt, vals) for name, vals in columns.items()}

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hyperstab import harness
 from hyperstab.corpus import bundled_corpus_path, load_corpus
 from hyperstab.devices import DeviceKind, DeviceSpec, apply_device
 from hyperstab.errors import (
@@ -220,14 +221,16 @@ class TestAlgebraicLoop:
             assert calls < 2**16
 
     def test_output_row_past_the_float_range_raises(self):
-        # C x0 = 3e308 overflows, so every residual is nan: the search stops
-        # at once instead of bisecting a bracket that cannot close
-        sc = Scenario(plant=ratfun_new([4.0, 1.0], [1.0, 1.0]),
-                      device=DeviceSpec(kind="CubicOddPower", params={"p": 41}),
-                      x0=(1e308,), dt=1e-3, horizon=0.2)
-        with pytest.raises(AlgebraicLoopNoConvergence,
-                           match="no solution at step 0: residual nan"):
-            run_closed_loop(sc)
+        # C x0 = 3e308 overflows, so the first output is past the overflow
+        # guard: with D = 1 the solve cannot bracket a nan residual and ends
+        # the record as the D = 0 twin 3/(1 + s) does, at step 0
+        for num in ([4.0, 1.0], [3.0]):
+            sc = Scenario(plant=ratfun_new(num, [1.0, 1.0]),
+                          device=DeviceSpec(kind="CubicOddPower", params={"p": 41}),
+                          x0=(1e308,), dt=1e-3, horizon=0.2)
+            with pytest.raises(AlgebraicLoopNoConvergence,
+                               match="trajectory left the overflow guard within the first step"):
+                run_closed_loop(sc)
 
     def test_relay_raises_at_the_step_with_no_root(self):
         # y = Cx + D(e - a sign(y)) has no root once 0 < |Cx| <= D a: the
@@ -696,6 +699,22 @@ class TestExactAudit:
             xi[k + 1] = decay * xi[k] - math.expm1(-sc.dt) * run.u.values[k]
         storage = audit.energy_op - audit.lower["E >= c_w*int(xi^2)"] / audit.c_w
         assert np.max(np.abs(storage - xi**2 / 2)) <= 1e-12 * (1.0 + np.max(audit.energy_op))
+
+    @pytest.mark.parametrize("name", list(CHAIN_LOOPS))
+    def test_blocked_audit_matches_one_pass(self, name, monkeypatch):
+        # in blocks of 1,000 samples, each sum carried from block to block,
+        # the audit of the 10,001 samples agrees with the one-pass audit up
+        # to round-off
+        run = run_closed_loop(CHAIN_LOOPS[name])
+        one = run.bound_audit
+        monkeypatch.setattr(harness, "BLOCK", 1000)
+        blocked = verify_bound_chain(run)
+        scale = 1e-12 * (1.0 + np.max(np.abs(one.energy_op)))
+        assert np.max(np.abs(blocked.energy_op - one.energy_op)) <= scale
+        assert blocked.lower.keys() == one.lower.keys()
+        for chain, trace in one.lower.items():
+            assert np.max(np.abs(blocked.lower[chain] - trace)) <= scale
+        assert blocked.chain_violations == one.chain_violations
 
     @pytest.mark.parametrize("name", list(REFINED_CHAINS))
     def test_chains_hold_at_every_refinement(self, name):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperstab import signals
 from hyperstab.errors import GridMismatch, TimeOutOfRange
 from hyperstab.signals import (
     EnergyTrace,
@@ -21,6 +22,7 @@ from hyperstab.signals import (
     popov_audit,
     power_balance_residual,
     read_trace_csv,
+    read_trace_signals,
     signals_from_trace,
     write_trace_csv,
 )
@@ -133,6 +135,20 @@ class TestEnergyTrace:
         u = sampled(lambda t: np.exp(-t) * np.sin(5 * t), 3.0)
         assert energy_trace(u, u).final == pytest.approx(inner_product(u, u))
 
+    def test_blocks_equal_one_cumsum(self, monkeypatch):
+        # the running sums carried from block to block give the bits of one
+        # cumsum of the trapezoid increments, and the same taxonomy verdict
+        rng = np.random.default_rng(5)
+        u = Signal(DT, rng.standard_normal(2500))
+        y = Signal(DT, 2.0 * u.values + 0.1 * rng.standard_normal(2500))
+        p = u.values * y.values
+        whole = np.concatenate(([0.0], np.cumsum((p[1:] + p[:-1]) * (0.5 * DT))))
+        verdict = classify_taxonomy(u, y)
+        assert TaxonomyLabel.STRONGLY_STRICTLY_PASSIVE in verdict.labels
+        monkeypatch.setattr(signals, "BLOCK", 1000)
+        assert np.array_equal(energy_trace(u, y).E, whole)
+        assert classify_taxonomy(u, y) == verdict
+
 
 class TestFrequencyEnergy:
     def test_rect_pulse(self):
@@ -155,13 +171,18 @@ class TestFrequencyEnergy:
         fe = frequency_energy(u, y)
         assert fe == pytest.approx(te, rel=1e-12, abs=1e-12)
 
-    def test_padding_factor_respected_and_neutral(self):
-        u = sampled(lambda t: np.exp(-t) * np.cos(3 * t), 2.0)
-        e4 = frequency_energy(u, u, padding=4)
-        e8 = frequency_energy(u, u, padding=8)
-        assert e8 == pytest.approx(e4, rel=1e-12)
-        with pytest.raises(ValueError):
-            frequency_energy(u, u, padding=0)
+    def test_matches_time_domain_around_powers_of_two(self):
+        # the FFT length is the least power of two >= n: n = 2^k fills it,
+        # 2^k - 1 leaves one zero and 2^k + 1 doubles it
+        rng = np.random.default_rng(11)
+        for k in (1, 2, 3, 10, 12):
+            for n in (2**k - 1, 2**k, 2**k + 1):
+                if n < 2:
+                    continue
+                u = Signal(DT, rng.standard_normal(n))
+                y = Signal(DT, rng.standard_normal(n))
+                te = inner_product(u, y)
+                assert frequency_energy(u, y) == pytest.approx(te, rel=1e-12, abs=1e-12)
 
 
 class TestBalanceResiduals:
@@ -302,6 +323,25 @@ class TestTraceRoundTrip:
             b"0,-0,0.66666666666666663,1.0000000000000001e+300\r\n"
             b"0.10000000000000001,1e-300,-1.5,12345678901234568\r\n"
         )
+
+    def test_read_in_pieces(self, tmp_path, monkeypatch):
+        # rows split across pieces are joined; a ragged row in a later piece
+        # is refused even where only other columns are kept
+        monkeypatch.setattr(signals, "CSV_READ_CHARS", 100)
+        rng = np.random.default_rng(4)
+        t = DT * np.arange(300)
+        u, v = rng.standard_normal(300), rng.standard_normal(300)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, {"t": t, "u": u, "v": v})
+        back = read_trace_csv(path)
+        assert np.array_equal(back["u"], u) and np.array_equal(back["v"], v)
+        kept = read_trace_signals(path, ("u", "S"))
+        assert kept.keys() == {"u"} and np.array_equal(kept["u"].values, u)
+        text = path.read_text()
+        for row in ("0.3,1\n", "0.3,1,1,1\n"):
+            path.write_text(text + row)
+            with pytest.raises(GridMismatch):
+                read_trace_signals(path, ("u",))
 
     def test_non_uniform_grid_rejected(self, tmp_path):
         path = tmp_path / "trace.csv"
