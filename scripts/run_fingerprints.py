@@ -12,7 +12,8 @@ copy in perfbench/scenarios) and every ``affine_loops`` and ``nonlinear_loops``
 case of the benchmark generator (perfbench/gen.py) at each seed. For each demo
 it also writes the run's artifacts to a temporary directory and records the
 hash of traces.csv and what ``hyperstab audit`` and ``hyperstab parseval``
-print on it, run through ``cli.main`` in this process. For every
+print on it, run through ``cli.main`` in this process, and the same for each
+malformed trace file of MALFORMED_TRACES: the error contract. For every
 ``grade_batch`` plant at each seed and every corpus entry it records the grade
 report of ``classify_pr``, ``real_part_margin`` and the normalized
 coefficients, as exact JSON floats.
@@ -78,19 +79,48 @@ def _run_keys(prefix: str, scenario: dict, out: dict):
     return run
 
 
+# trace files that ``audit`` and ``parseval`` must refuse, by name
+MALFORMED_TRACES = {
+    "empty": "",
+    "header_only": "t,u,y\n",
+    "one_row": "t,u,y\n0,1,1\n",
+    "ragged_row": "t,u,y\n0,1,1\n0.001,1\n0.002,1,1\n",
+    "non_numeric_cell": "t,u,y\n0,1,1\n0.001,x,1\n",
+    "missing_y": "t,u\n0,1\n0.001,1\n",
+    "non_uniform_t": "t,u,y\n0,1,1\n0.1,1,1\n0.3,1,1\n",
+    "nan_t": "t,u,y\nnan,1,1\nnan,1,1\nnan,1,1\n",
+    "inf_t": "t,u,y\n0,1,1\ninf,1,1\n1,1,1\n",
+    "non_finite_sample": "t,u,y\n0,1,1\n0.001,inf,1\n0.002,1,1\n",
+}
+
+
+def _cli_keys(prefix: str, traces: str, out: dict) -> None:
+    """What ``audit`` and ``parseval`` print on a trace file, with their exit
+    codes."""
+    for command in ("audit", "parseval"):
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+            code = cli.main([command, "--traces", traces])
+        out[f"{prefix}:cli_{command}"] = f"exit {code}: {printed.getvalue()}"
+
+
 def _artifact_keys(prefix: str, run, out: dict) -> None:
-    """The hash of the run's traces.csv, and what ``audit`` and ``parseval``
-    print on it with their exit codes."""
+    """The hash of the run's traces.csv, and the CLI's keys on it."""
     with tempfile.TemporaryDirectory() as tmp:
         traces, _ = write_run_artifacts(run, tmp)
         with open(traces, "rb") as fh:
             out[f"{prefix}:traces.csv"] = hashlib.sha256(fh.read()).hexdigest()
-        for command in ("audit", "parseval"):
-            printed = io.StringIO()
-            with contextlib.redirect_stdout(printed), \
-                    contextlib.redirect_stderr(printed):
-                code = cli.main([command, "--traces", traces])
-            out[f"{prefix}:cli_{command}"] = f"exit {code}: {printed.getvalue()}"
+        _cli_keys(prefix, traces, out)
+
+
+def _error_keys(out: dict) -> None:
+    """The CLI's keys on each file of MALFORMED_TRACES."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in MALFORMED_TRACES.items():
+            traces = os.path.join(tmp, f"{name}.csv")
+            with open(traces, "w") as fh:
+                fh.write(text)
+            _cli_keys(f"malformed:{name}", traces, out)
 
 
 def _grade_key(g) -> str:
@@ -118,6 +148,7 @@ def fingerprints(seeds: list[int]) -> dict:
             run = _run_keys(prefix, json.load(fh), out)
         if run is not None:
             _artifact_keys(prefix, run, out)
+    _error_keys(out)
     for seed in seeds:
         for workload in ("affine_loops", "nonlinear_loops"):
             for case in gen.GENERATORS[workload](seed):

@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from .corpus import corpus_check, load_corpus, read_json_file
-from .errors import GridMismatch, HyperstabError, ImproperTransferFunction, SchemaError
+from .errors import HyperstabError, ImproperTransferFunction, SchemaError
 from .harness import run_closed_loop, scenario_from_json_dict, write_run_artifacts
 from .ratfun import RationalFunction
 from .realness import classify_pr
@@ -87,22 +87,9 @@ def cmd_simulate(args) -> int:
     return EXIT_DIVERGED if run.diverged_at is not None else EXIT_OK
 
 
-def _load_trace_signals(path, names: tuple[str, ...]):
-    """Signals of a trace file that must hold every column in ``names``; the
-    file's other columns are checked but not kept."""
-    try:
-        signals = read_trace_signals(path, names)
-    except (GridMismatch, ValueError) as exc:
-        raise SchemaError(f"malformed trace file: {exc}") from None
-    missing = [name for name in names if name not in signals]
-    if missing:
-        raise SchemaError(f"trace file needs columns {', '.join(missing)}")
-    return signals
-
-
 def cmd_audit(args) -> int:
     names = ("u", "y", "S", "D") if args.with_storage else ("u", "y")
-    signals = _load_trace_signals(args.traces, names)
+    signals = read_trace_signals(args.traces, names)
     S, D = (signals["S"], signals["D"]) if args.with_storage else (None, None)
     verdict = classify_taxonomy(signals["u"], signals["y"], S, D)
     residual_max = None
@@ -114,7 +101,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_parseval(args) -> int:
-    signals = _load_trace_signals(args.traces, ("u", "y"))
+    signals = read_trace_signals(args.traces, ("u", "y"))
     u, y = signals["u"], signals["y"]
     time_energy = inner_product(u, y)
     freq_energy = frequency_energy(u, y)

@@ -281,7 +281,11 @@ def _solve_output(c: float, D: float, e: float, f: Callable[[float, float], floa
         return y, calls
     # walk away from y against the residual's sign until the residual flips;
     # the first step of |r| does so whenever phi' >= 1. After 100 doublings
-    # without a flip, phi falls through the root: walk from y the other way
+    # without a flip, phi falls through the root: walk from y the other way.
+    # Past |y| = tol / (2 eps) = tol * 2**51 the walk stops doubling too: a
+    # residual within tol has y - c near D (e - f(y)), so phi rounds by about
+    # 2 eps |y| > tol there, and a zero would be rounding, not a root (a
+    # deadzone with D = -1 and no root evaluates phi = 0 near y = 1e17)
     sign = -1.0 if r > 0.0 else 1.0
     step = abs(r)
     near, r_near = y, r
@@ -293,7 +297,7 @@ def _solve_output(c: float, D: float, e: float, f: Callable[[float, float], floa
     guard = 0
     while r_far * r > 0.0:
         guard += 1
-        if guard <= 100:
+        if guard <= 100 and abs(far) < tol * 2.0**51:
             near, r_near = far, r_far
             step *= 2.0
         elif sign * r < 0.0:

@@ -13,16 +13,18 @@ factor keeps both routes aligned to machine precision.
 from __future__ import annotations
 
 import enum
-import io
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .errors import GridMismatch, TimeOutOfRange
 
 PARSEVAL_TOL = 1e-6
+# slack of the taxonomy's inequalities, and the least int u^2 that beta_s divides by
+TAXONOMY_TOL = 1e-9
 _DT_REL_TOL = 1e-9
 # samples per block of a running integral: its scratch stays this size
 BLOCK = 65_536
@@ -85,8 +87,8 @@ class Signal:
 
     def _check(self) -> None:
         vals = self.values
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
         if vals.ndim != 1 or vals.size < 2:
             raise ValueError("a signal needs at least two samples")
         if not np.all(np.isfinite(vals)):
@@ -119,21 +121,18 @@ class Signal:
         return Signal(self.dt, self.values[: k + 1])
 
 
-def _check_grids(*signals: Signal) -> None:
+def _grid_length(*signals: Signal) -> int:
+    """The sample count the signals share; GridMismatch if their steps differ."""
     dt0 = signals[0].dt
     for s in signals[1:]:
         if abs(s.dt - dt0) > _DT_REL_TOL * dt0:
             raise GridMismatch(f"sample steps differ: {dt0} vs {s.dt}")
-
-
-def _common_length(*signals: Signal) -> int:
     return min(s.values.size for s in signals)
 
 
 def inner_product(u: Signal, y: Signal, t: float | None = None) -> float:
     """<u, y>_t, the time integral of u*y over [0, t] (full record by default)."""
-    _check_grids(u, y)
-    n = _common_length(u, y)
+    n = _grid_length(u, y)
     if t is None:
         k = n - 1
     else:
@@ -166,8 +165,7 @@ class EnergyTrace:
 
 
 def energy_trace(u: Signal, y: Signal) -> EnergyTrace:
-    _check_grids(u, y)
-    n = _common_length(u, y)
+    n = _grid_length(u, y)
     return EnergyTrace(dt=u.dt, E=_cumtrapz(u.values[:n], y.values[:n], u.dt))
 
 
@@ -180,8 +178,7 @@ def frequency_energy(u: Signal, y: Signal) -> float:
     samples are scaled by sqrt(1/2) so the sum reproduces the trapezoidal
     time-domain inner product.
     """
-    _check_grids(u, y)
-    n = _common_length(u, y)
+    n = _grid_length(u, y)
     m = 1 << max((n - 1).bit_length(), 1)
 
     def spectrum(s: Signal) -> np.ndarray:
@@ -204,8 +201,7 @@ def frequency_energy(u: Signal, y: Signal) -> float:
 
 def power_balance_residual(u: Signal, y: Signal, S: Signal, D: Signal) -> Signal:
     """Pointwise residual u*y - dS/dt - dD/dt with central differences."""
-    _check_grids(u, y, S, D)
-    n = min(_common_length(u, y), _common_length(S, D))
+    n = _grid_length(u, y, S, D)
     dS = np.gradient(S.values[:n], u.dt)
     dD = np.gradient(D.values[:n], u.dt)
     return Signal(u.dt, u.values[:n] * y.values[:n] - dS - dD)
@@ -215,7 +211,7 @@ def energy_balance_residual(
     u: Signal, y: Signal, S: Signal, D: Signal, t: float
 ) -> float:
     """<u,y>_t - [S(t) + D(t) - S(0) - D(0)]."""
-    _check_grids(u, y, S, D)
+    _grid_length(u, y, S, D)
     k = u.index_of(t)
     stored = (S.values[k] + D.values[k]) - (S.values[0] + D.values[0])
     return inner_product(u, y, t) - float(stored)
@@ -287,7 +283,6 @@ def classify_taxonomy(
     y: Signal,
     S: Signal | None = None,
     D: Signal | None = None,
-    tol: float = 1e-9,
 ) -> TaxonomyVerdict:
     """Assign every energy-taxonomy label whose defining inequality holds.
 
@@ -295,8 +290,9 @@ def classify_taxonomy(
     Conservative) are only assigned when the corresponding storage or
     dissipation trace is provided. Strict dissipation may fail on a handful of
     isolated samples - the grid-expressible stand-in for a zero-measure set.
+    beta_s, the least E / int u^2 where int u^2 > TAXONOMY_TOL, is the largest
+    beta with E >= beta int u^2 there: StronglyStrictlyPassive asks beta_s > TAXONOMY_TOL.
     """
-    _check_grids(u, y)
     trace = energy_trace(u, y)
     E, n = trace.E, trace.E.size
     labels: set[TaxonomyLabel] = set()
@@ -304,41 +300,33 @@ def classify_taxonomy(
     labels.add(TaxonomyLabel.POPOV_SATISFIED)  # finite record: finite minimum
 
     beta = float(np.min(E))
-    if beta >= -tol:
+    if beta >= -TAXONOMY_TOL:
         labels.add(TaxonomyLabel.WEAKLY_PASSIVE)
     if np.min(E[1:]) > 0.0:
         labels.add(TaxonomyLabel.WEAKLY_STRICTLY_PASSIVE)
 
     u_n = u.values[:n]
-
-    def live_blocks():
-        # int u^2 block by block, where it exceeds tol, with E there
-        for k, uu in _trapz_blocks(u_n, u_n, u.dt):
-            live = uu > tol
-            if live.any():
-                yield E[k:k + uu.size][live], uu[live]
-
-    beta_s: float | None = None
-    lows = [np.min(e / w) for e, w in live_blocks()]
-    if lows:
-        beta_s = float(np.min(lows))
-        if beta_s > tol and all(np.all(e >= beta_s * w - tol) for e, w in live_blocks()):
-            labels.add(TaxonomyLabel.STRONGLY_STRICTLY_PASSIVE)
+    lows = []
+    for k, uu in _trapz_blocks(u_n, u_n, u.dt):  # int u^2 block by block
+        live = uu > TAXONOMY_TOL
+        if live.any():
+            lows.append(np.min(E[k:k + uu.size][live] / uu[live]))
+    beta_s = float(np.min(lows)) if lows else None
+    if lows and beta_s > TAXONOMY_TOL:
+        labels.add(TaxonomyLabel.STRONGLY_STRICTLY_PASSIVE)
 
     if S is not None:
-        _check_grids(u, S)
-        ns = min(n, S.values.size)
+        ns = _grid_length(u, y, S)
         beta = float(np.min(S.values[:ns]) - S.values[0])
         dS = np.gradient(S.values[:ns], u.dt)
-        if bool(np.all(np.abs(dS) <= tol)):
+        if bool(np.all(np.abs(dS) <= TAXONOMY_TOL)):
             labels.add(TaxonomyLabel.CONSERVATIVE)
     if D is not None:
-        _check_grids(u, D)
-        nd = min(n, D.values.size)
+        nd = _grid_length(u, y, D)
         dD = np.gradient(D.values[:nd], u.dt)
         if bool(np.all(dD < 0.0)):
             labels.add(TaxonomyLabel.REGENERATIVE)
-        if bool(np.all(dD >= -tol)):
+        if bool(np.all(dD >= -TAXONOMY_TOL)):
             labels.add(TaxonomyLabel.PASSIVE)
         # zero-measure failure set -> at most ceil(10*dt/dt) = 10 grid points
         if int(np.count_nonzero(dD <= 0.0)) <= 10:
@@ -352,10 +340,8 @@ def classify_taxonomy(
 # --- trace file round trip ---------------------------------------------------
 
 TRACE_COLUMNS = ("t", "u", "y", "v", "S", "D", "E")
-# rows formatted by one % operation when writing a trace CSV
+# rows of a trace CSV formatted by one % operation, and parsed by one loadtxt call
 CSV_BLOCK_ROWS = 4096
-# characters of a trace CSV parsed by one loadtxt call when reading
-CSV_READ_CHARS = 1 << 18
 
 
 def write_trace_csv(path, columns: dict[str, np.ndarray]) -> None:
@@ -379,50 +365,38 @@ def write_trace_csv(path, columns: dict[str, np.ndarray]) -> None:
             fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
-def _parse_rows(text: str, width: int) -> np.ndarray:
-    """The rows of a piece of a trace CSV; each must have ``width`` cells."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # loadtxt warns on a piece without rows
-        try:
-            rows = np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise GridMismatch(f"malformed trace row: {exc}") from None
-    if rows.size and rows.shape[1] != width:
-        raise GridMismatch(f"trace rows have {rows.shape[1]} cells, the header names {width}")
-    return rows
-
-
 def _read_columns(path, keep: tuple[str, ...] | None) -> dict[str, np.ndarray]:
-    """The columns of a trace CSV named in ``keep`` (all when None). Every
-    row is parsed and checked, CSV_READ_CHARS characters at a time, but only
-    the kept columns are held."""
-    with open(path) as fh:
+    """The columns of a trace CSV named in ``keep`` (all when None). Every row is
+    parsed and checked, CSV_BLOCK_ROWS rows at a time, but only the kept columns
+    are held; a byte that is not UTF-8 reads as U+FFFD, which no cell parses."""
+    with open(path, errors="replace") as fh:
         header = fh.readline()
         if not header:
             raise GridMismatch("empty trace file")
         names = [name.strip() for name in header.split(",")]
         kept = [i for i, name in enumerate(names) if keep is None or name in keep]
         parts: list[list[np.ndarray]] = [[] for _ in kept]
-        rest, any_rows = "", False
-        while True:
-            more = fh.read(CSV_READ_CHARS)
-            text = rest + more
-            # whole lines only, until the last piece
-            cut = text.rfind("\n") + 1 if more else len(text)
-            text, rest = text[:cut], text[cut:]
-            rows = _parse_rows(text, len(names))
-            if rows.size:
-                any_rows = True
-                for part, i in zip(parts, kept):
-                    part.append(rows[:, i].copy())
-            if not more:
-                break
+        any_rows = False
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns on a block of blank lines
+            for lines in iter(lambda: list(islice(fh, CSV_BLOCK_ROWS)), []):
+                try:
+                    rows = np.loadtxt(lines, delimiter=",", ndmin=2)
+                except ValueError as exc:
+                    raise GridMismatch(f"malformed trace row: {exc}") from None
+                if rows.size and rows.shape[1] != len(names):
+                    raise GridMismatch(
+                        f"trace rows have {rows.shape[1]} cells, the header names {len(names)}")
+                if rows.size:
+                    any_rows = True
+                    for part, i in zip(parts, kept):
+                        part.append(rows[:, i].copy())
     if not any_rows:
         raise GridMismatch("trace file has no rows")
     columns = {}
     for part, i in zip(parts, kept):
         columns[names[i]] = np.concatenate(part)
-        part.clear()  # each column's pieces go as soon as it is whole
+        part.clear()  # each column's blocks go as soon as it is whole
     return columns
 
 
@@ -436,16 +410,20 @@ def read_trace_csv(path) -> dict[str, np.ndarray]:
 
 
 def _trace_step(columns: dict[str, np.ndarray]) -> float:
-    """The uniform step of the t column of trace columns."""
+    """The uniform step of the t column of trace columns: positive and finite,
+    with every step within 1e-9 of it. NaN fails both tests."""
     if "t" not in columns:
         raise GridMismatch("trace file has no t column")
     t = columns["t"]
     if t.size < 2:
         raise GridMismatch("trace needs at least two rows")
-    steps = np.diff(t)
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN and inf fail the tests below
+        steps = np.diff(t)
     dt = float(steps[0])
+    if not 0.0 < dt < math.inf:
+        raise GridMismatch("trace time step must be positive and finite")
     steps -= dt
-    if dt <= 0 or np.max(np.abs(steps, out=steps)) > 1e-9 * max(dt, 1.0):
+    if not np.max(np.abs(steps, out=steps)) <= 1e-9 * max(dt, 1.0):
         raise GridMismatch("trace time column is not uniformly spaced")
     return dt
 
@@ -457,10 +435,15 @@ def signals_from_trace(columns: dict[str, np.ndarray]) -> dict[str, Signal]:
 
 
 def read_trace_signals(path, names: tuple[str, ...]) -> dict[str, Signal]:
-    """Signals of the columns in ``names`` of a trace CSV, on its t column's
-    uniform step. Only those columns and t are held, and each Signal keeps
-    the array it was read into; a missing name is simply absent."""
+    """Signals of the columns in ``names`` of a trace CSV on its t column's step,
+    holding only those columns and t, each in the array it was read into. A
+    malformed file, a missing name or a non-finite sample raises GridMismatch."""
     columns = _read_columns(path, ("t", *names))
     dt = _trace_step(columns)
-    del columns["t"]
-    return {name: Signal._adopt(dt, vals) for name, vals in columns.items()}
+    missing = [name for name in names if name not in columns]
+    if missing:
+        raise GridMismatch(f"trace file needs columns {', '.join(missing)}")
+    try:
+        return {name: Signal._adopt(dt, columns[name]) for name in names}
+    except ValueError as exc:
+        raise GridMismatch(f"malformed trace file: {exc}") from None

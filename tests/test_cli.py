@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import pytest
 from hyperstab.cli import main
 from hyperstab.corpus import bundled_corpus_path
 from hyperstab.errors import GridMismatch
-from hyperstab.signals import Signal, read_trace_csv, signals_from_trace, write_trace_csv
+from hyperstab.signals import (Signal, read_trace_csv, read_trace_signals, signals_from_trace,
+                               write_trace_csv)
 
 
 def run_cli(capsys, *argv):
@@ -111,6 +113,21 @@ class TestSimulate:
                                "--out-dir", str(tmp_path / "run"))
         assert code == 2
         assert "left the overflow guard within the first step" in err
+
+    def test_loop_with_no_root_exit_2(self, capsys, tmp_path):
+        # (1 - s)/(1 + s) with a deadzone: at t = 2.303 no output solves the
+        # loop equation; the run ends there with a typed error, not Diverged
+        path = self._write_scenario(tmp_path, {
+            "plant": {"num": [1, -1], "den": [1, 1]},
+            "device": {"kind": "DeadzoneSector",
+                       "params": {"k1": 0, "k2": 1, "gain": 1, "deadzone": 0.5}},
+            "x0": [0.1], "excitation": {"amplitude": 0.6, "duration": 10},
+            "dt": 1e-3, "horizon": 5,
+        })
+        code, out, err = run_cli(capsys, "simulate", "--scenario", str(path),
+                                 "--out-dir", str(tmp_path / "run"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: no bracket at step 2303, residual -0.5")
 
     def test_missing_file_exit_2(self, capsys, tmp_path):
         for scenario in (tmp_path / "nope.json", tmp_path):
@@ -262,12 +279,31 @@ class TestAudit:
         ("t,u,y\n0,1\n0.001,1\n", "2 cells, the header names 3"),
         ("u,y\n0,1\n1,1\n", "no t column"),
         ("t,u,y\n0,1,1\n", "at least two rows"),
+        ("t,u,y\nnan,1,1\nnan,1,1\nnan,1,1\n", "positive and finite"),
+        ("t,u,y\n0,1,1\ninf,1,1\n1,1,1\n", "positive and finite"),
     ])
     def test_bad_trace_file_exit_2(self, capsys, tmp_path, text, message):
         path = tmp_path / "trace.csv"
         path.write_text(text)
         with pytest.raises(GridMismatch, match=message):
             signals_from_trace(read_trace_csv(path))
+        for command in ("audit", "parseval"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_cli(capsys, command, "--traces", str(path))
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("data, message", [
+        (b"t,u,y\n0,1,1\n0.001,inf,1\n0.002,1,1\n", "samples must be finite"),
+        (b"t,u,y\n0,1,1\n0.001,\xff,1\n", "malformed trace row"),
+        (b"t,\xff,y\n0,1,1\n0.001,1,1\n", "needs columns u"),
+    ])
+    def test_non_finite_or_undecodable_cell_exit_2(self, capsys, tmp_path, data, message):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(data)
+        with pytest.raises(GridMismatch, match=message):
+            read_trace_signals(path, ("u", "y"))
         for command in ("audit", "parseval"):
             code, out, err = run_cli(capsys, command, "--traces", str(path))
             assert code == 2 and out == ""

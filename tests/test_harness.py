@@ -232,6 +232,42 @@ class TestAlgebraicLoop:
                                match="trajectory left the overflow guard within the first step"):
                 run_closed_loop(sc)
 
+    @staticmethod
+    def deadzone_through_negative_feedthrough(x0, excitation):
+        # (1 - s)/(1 + s) has D = -1: outside the zone f(y) = y, so the
+        # residual y - c + e - f(y) is the constant e - c there, and inside
+        # it is y - c + e: once |c - e| > 0.5 no output solves the loop
+        return Scenario(plant=ratfun_new([1.0, -1.0], [1.0, 1.0]),
+                        device=DeviceSpec(kind="DeadzoneSector", params={
+                            "k1": 0.0, "k2": 1.0, "gain": 1.0, "deadzone": 0.5}),
+                        x0=(x0,), excitation=excitation, dt=1e-3, horizon=5.0)
+
+    @pytest.mark.parametrize("x0, excitation, step", [
+        (0.1, Excitation(0.6, 10.0), 2303),
+        (3.0, None, 0),
+    ])
+    def test_deadzone_with_no_root_raises_at_its_step(self, x0, excitation, step):
+        # past |y| of about 1e16, y - c and D f(y) round to one value and the
+        # computed residual is 0: rounding, not a root. The walk stops short
+        # of it (this run once ended Diverged at t = 2.303 with y near 0.5,
+        # and the x0 = 3 run in the overflow guard at step 0)
+        sc = self.deadzone_through_negative_feedthrough(x0, excitation)
+        with pytest.raises(AlgebraicLoopNoConvergence, match=f"no bracket at step {step},"):
+            run_closed_loop(sc)
+
+    def test_rounded_residual_is_no_root(self):
+        # c = 6, D = -1, e = 0: phi(y) = -6 for every y > 0.5, but it
+        # evaluates to exactly 0 where the walk up from y = 6 first meets 0,
+        # and at the first bisection point after it
+        f = self.deadzone_through_negative_feedthrough(3.0, None).device.law.f
+        for y in (1.080863910568919e17, 7.642862007030925e16):
+            assert y - 6.0 - (-1.0) * (0.0 - f(y, 0.0)) == 0.0
+        with pytest.raises(AlgebraicLoopNoConvergence, match="no bracket at step 7,"):
+            _solve_output(6.0, -1.0, 0.0, f, 0.0, 6.0, 7)
+        # with c = 0.2 the root y = c lies in the zone
+        y, _ = _solve_output(0.2, -1.0, 0.0, f, 0.0, 0.45, 7)
+        assert y == pytest.approx(0.2, abs=1e-12)
+
     def test_relay_raises_at_the_step_with_no_root(self):
         # y = Cx + D(e - a sign(y)) has no root once 0 < |Cx| <= D a: the
         # output of (s+2)/(s+1) decays into that band at step 694

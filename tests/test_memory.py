@@ -9,11 +9,10 @@ import tracemalloc
 
 import pytest
 
-from hyperstab.cli import _load_trace_signals
 from hyperstab.devices import DeviceSpec
 from hyperstab.harness import Scenario, run_closed_loop, write_run_artifacts
 from hyperstab.ratfun import ratfun_new
-from hyperstab.signals import BLOCK, frequency_energy
+from hyperstab.signals import BLOCK, frequency_energy, read_trace_signals
 
 N = 100_001
 DOUBLE = 8
@@ -66,10 +65,10 @@ def test_artifacts_add_about_one_trace(run, tmp_path):
 
 
 def test_parseval_path_holds_two_columns(traces):
-    # u and y, the pieces of the columns being read, and FFTs of the least
+    # u and y, the blocks of the columns being read, and FFTs of the least
     # power of two >= N samples
     def parseval():
-        signals = _load_trace_signals(traces, ("u", "y"))
+        signals = read_trace_signals(traces, ("u", "y"))
         return frequency_energy(signals["u"], signals["y"])
 
     _, per_sample = peak_doubles_per_sample(parseval)

@@ -1,6 +1,7 @@
 """Inner products, energy traces, Parseval consistency, taxonomy labels."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,8 @@ class TestSignal:
         (0.0, [1.0, 2.0], "dt must be positive"),
         (1e-3, [1.0], "at least two samples"),
         (1e-3, [1.0, math.nan], "finite"),
+        (math.nan, [1.0, 2.0], "dt must be positive and finite"),
+        (math.inf, [1.0, 2.0], "dt must be positive and finite"),
     ])
     def test_rejected(self, dt, values, message):
         with pytest.raises(ValueError, match=message):
@@ -325,9 +328,9 @@ class TestTraceRoundTrip:
         )
 
     def test_read_in_pieces(self, tmp_path, monkeypatch):
-        # rows split across pieces are joined; a ragged row in a later piece
+        # rows are read CSV_BLOCK_ROWS at a time; a ragged row in a later block
         # is refused even where only other columns are kept
-        monkeypatch.setattr(signals, "CSV_READ_CHARS", 100)
+        monkeypatch.setattr(signals, "CSV_BLOCK_ROWS", 7)
         rng = np.random.default_rng(4)
         t = DT * np.arange(300)
         u, v = rng.standard_normal(300), rng.standard_normal(300)
@@ -335,16 +338,52 @@ class TestTraceRoundTrip:
         write_trace_csv(path, {"t": t, "u": u, "v": v})
         back = read_trace_csv(path)
         assert np.array_equal(back["u"], u) and np.array_equal(back["v"], v)
-        kept = read_trace_signals(path, ("u", "S"))
+        kept = read_trace_signals(path, ("u",))
         assert kept.keys() == {"u"} and np.array_equal(kept["u"].values, u)
+        with pytest.raises(GridMismatch, match="needs columns S"):
+            read_trace_signals(path, ("u", "S"))
         text = path.read_text()
         for row in ("0.3,1\n", "0.3,1,1,1\n"):
             path.write_text(text + row)
             with pytest.raises(GridMismatch):
                 read_trace_signals(path, ("u",))
 
+    @pytest.mark.parametrize("n_rows", [7, 14, 15])
+    def test_block_edges_and_trailing_blank_lines(self, tmp_path, monkeypatch, n_rows):
+        # the last block ends exactly at the end of the file (7, 14 rows), or
+        # holds one row (15); trailing blank lines may fill a block of their own
+        monkeypatch.setattr(signals, "CSV_BLOCK_ROWS", 7)
+        t = DT * np.arange(n_rows)
+        u = np.cos(t)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, {"t": t, "u": u})
+        text = path.read_text()
+        for tail in ("", "\n", "\n" * 7, "\n" * 9):
+            path.write_text(text + tail)
+            assert np.array_equal(read_trace_signals(path, ("u",))["u"].values, u)
+            assert np.array_equal(read_trace_csv(path)["t"], t)
+
     def test_non_uniform_grid_rejected(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("t,u,y\n0,1,1\n0.1,1,1\n0.3,1,1\n")
         with pytest.raises(GridMismatch):
             signals_from_trace(read_trace_csv(path))
+
+    @pytest.mark.parametrize("times, message", [
+        ("nan nan nan", "positive and finite"),
+        ("0 inf 1", "positive and finite"),
+        ("0 1 inf", "not uniformly spaced"),
+        ("0 1 nan", "not uniformly spaced"),
+        ("0 inf inf", "positive and finite"),
+        ("0 1 1 inf inf", "not uniformly spaced"),
+        ("0 -1 -2", "positive and finite"),
+        ("-1e308 1e308 2e308", "positive and finite"),
+    ])
+    def test_non_finite_time_column_rejected(self, tmp_path, times, message):
+        # NaN and inf times fail the step tests without a warning
+        path = tmp_path / "trace.csv"
+        path.write_text("t,u\n" + "".join(f"{t},1\n" for t in times.split()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridMismatch, match=message):
+                read_trace_signals(path, ("u",))
