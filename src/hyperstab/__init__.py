@@ -14,7 +14,6 @@ from .harness import (
     Scenario,
     SimulationRun,
     Verdict,
-    batch_run,
     convergence_verdict,
     run_closed_loop,
     scenario_from_json_dict,
@@ -25,7 +24,6 @@ from .ltisim import (
     ImpulseResponse,
     StateSpace,
     convolve,
-    impulse_positivity_check,
     impulse_response,
     realize,
     simulate_forced,
@@ -63,7 +61,6 @@ from .signals import (
     frequency_energy,
     inner_product,
     input_integral,
-    popov_audit,
     power_balance_residual,
 )
 from .corpus import CorpusEntry, bundled_corpus_path, corpus_check, load_corpus

@@ -229,11 +229,6 @@ def apply_device(spec: DeviceSpec, y: float, t: float) -> float:
     return spec.law.f(y, t)
 
 
-def declared_popov_status(spec: DeviceSpec) -> PopovDeclaration:
-    """A-priori Popov declaration implied by the device class."""
-    return spec.law.declared
-
-
 @dataclass(frozen=True)
 class DevicePopovStatus:
     declared: PopovDeclaration

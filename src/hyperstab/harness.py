@@ -735,17 +735,6 @@ def run_closed_loop(sc: Scenario) -> SimulationRun:
     )
 
 
-def batch_run(scenarios: list[Scenario]) -> list[SimulationRun | Exception]:
-    """Run scenarios in order; per-scenario failures are collected, not raised."""
-    results: list[SimulationRun | Exception] = []
-    for sc in scenarios:
-        try:
-            results.append(run_closed_loop(sc))
-        except Exception as exc:  # noqa: BLE001 - aggregation is the contract
-            results.append(exc)
-    return results
-
-
 def run_report(run: SimulationRun) -> dict:
     """JSON-ready report for a completed run."""
     return {

@@ -7,7 +7,7 @@ matrix exponential, so the only discretization error in a simulation comes
 from holding the input constant over each step, never from the integrator
 itself. The Dirac part of a relative-degree-zero impulse response
 is carried symbolically as ``direct_delta_weight`` - a sampled spike would
-corrupt every convolution and positivity check.
+corrupt every convolution.
 """
 
 from __future__ import annotations
@@ -195,36 +195,3 @@ def convolve(ir: ImpulseResponse, u: Signal) -> Signal:
     y = u.dt * (full - 0.5 * (g * u.values[0] + g[0] * u.values))
     return Signal(u.dt, y + ir.direct_delta_weight * u.values)
 
-
-class ImpulseSignClass:
-    STRICTLY_POSITIVE = "StrictlyPositive"
-    NONNEGATIVE = "Nonnegative"
-    SIGN_CHANGING = "SignChanging"
-
-
-@dataclass(frozen=True)
-class ImpulsePositivityReport:
-    classification: str
-    max_abs: float
-    decays_to_zero: bool
-
-
-def impulse_positivity_check(
-    ir: ImpulseResponse, tol: float = 1e-9
-) -> ImpulsePositivityReport:
-    """Sign pattern of g(t) for t > 0, boundedness and decay at the horizon."""
-    g = ir.g.values
-    interior = g[1:]
-    max_abs = float(np.max(np.abs(g)))
-    if bool(np.all(interior > tol)):
-        cls = ImpulseSignClass.STRICTLY_POSITIVE
-    elif bool(np.all(interior >= -tol)):
-        cls = ImpulseSignClass.NONNEGATIVE
-    else:
-        cls = ImpulseSignClass.SIGN_CHANGING
-    tail = np.max(np.abs(g[-max(2, g.size // 20):]))
-    return ImpulsePositivityReport(
-        classification=cls,
-        max_abs=max_abs,
-        decays_to_zero=bool(tail <= 1e-6 * max(1.0, max_abs)),
-    )

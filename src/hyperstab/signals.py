@@ -130,15 +130,18 @@ def _grid_length(*signals: Signal) -> int:
     return min(s.values.size for s in signals)
 
 
+def _common_index(t: float, *signals: Signal) -> int:
+    """Grid index of time t within the record the signals share."""
+    n = _grid_length(*signals)
+    k = signals[0].index_of(t)
+    if k > n - 1:
+        raise TimeOutOfRange(f"t={t} beyond the common duration")
+    return k
+
+
 def inner_product(u: Signal, y: Signal, t: float | None = None) -> float:
     """<u, y>_t, the time integral of u*y over [0, t] (full record by default)."""
-    n = _grid_length(u, y)
-    if t is None:
-        k = n - 1
-    else:
-        k = u.index_of(t)
-        if k > n - 1:
-            raise TimeOutOfRange(f"t={t} beyond the common duration")
+    k = _grid_length(u, y) - 1 if t is None else _common_index(t, u, y)
     prod = u.values[: k + 1] * y.values[: k + 1]
     return float(np.trapezoid(prod, dx=u.dt))
 
@@ -158,10 +161,6 @@ class EnergyTrace:
     def gamma0_sq(self) -> float:
         """The record's Popov constant: the least gamma0^2 with E >= -gamma0^2."""
         return max(0.0, -float(np.min(self.E)))
-
-    def at(self, t: float) -> float:
-        k = int(round(t / self.dt))
-        return float(self.E[min(max(k, 0), self.E.size - 1)])
 
 
 def energy_trace(u: Signal, y: Signal) -> EnergyTrace:
@@ -211,8 +210,7 @@ def energy_balance_residual(
     u: Signal, y: Signal, S: Signal, D: Signal, t: float
 ) -> float:
     """<u,y>_t - [S(t) + D(t) - S(0) - D(0)]."""
-    _grid_length(u, y, S, D)
-    k = u.index_of(t)
+    k = _common_index(t, u, y, S, D)
     stored = (S.values[k] + D.values[k]) - (S.values[0] + D.values[0])
     return inner_product(u, y, t) - float(stored)
 
@@ -242,34 +240,6 @@ class TaxonomyVerdict:
             "gamma0_sq": self.gamma0_sq,
             "residual_max": residual_max,
         }
-
-
-@dataclass(frozen=True)
-class PopovAudit:
-    satisfied: bool
-    gamma0_sq: float
-    finite_horizon_estimate: bool
-    min_energy: float
-    min_time: float
-
-
-def popov_audit(v: Signal, y: Signal) -> PopovAudit:
-    """Tightest finite-horizon constant gamma0^2 with <v,y>_t >= -gamma0^2.
-
-    A finite record always yields a finite minimum, so ``satisfied`` is True
-    with the estimate flagged as finite-horizon: a record can refute a claimed
-    constant or estimate the sharpest one, never prove the unbounded-time
-    statement.
-    """
-    trace = energy_trace(v, y)
-    k = int(np.argmin(trace.E))
-    return PopovAudit(
-        satisfied=True,
-        gamma0_sq=trace.gamma0_sq,
-        finite_horizon_estimate=True,
-        min_energy=float(trace.E[k]),
-        min_time=float(trace.dt * k),
-    )
 
 
 def input_integral(u: Signal, absolute: bool = False) -> Signal:
@@ -365,6 +335,18 @@ def write_trace_csv(path, columns: dict[str, np.ndarray]) -> None:
             fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
+def _bad_line(lines: list[str], block: int, n: int) -> str:
+    """The first faulty line of block ``block`` (from 0), by its line in the file."""
+    for i, line in enumerate(lines, 2 + block * CSV_BLOCK_ROWS):
+        try:
+            row = np.loadtxt([line], delimiter=",", ndmin=2)
+        except ValueError:
+            return f"malformed trace row at line {i}: {line.strip()[:80]!r}"
+        if row.size and row.shape[1] != n:
+            return f"trace row at line {i} has {row.shape[1]} cells, the header names {n}"
+    return f"malformed trace rows up to line {i}"
+
+
 def _read_columns(path, keep: tuple[str, ...] | None) -> dict[str, np.ndarray]:
     """The columns of a trace CSV named in ``keep`` (all when None). Every row is
     parsed and checked, CSV_BLOCK_ROWS rows at a time, but only the kept columns
@@ -377,16 +359,16 @@ def _read_columns(path, keep: tuple[str, ...] | None) -> dict[str, np.ndarray]:
         kept = [i for i, name in enumerate(names) if keep is None or name in keep]
         parts: list[list[np.ndarray]] = [[] for _ in kept]
         any_rows = False
+        blocks = iter(lambda: list(islice(fh, CSV_BLOCK_ROWS)), [])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # loadtxt warns on a block of blank lines
-            for lines in iter(lambda: list(islice(fh, CSV_BLOCK_ROWS)), []):
+            for block, lines in enumerate(blocks):
                 try:
                     rows = np.loadtxt(lines, delimiter=",", ndmin=2)
-                except ValueError as exc:
-                    raise GridMismatch(f"malformed trace row: {exc}") from None
-                if rows.size and rows.shape[1] != len(names):
-                    raise GridMismatch(
-                        f"trace rows have {rows.shape[1]} cells, the header names {len(names)}")
+                except ValueError:
+                    rows = None
+                if rows is None or rows.size and rows.shape[1] != len(names):
+                    raise GridMismatch(_bad_line(lines, block, len(names)))
                 if rows.size:
                     any_rows = True
                     for part, i in zip(parts, kept):

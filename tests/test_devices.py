@@ -14,7 +14,6 @@ from hyperstab.devices import (
     DeviceSpec,
     PopovDeclaration,
     apply_device,
-    declared_popov_status,
     device_popov_audit,
     sampled_gain,
 )
@@ -268,9 +267,8 @@ class TestPopovAudit:
         assert trace.E[k] == pytest.approx(-1.0, rel=1e-6)
 
     def test_declared_status(self):
-        assert (declared_popov_status(DeviceSpec(kind="CubicOddPower", params={"p": 1}))
+        assert (DeviceSpec(kind="CubicOddPower", params={"p": 1}).law.declared
                 is PopovDeclaration.ALWAYS_ZERO_GAMMA)
-        assert (declared_popov_status(
-            DeviceSpec(kind="RegenerativePulse",
-                       params={"t_start": 0.0, "t_end": 1.0, "rate": 1.0}))
+        assert (DeviceSpec(kind="RegenerativePulse",
+                           params={"t_start": 0.0, "t_end": 1.0, "rate": 1.0}).law.declared
                 is PopovDeclaration.FINITE_GAMMA)

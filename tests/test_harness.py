@@ -30,7 +30,6 @@ from hyperstab.harness import (
     _hold,
     _simulate,
     _solve_output,
-    batch_run,
     convergence_verdict,
     run_closed_loop,
     run_report,
@@ -822,23 +821,6 @@ class TestRegenerativePulseRun:
 
 
 class TestBatchAndDeterminism:
-    def test_empty_batch(self):
-        assert batch_run([]) == []
-
-    def test_single_batch_matches_direct(self):
-        sc = sspr_scenario(horizon=2.0)
-        direct = run_closed_loop(sc)
-        [batched] = batch_run([sc])
-        assert np.array_equal(batched.y.values, direct.y.values)
-
-    def test_batch_aggregates_errors(self):
-        good = sspr_scenario(horizon=2.0)
-        bad = sspr_scenario(horizon=2.0, x0=(1.0, 1.0))
-        results = batch_run([good, bad, good])
-        assert isinstance(results[0].y, Signal)
-        assert isinstance(results[1], DimensionMismatch)
-        assert np.array_equal(results[2].y.values, results[0].y.values)
-
     def test_repeat_runs_byte_identical(self, tmp_path):
         sc = sspr_scenario(horizon=5.0)
         d1, d2 = tmp_path / "a", tmp_path / "b"

@@ -6,14 +6,13 @@ import pytest
 from hyperstab.errors import DimensionMismatch, ImproperTransferFunction
 from hyperstab.ltisim import (
     ImpulseResponse,
-    ImpulseSignClass,
     convolve,
-    impulse_positivity_check,
     impulse_response,
     realize,
     simulate_forced,
 )
 from hyperstab.ratfun import ratfun_new
+from hyperstab.realness import Grade, classify_pr
 from hyperstab.signals import Signal
 
 DT = 1e-3
@@ -174,46 +173,14 @@ class TestConvolve:
             assert rms < 1e-6
 
 
-class TestImpulsePositivity:
-    def test_strictly_positive_decaying(self):
-        ir = impulse_response(ratfun_new([1], [1, 1]), T=20.0, dt=DT)
-        rep = impulse_positivity_check(ir)
-        assert rep.classification == ImpulseSignClass.STRICTLY_POSITIVE
-        assert rep.decays_to_zero
-
-    def test_integrator_positive_without_decay(self):
-        # g = 1 for all t: pointwise strictly positive, but never decays,
-        # which is the marker of the merely-positive class
-        ir = impulse_response(ratfun_new([1], [0, 1]), T=20.0, dt=DT)
-        rep = impulse_positivity_check(ir)
-        assert rep.classification == ImpulseSignClass.STRICTLY_POSITIVE
-        assert not rep.decays_to_zero
-        assert rep.max_abs == pytest.approx(1.0)
-
-    def test_nonnegative_with_touching_zero(self):
-        # a kernel that touches zero but never goes below
-        vals = np.concatenate([np.zeros(3), np.ones(50)])
-        rep = impulse_positivity_check(
-            ImpulseResponse(g=Signal(DT, vals), direct_delta_weight=0.0)
-        )
-        assert rep.classification == ImpulseSignClass.NONNEGATIVE
-
-    def test_damped_sine_changes_sign(self):
-        # 1/((s+1)^2+1) = 1/(s^2+2s+2): g(t) = e^-t sin t
-        ir = impulse_response(ratfun_new([1], [2, 2, 1]), T=20.0, dt=DT)
-        rep = impulse_positivity_check(ir)
-        assert rep.classification == ImpulseSignClass.SIGN_CHANGING
-
-    def test_sspr_with_complex_poles_contradicts_positivity_claim(self):
-        # biquad is SSPR yet its impulse response changes sign: the empirical
-        # outcome is recorded, not enforced
-        from hyperstab.realness import Grade, classify_pr
-
-        g = ratfun_new([2, 3, 1], [2, 2, 1])
-        assert classify_pr(g).grade is Grade.SSPR
-        ir = impulse_response(g, T=20.0, dt=DT)
-        rep = impulse_positivity_check(ir)
-        assert rep.classification in (
-            ImpulseSignClass.SIGN_CHANGING,
-            ImpulseSignClass.STRICTLY_POSITIVE,
-        )
+def test_sspr_impulse_response_changes_sign():
+    # positive realness is a property of the operator, not of its kernel:
+    # (s^2+3s+2)/(s^2+2s+2) is SSPR, yet the kernel of its strictly proper
+    # part s/((s+1)^2+1) is e^-t (cos t - sin t), negative on (pi/4, 5pi/4)
+    g = ratfun_new([2, 3, 1], [2, 2, 1])
+    assert classify_pr(g).grade is Grade.SSPR
+    ir = impulse_response(g, T=20.0, dt=DT)
+    assert ir.direct_delta_weight == 1.0
+    t = ir.g.times()
+    assert np.max(np.abs(ir.g.values - np.exp(-t) * (np.cos(t) - np.sin(t)))) < 1e-9
+    assert ir.g.values.min() < -0.05 and ir.g.values.max() > 0.05

@@ -20,7 +20,6 @@ from hyperstab.signals import (
     frequency_energy,
     inner_product,
     input_integral,
-    popov_audit,
     power_balance_residual,
     read_trace_csv,
     read_trace_signals,
@@ -123,7 +122,7 @@ class TestEnergyTrace:
         trace = energy_trace(const(1.0, T=2.0), const(1.0, T=2.0))
         assert trace.E[0] == 0.0
         assert trace.final == pytest.approx(2.0)
-        assert trace.at(1.0) == pytest.approx(1.0)
+        assert trace.E[1000] == pytest.approx(1.0)
 
     def test_sin_cos_over_period(self):
         u = sampled(np.sin, 2 * math.pi)
@@ -213,6 +212,16 @@ class TestBalanceResiduals:
         assert np.max(np.abs(r.values[1:-1])) < 1e-6
         assert energy_balance_residual(u, u, S, D, 5.0) == pytest.approx(0.0, abs=1e-6)
 
+    def test_past_the_shorter_storage(self):
+        # S and D cover half of u's record: within it the residual is
+        # defined, past it the time is out of range, not an index error
+        u = Signal(DT, np.ones(100))
+        S = Signal(DT, DT * np.arange(50))
+        D = Signal(DT, np.zeros(50))
+        assert energy_balance_residual(u, u, S, D, 0.049) == pytest.approx(0.0, abs=1e-12)
+        with pytest.raises(TimeOutOfRange, match="common duration"):
+            energy_balance_residual(u, u, S, D, 0.08)
+
 
 class TestTaxonomy:
     def test_unit_record(self):
@@ -259,27 +268,6 @@ class TestTaxonomy:
                 assert TaxonomyLabel.WEAKLY_PASSIVE in labels
             if TaxonomyLabel.WEAKLY_PASSIVE in labels:
                 assert TaxonomyLabel.POPOV_SATISFIED in labels
-
-
-class TestPopovAudit:
-    def test_cubic_product_nonnegative(self):
-        y = sampled(lambda t: np.sin(2 * t), 4.0)
-        v = Signal(DT, y.values**3)
-        audit = popov_audit(v, y)
-        assert audit.gamma0_sq == 0.0
-        assert audit.satisfied
-        assert audit.finite_horizon_estimate
-
-    def test_negative_gain_measures_half(self):
-        y = sampled(lambda t: np.exp(-t), 20.0)
-        v = Signal(DT, -y.values)
-        audit = popov_audit(v, y)
-        assert audit.gamma0_sq == pytest.approx(0.5, abs=1e-5)
-
-    def test_zero_device(self):
-        y = sampled(lambda t: np.sin(t), 2.0)
-        v = const(0.0, T=2.0)
-        assert popov_audit(v, y).gamma0_sq == 0.0
 
 
 class TestInputIntegral:
@@ -347,6 +335,24 @@ class TestTraceRoundTrip:
             path.write_text(text + row)
             with pytest.raises(GridMismatch):
                 read_trace_signals(path, ("u",))
+
+    @pytest.mark.parametrize("bad, message", [
+        ("0.1,1", "trace row at line 102 has 2 cells, the header names 3"),
+        ("0.1,x,1", "malformed trace row at line 102: '0.1,x,1'"),
+    ])
+    def test_bad_row_named_by_its_file_line(self, tmp_path, monkeypatch, bad, message):
+        # the bad row is in block 15 of 7 rows, 3 rows into it: the error names
+        # its line in the file (the header is line 1), not its place in the block
+        monkeypatch.setattr(signals, "CSV_BLOCK_ROWS", 7)
+        n = 200
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, {"t": DT * np.arange(n), "u": np.ones(n), "y": np.ones(n)})
+        lines = path.read_text().splitlines(keepends=True)
+        lines[101] = bad + "\n"
+        path.write_text("".join(lines))
+        for read in (read_trace_csv, lambda p: read_trace_signals(p, ("u",))):
+            with pytest.raises(GridMismatch, match=message):
+                read(path)
 
     @pytest.mark.parametrize("n_rows", [7, 14, 15])
     def test_block_edges_and_trailing_blank_lines(self, tmp_path, monkeypatch, n_rows):
