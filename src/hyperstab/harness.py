@@ -11,8 +11,9 @@ from the samples the kernel keeps. There are two kernels; each returns y and v.
   the algebraic loop ``y = C x + D (e - F(y))`` solved in closed form. The
   whole trajectory comes from a blocked scan: prefix increments of the steps
   of a block of SCAN_BLOCK samples, then one product per block.
-* Any other device is stepped one sample at a time: the state is a list of
-  floats, and ``c = C x`` and ``x' = Ad x + Bd u`` are row sums. Plants of
+* Any other device is stepped one sample at a time, by a loop compiled once
+  per plant order that holds the state and the coefficients in local floats
+  and writes ``c = C x`` and ``x' = Ad x + Bd u`` out term by term. Plants of
   relative degree zero have direct feedthrough, so each step solves
   ``y = c + D (e - F(y))`` by secant steps inside a bracket, started from the
   previous output. For monotone devices and ``D > 0`` the residual
@@ -41,7 +42,6 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from itertools import count
-from operator import mul
 from typing import Callable
 
 import numpy as np
@@ -448,31 +448,20 @@ def _scan_affine(sc: Scenario, ss, ad: np.ndarray, bd: np.ndarray,
     return y[:k], v
 
 
-def _step_loop(sc: Scenario, ss, ad: np.ndarray, bd: np.ndarray, e: np.ndarray):
-    """y, v and solve effort of a loop stepped one sample at a time with
-    excitation e, up to the first sample past the overflow guard.
-
-    With D != 0 each step solves the loop equation from the previous output
-    (step 0 from c + D e); the effort is ``np.bincount`` of the device calls
-    per step's solve, None when D = 0.
-    """
-    rows = list(zip(ad.tolist(), bd.reshape(-1).tolist()))
-    c_row = ss.C.reshape(-1).tolist()
-    x = list(sc.x0)
-    dt = sc.dt
-    f = sc.device.law.f
-    D = ss.D
-    guard = OVERFLOW_GUARD
-
-    y_buf, v_buf, calls_buf = array("d"), array("d"), array("H")
-    push_y, push_v, push_calls = y_buf.append, v_buf.append, calls_buf.append
-    for k, ek in enumerate(memoryview(e)):
+# The step loop for one plant order n, on local floats: x0..x(n-1) is the
+# state, and C, Bd and Ad arrive in one tuple that is unpacked into c*, b* and
+# a*_* once per run. The text depends on n alone; no scenario value enters it.
+_STEP_SOURCE = """\
+def step(e, x, coefficients, dt, D, f, solve, guard, push_y, push_v, push_calls):
+    ({state}) = x
+    ({names}) = coefficients
+    for k, ek in enumerate(e):
         t = k * dt
-        c = sum(map(mul, c_row, x), 0.0)
+        c = {output}
         if D == 0.0:
             yk = c
         else:
-            yk, calls = _solve_output(c, D, ek, f, t, yk if k else c + D * ek, k)
+            yk, calls = solve(c, D, ek, f, t, yk if k else c + D * ek, k)
             push_calls(calls)
         if yk > guard or yk < -guard or yk != yk:
             break
@@ -480,7 +469,54 @@ def _step_loop(sc: Scenario, ss, ad: np.ndarray, bd: np.ndarray, e: np.ndarray):
         uk = ek - vk
         push_y(yk)
         push_v(vk)
-        x = [sum(map(mul, row, x), b * uk) for row, b in rows]
+{update}"""
+
+_STEP_KERNELS: dict[int, Callable] = {}
+
+
+def _step_kernel(n: int) -> Callable:
+    """The step loop for plant order n, compiled on its first use and kept in
+    ``_STEP_KERNELS`` for every later run of that order: compiling takes
+    about 0.3 ms, as long as a few hundred explicit steps."""
+    kernel = _STEP_KERNELS.get(n)
+    if kernel is None:
+        x = [f"x{j}" for j in range(n)]
+        names = ([f"c{j}" for j in range(n)] + [f"b{i}" for i in range(n)]
+                 + [f"a{i}_{j}" for i in range(n) for j in range(n)])
+        rows = [" + ".join([f"b{i} * uk"] + [f"a{i}_{j} * x{j}" for j in range(n)])
+                for i in range(n)]
+        source = _STEP_SOURCE.format(
+            state="".join(name + ", " for name in x),
+            names="".join(name + ", " for name in names),
+            output=" + ".join(["0.0"] + [f"c{j} * x{j}" for j in range(n)]),
+            update=f"        {', '.join(x)} = {', '.join(rows)}\n" if n else "",
+        )
+        namespace: dict = {}
+        exec(compile(source, f"<step kernel, order {n}>", "exec"), namespace)
+        kernel = _STEP_KERNELS[n] = namespace["step"]
+    return kernel
+
+
+def _step_loop(sc: Scenario, ss, ad: np.ndarray, bd: np.ndarray, e: np.ndarray):
+    """y, v and solve effort of a loop stepped one sample at a time with
+    excitation e, up to the first sample past the overflow guard.
+
+    The loop runs in ``_step_kernel(ss.order)``. Its output
+    ``c = 0.0 + c0*x0 + c1*x1 + ...`` and state rows
+    ``x_i' = b_i*u + a_i0*x0 + a_i1*x1 + ...`` add their terms left to right,
+    the summation order of the row sums ``sum(map(mul, row, x), start)`` of a
+    loop over lists of floats, so every record is bit for bit that loop's.
+    With D != 0 each step solves the loop equation from the previous output
+    (step 0 from c + D e); the effort is ``np.bincount`` of the device calls
+    per step's solve, None when D = 0.
+    """
+    coefficients = (*ss.C.reshape(-1).tolist(), *bd.reshape(-1).tolist(),
+                    *ad.reshape(-1).tolist())
+    D = ss.D
+    y_buf, v_buf, calls_buf = array("d"), array("d"), array("H")
+    step = _step_kernel(ss.order)
+    step(memoryview(e), sc.x0, coefficients, sc.dt, D, sc.device.law.f, _solve_output,
+         OVERFLOW_GUARD, y_buf.append, v_buf.append, calls_buf.append)
     if v_buf and not math.isfinite(v_buf[-1]):
         # the device output left the float range; only the last sample can
         # hold it, since the state is not finite after it

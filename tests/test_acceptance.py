@@ -13,7 +13,6 @@ and checks the value of delta that explains it; the README's "Bound chains for
 WSPR plants" section gives the argument.
 """
 
-import json
 import math
 
 import numpy as np

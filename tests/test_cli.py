@@ -10,7 +10,7 @@ import pytest
 from hyperstab.cli import main
 from hyperstab.corpus import bundled_corpus_path
 from hyperstab.errors import GridMismatch
-from hyperstab.signals import (Signal, read_trace_csv, read_trace_signals, signals_from_trace,
+from hyperstab.signals import (read_trace_csv, read_trace_signals, signals_from_trace,
                                write_trace_csv)
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from hyperstab import harness
 from hyperstab.corpus import bundled_corpus_path, load_corpus
-from hyperstab.devices import DeviceKind, DeviceSpec, apply_device
+from hyperstab.devices import DeviceSpec, apply_device
 from hyperstab.errors import (
     AlgebraicLoopNoConvergence,
     DimensionMismatch,
@@ -316,7 +316,27 @@ STEPPING_PLANTS = {
     (2, 1): ([3.0, 3.0, 1.0], [2.0, 3.0, 1.0]),
     (3, 0): ([1.0, 1.0, 1.0], [6.0, 11.0, 6.0, 1.0]),
     (3, 1): ([7.0, 12.0, 7.0, 1.0], [6.0, 11.0, 6.0, 1.0]),
+    (4, 0): ([0.1875, 0.575, 0.45, 0.1], [24.0, 50.0, 35.0, 10.0, 1.0]),
+    (4, 1): ([6.5625, 22.0, 21.5, 8.0, 1.0], [24.0, 50.0, 35.0, 10.0, 1.0]),
+    (5, 0): ([0.65625, 2.2, 2.15, 0.8, 0.1], [120.0, 274.0, 225.0, 85.0, 15.0, 1.0]),
+    (5, 1): ([29.53125, 105.5625, 118.75, 57.5, 12.5, 1.0],
+             [120.0, 274.0, 225.0, 85.0, 15.0, 1.0]),
 }
+
+
+def assert_matches_forced_plant(run, ss):
+    """The run's output is the plant's forced response to its recorded u,
+    within the Newton solve's tolerance, and u and v follow from y."""
+    assert run.diverged_at is None
+    y = run.y.values
+    ref = simulate_forced(ss, run.u, run.scenario.x0).values
+    # relative to the scale the Newton solve stops at: 1 + |C x| + |D e|
+    scale = 1.0 + np.abs(ref - ss.D * run.u.values) + np.abs(ss.D * run.e.values)
+    assert np.all(np.abs(y - ref) <= 2.0 * NEWTON_TOL * scale)
+    assert np.array_equal(run.u.values, run.e.values - run.v.values)
+    device = run.scenario.device
+    v = [apply_device(device, yk, tk) for yk, tk in zip(y, run.y.times())]
+    assert np.array_equal(run.v.values, v)
 
 
 class TestSteppingLoop:
@@ -334,16 +354,31 @@ class TestSteppingLoop:
         x0 = tuple(0.5 * (i + 1) for i in range(order))
         sc = Scenario(plant=g, device=device, x0=x0,
                       excitation=Excitation(1.5, 0.3), dt=1e-2, horizon=3.0)
-        run = run_closed_loop(sc)
-        assert run.diverged_at is None
-        y = run.y.values
-        ref = simulate_forced(ss, run.u, x0).values
-        # relative to the scale the Newton solve stops at: 1 + |C x| + |D e|
-        scale = 1.0 + np.abs(ref - ss.D * run.u.values) + np.abs(ss.D * run.e.values)
-        assert np.all(np.abs(y - ref) <= 2.0 * NEWTON_TOL * scale)
-        assert np.array_equal(run.u.values, run.e.values - run.v.values)
-        v = [apply_device(device, yk, tk) for yk, tk in zip(y, run.y.times())]
-        assert np.array_equal(run.v.values, v)
+        assert_matches_forced_plant(run_closed_loop(sc), ss)
+
+    def test_one_compiled_kernel_serves_every_plant_of_an_order(self, monkeypatch):
+        # the kernel's source holds the plant order, not its coefficients: two
+        # order-4 plants, one with D = 0 and one without, compile it once
+        compiled = []
+
+        def counting_compile(source, filename, mode):
+            compiled.append(filename)
+            return compile(source, filename, mode)
+
+        monkeypatch.setattr(harness, "_STEP_KERNELS", {})
+        monkeypatch.setattr(harness, "compile", counting_compile, raising=False)
+        device = DeviceSpec(kind="CubicOddPower", params={"p": 3})
+        kernels = []
+        for feedthrough in (0, 1):
+            g = ratfun_new(*STEPPING_PLANTS[4, feedthrough])
+            sc = Scenario(plant=g, device=device, x0=(0.5, 1.0, 1.5, 2.0),
+                          excitation=Excitation(1.5, 0.3), dt=1e-2, horizon=3.0)
+            run = run_closed_loop(sc)
+            assert run.kernel == ("newton" if feedthrough else "loop")
+            assert_matches_forced_plant(run, realize(g))
+            kernels.append(harness._STEP_KERNELS[4])
+        assert compiled == ["<step kernel, order 4>"]
+        assert kernels[0] is kernels[1] and list(harness._STEP_KERNELS) == [4]
 
 
 AFFINE_DEVICES = [

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hyperstab.errors import DimensionMismatch, ImproperTransferFunction
+from hyperstab.errors import DimensionMismatch
 from hyperstab.ltisim import (
     ImpulseResponse,
     convolve,

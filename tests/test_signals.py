@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hyperstab import signals
 from hyperstab.errors import GridMismatch, TimeOutOfRange
 from hyperstab.signals import (
-    EnergyTrace,
     Signal,
     TaxonomyLabel,
     classify_taxonomy,
