@@ -4,7 +4,10 @@ Every device maps the plant output y to its own output v. Each device kind has
 one entry in ``_LAWS``: it reads and checks the kind's parameters once, when
 the ``DeviceSpec`` is built, and returns the kind's ``DeviceLaw``. Evaluation
 (``apply_device``, the closed-loop runner), the Popov declaration and the
-device audit all read that one law.
+device audit all read that one law, and each kind has one rule in it: the
+static sector, the time-varying gain and the pulse are affine in y with
+time-varying coefficients, evaluated on a whole time grid; the odd power, the
+relay and the deadzone are time-invariant maps of y alone.
 
 The quadrant devices (static sector, odd power, time-varying gain, deadzone,
 relay) guarantee v*y >= 0 pointwise, hence a zero Popov constant. The
@@ -47,17 +50,18 @@ class PopovDeclaration(str, enum.Enum):
 
 @dataclass(frozen=True)
 class DeviceLaw:
-    """One device kind with its parameters bound.
+    """One device kind with its parameters bound, by exactly one rule.
 
-    ``f(y, t)`` is the map v = F(y, t) at one sample. ``affine`` is
-    ``(gain(t), offset(t))`` when F(y, t) = gain(t)*y + offset(t), otherwise
-    None: both take the whole time grid as an array and return a new array
-    with one value per sample, so the closed loop can be stepped as a linear
-    recurrence, and ``f`` is built from them (``_affine``). ``injection`` is
-    the pulse's ``(t_start, t_end)`` interval, None for quadrant devices.
+    ``affine`` is ``(gain(t), offset(t))`` when F(y, t) = gain(t)*y +
+    offset(t): both take the whole time grid as an array and return a new
+    array with one value per sample, so the closed loop can be stepped as a
+    linear recurrence. Otherwise ``affine`` is None and ``f(y)`` is the
+    time-invariant map v = F(y) at one sample; ``f`` is None for the affine
+    kinds. ``injection`` is the pulse's ``(t_start, t_end)`` interval, None
+    for quadrant devices.
     """
 
-    f: Callable[[float, float], float]
+    f: Callable[[float], float] | None
     affine: tuple[Callable[[np.ndarray], np.ndarray],
                   Callable[[np.ndarray], np.ndarray]] | None
     declared: PopovDeclaration
@@ -92,21 +96,10 @@ def _zeros(t: np.ndarray) -> np.ndarray:
     return np.zeros(t.shape)
 
 
-def _affine(gains, offsets, declared: PopovDeclaration,
-            injection: tuple[float, float] | None = None) -> DeviceLaw:
-    """The law v = gain(t)*y + offset(t), with ``f`` read off the same array
-    rules at one sample, as the loop's scan records v."""
-    def f(y: float, t: float) -> float:
-        at = np.array([t])
-        return float(gains(at)[0] * y + offsets(at)[0])
-
-    return DeviceLaw(f, (gains, offsets), declared, injection)
-
-
 def _static_sector(params: dict) -> DeviceLaw:
     _, k = _sector(params)
-    return _affine(lambda t: np.full(t.shape, k), _zeros,
-                   PopovDeclaration.ALWAYS_ZERO_GAMMA)
+    return DeviceLaw(None, (lambda t: np.full(t.shape, k), _zeros),
+                     PopovDeclaration.ALWAYS_ZERO_GAMMA)
 
 
 def _deadzone_sector(params: dict) -> DeviceLaw:
@@ -121,7 +114,7 @@ def _deadzone_sector(params: dict) -> DeviceLaw:
     # sector response applies to y itself outside the zone, so the map jumps
     # at |y| = deadzone; pair with strictly proper plants (D = 0) when loop
     # well-posedness matters
-    return DeviceLaw(lambda y, t: 0.0 if abs(y) <= dz else k * y, None,
+    return DeviceLaw(lambda y: 0.0 if abs(y) <= dz else k * y, None,
                      PopovDeclaration.ALWAYS_ZERO_GAMMA)
 
 
@@ -131,7 +124,7 @@ def _cubic_odd_power(params: dict) -> DeviceLaw:
         raise InvalidParams(f"exponent must be an odd integer >= 1, got {p}")
     exp = int(p)
 
-    def f(y: float, t: float) -> float:
+    def f(y: float) -> float:
         try:
             return y ** exp
         except OverflowError:  # past the float range, as numpy's power gives
@@ -160,14 +153,14 @@ def _time_varying_gain(params: dict) -> DeviceLaw:
         with np.errstate(over="ignore"):
             return arr[np.minimum(t / sdt, last).astype(np.intp)]
 
-    return _affine(gains, _zeros, PopovDeclaration.ALWAYS_ZERO_GAMMA)
+    return DeviceLaw(None, (gains, _zeros), PopovDeclaration.ALWAYS_ZERO_GAMMA)
 
 
 def _relay(params: dict) -> DeviceLaw:
     a = _number(params, "amplitude", 0.0)
     if a <= 0:
         raise InvalidParams("relay amplitude must be positive")
-    return DeviceLaw(lambda y, t: a if y > 0.0 else (-a if y < 0.0 else 0.0), None,
+    return DeviceLaw(lambda y: a if y > 0.0 else (-a if y < 0.0 else 0.0), None,
                      PopovDeclaration.ALWAYS_ZERO_GAMMA)
 
 
@@ -185,7 +178,8 @@ def _regenerative_pulse(params: dict) -> DeviceLaw:
 
     # the pulse injects a bounded amount of energy by construction, so a
     # finite Popov constant always exists
-    return _affine(_zeros, offsets, PopovDeclaration.FINITE_GAMMA, injection=(t0, t1))
+    return DeviceLaw(None, (_zeros, offsets), PopovDeclaration.FINITE_GAMMA,
+                     injection=(t0, t1))
 
 
 _LAWS: dict[DeviceKind, Callable[[dict], DeviceLaw]] = {
@@ -225,8 +219,14 @@ def sampled_gain(fn, duration: float, sample_dt: float) -> dict:
 
 
 def apply_device(spec: DeviceSpec, y: float, t: float) -> float:
-    """Evaluate v = F(y, t)."""
-    return spec.law.f(y, t)
+    """Evaluate v = F(y, t) by the kind's one rule; an affine law is read at
+    the one sample t, as the loop's scan records v."""
+    law = spec.law
+    if law.affine is None:
+        return law.f(y)
+    gains, offsets = law.affine
+    at = np.array([t])
+    return float(gains(at)[0] * y + offsets(at)[0])
 
 
 @dataclass(frozen=True)

@@ -4,20 +4,22 @@ The loop is ``u = e - F(y)`` around a realized plant, stepped with the exact
 zero-order-hold discretization at every plant order, zero included, with the
 overflow guard on y at every sample. ``_simulate`` builds the loop record: the
 time grid and the excitation e once, then u = e - v and the divergence time
-from the samples the kernel keeps. There are two kernels; each returns y and v.
+from the samples the kernel keeps. There are two kernels, one for each kind
+of device law (``DeviceLaw`` has exactly one rule); each returns y and v.
 
 * Affine devices, ``F(y, t) = g(t) y + o(t)`` (static sector, time-varying
   gain, regenerative pulse), make each step one affine map of the state, with
   the algebraic loop ``y = C x + D (e - F(y))`` solved in closed form. The
   whole trajectory comes from a blocked scan: prefix increments of the steps
   of a block of SCAN_BLOCK samples, then one product per block.
-* Any other device is stepped one sample at a time, by a loop compiled once
-  per plant order that holds the state and the coefficients in local floats
-  and writes ``c = C x`` and ``x' = Ad x + Bd u`` out term by term. Plants of
+* The time-invariant devices ``v = f(y)`` (odd power, relay, deadzone) are
+  stepped one sample at a time, by a loop compiled once per plant order that
+  holds the state and the coefficients in local floats and writes ``c = C x``
+  and ``x' = Ad x + Bd u`` out term by term; no time enters it. Plants of
   relative degree zero have direct feedthrough, so each step solves
-  ``y = c + D (e - F(y))`` by secant steps inside a bracket, started from the
+  ``y = c + D (e - f(y))`` by secant steps inside a bracket, started from the
   previous output. For monotone devices and ``D > 0`` the residual
-  ``phi(y) = y - c - D (e - F(y))`` has ``phi' >= 1``, so the root is unique
+  ``phi(y) = y - c - D (e - f(y))`` has ``phi' >= 1``, so the root is unique
   and lies within ``|phi(y0)|`` of the start y0, which brackets it before the
   first secant step. With ``D < 0`` phi may fall through the root, so the
   bracket is walked either way; the root reached from the previous output is
@@ -257,9 +259,9 @@ class SimulationRun:
     solve_evaluations: np.ndarray | None = None
 
 
-def _solve_output(c: float, D: float, e: float, f: Callable[[float, float], float],
-                  t: float, y: float, step_index: int) -> tuple[float, int]:
-    """Root of phi(y) = y - c - D*(e - f(y, t)) reached from the start ``y``.
+def _solve_output(c: float, D: float, e: float, f: Callable[[float], float],
+                  y: float, step_index: int) -> tuple[float, int]:
+    """Root of phi(y) = y - c - D*(e - f(y)) reached from the start ``y``.
 
     Returns the root and the number of device calls spent on it. For D > 0
     and a nondecreasing f, phi' >= 1: the root is unique (I + D F is strongly
@@ -275,7 +277,7 @@ def _solve_output(c: float, D: float, e: float, f: Callable[[float, float], floa
     """
     scale = 1.0 + abs(c) + abs(D * e)
     tol = NEWTON_TOL * scale
-    r = y - c - D * (e - f(y, t))
+    r = y - c - D * (e - f(y))
     calls = 1
     if abs(r) <= tol:
         return y, calls
@@ -290,7 +292,7 @@ def _solve_output(c: float, D: float, e: float, f: Callable[[float, float], floa
     step = abs(r)
     near, r_near = y, r
     far = y + sign * step
-    r_far = far - c - D * (e - f(far, t))
+    r_far = far - c - D * (e - f(far))
     calls += 1
     if abs(r_far) <= tol:
         return far, calls
@@ -307,7 +309,7 @@ def _solve_output(c: float, D: float, e: float, f: Callable[[float, float], floa
                 f"no bracket at step {step_index}, residual {r_far}"
             )
         far = near + sign * step
-        r_far = far - c - D * (e - f(far, t))
+        r_far = far - c - D * (e - f(far))
         calls += 1
     # r is phi oriented to rise across the bracket: negative at lo
     orient = 1.0 if sign * r < 0.0 else -1.0
@@ -330,7 +332,7 @@ def _solve_output(c: float, D: float, e: float, f: Callable[[float, float], floa
                 trial = 0.5 * (lo + hi)
         oldest, older, old = older, old, hi - lo
         y_old, r_old, y = y, r, trial
-        r = orient * (y - c - D * (e - f(y, t)))
+        r = orient * (y - c - D * (e - f(y)))
         calls += 1
         if abs(r) <= tol:
             return y, calls
@@ -452,20 +454,19 @@ def _scan_affine(sc: Scenario, ss, ad: np.ndarray, bd: np.ndarray,
 # state, and C, Bd and Ad arrive in one tuple that is unpacked into c*, b* and
 # a*_* once per run. The text depends on n alone; no scenario value enters it.
 _STEP_SOURCE = """\
-def step(e, x, coefficients, dt, D, f, solve, guard, push_y, push_v, push_calls):
+def step(e, x, coefficients, D, f, solve, guard, push_y, push_v, push_calls):
     ({state}) = x
     ({names}) = coefficients
     for k, ek in enumerate(e):
-        t = k * dt
         c = {output}
         if D == 0.0:
             yk = c
         else:
-            yk, calls = solve(c, D, ek, f, t, yk if k else c + D * ek, k)
+            yk, calls = solve(c, D, ek, f, yk if k else c + D * ek, k)
             push_calls(calls)
         if yk > guard or yk < -guard or yk != yk:
             break
-        vk = f(yk, t)
+        vk = f(yk)
         uk = ek - vk
         push_y(yk)
         push_v(vk)
@@ -515,7 +516,7 @@ def _step_loop(sc: Scenario, ss, ad: np.ndarray, bd: np.ndarray, e: np.ndarray):
     D = ss.D
     y_buf, v_buf, calls_buf = array("d"), array("d"), array("H")
     step = _step_kernel(ss.order)
-    step(memoryview(e), sc.x0, coefficients, sc.dt, D, sc.device.law.f, _solve_output,
+    step(memoryview(e), sc.x0, coefficients, D, sc.device.law.f, _solve_output,
          OVERFLOW_GUARD, y_buf.append, v_buf.append, calls_buf.append)
     if v_buf and not math.isfinite(v_buf[-1]):
         # the device output left the float range; only the last sample can

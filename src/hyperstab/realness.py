@@ -99,12 +99,6 @@ class PRClassification:
 
 # --- exact polynomials: integer coefficient lists, ascending powers ----------
 
-def _trim(p: list[int]) -> list[int]:
-    while len(p) > 1 and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
 def _mul(a: list[int], b: list[int]) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
@@ -117,7 +111,7 @@ def _lin(a: list[int], ka: int, b: list[int], kb: int) -> list[int]:
     """ka*a - kb*b."""
     n = max(len(a), len(b))
     a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
-    return _trim([ka * x - kb * y for x, y in zip(a, b)])
+    return _trimseq([ka * x - kb * y for x, y in zip(a, b)])
 
 
 def _deriv(p: list[int]) -> list[int]:
@@ -144,7 +138,7 @@ def _pdivmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
         for i, bi in enumerate(b):
             r[k + i] -= m * bi
         r.pop()
-    return q, _trim(r or [0])
+    return q, _trimseq(r or [0])
 
 
 def _sturm(p: list[int]) -> list[list[int]]:
@@ -214,7 +208,7 @@ def _real_part_polys(g: RationalFunction) -> tuple[list[int], list[int]]:
     den_neg = [c if k % 2 == 0 else -c for k, c in enumerate(den)]
 
     def even(p):
-        return _trim([c if i % 2 == 0 else -c for i, c in enumerate(p[::2])])
+        return _trimseq([c if i % 2 == 0 else -c for i, c in enumerate(p[::2])])
 
     return even(_mul(num, den_neg)), even(_mul(den, den_neg))
 

@@ -106,7 +106,9 @@ class Signal:
 
     def index_of(self, t: float) -> int:
         """Grid index of time t (snapped to the nearest sample)."""
-        k = int(round(t / self.dt))
+        r = t / self.dt
+        # a time with no finite grid position (nan, inf) lies past the end
+        k = int(round(r)) if math.isfinite(r) else self.values.size
         if t < -1e-12 or k > self.values.size - 1:
             if abs(t - self.duration) <= 1e-9 * max(1.0, self.duration):
                 return self.values.size - 1

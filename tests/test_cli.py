@@ -276,6 +276,8 @@ class TestAudit:
 
     @pytest.mark.parametrize("text, message", [
         ("", "empty trace file"),
+        ("t,u,y\n", "trace file has no rows"),
+        ("t,u,y\n\n\n", "trace file has no rows"),
         ("t,u,y\n0,1\n0.001,1\n", "2 cells, the header names 3"),
         ("u,y\n0,1\n1,1\n", "no t column"),
         ("t,u,y\n0,1,1\n", "at least two rows"),

@@ -90,10 +90,20 @@ class TestApplyDevice:
             v = apply_device(spec, 0.0, 3.21)
             assert v == 0.0
 
-    def test_non_affine_kinds_have_no_affine_law(self):
-        for kind, params in (("CubicOddPower", {"p": 3}), ("Relay", {"amplitude": 1.0}),
-                             ("DeadzoneSector", {"k2": 1.0, "deadzone": 0.1})):
-            assert DeviceSpec(kind=kind, params=params).law.affine is None
+    def test_each_kind_has_exactly_one_rule(self):
+        # the affine kinds are read on a time grid, the others from y alone
+        pulse = DeviceSpec(kind=DeviceKind.REGENERATIVE_PULSE,
+                           params={"t_start": 1.0, "t_end": 2.0, "rate": 0.7})
+        specs = {spec.kind: spec for spec in (*quadrant_devices(), pulse)}
+        assert set(specs) == set(DeviceKind)
+        for spec in specs.values():
+            law = spec.law
+            assert (law.f is None) != (law.affine is None)
+            if law.f is not None:
+                assert law.f(-0.5) == apply_device(spec, -0.5, 7.0)
+        affine = {kind for kind, spec in specs.items() if spec.law.affine is not None}
+        assert affine == {DeviceKind.STATIC_SECTOR, DeviceKind.TIME_VARYING_GAIN,
+                          DeviceKind.REGENERATIVE_PULSE}
 
 
 class TestFrozenParams:

@@ -113,38 +113,36 @@ class TestScenarioValidation:
 class TestAlgebraicLoop:
     def test_solve_output_linear(self):
         # y = c + D(e - k y) -> y = (c + D e)/(1 + D k)
-        y, _ = _solve_output(1.0, 1.0, 0.0, lambda yy, t: yy, 0.0, 1.0, 0)
+        y, _ = _solve_output(1.0, 1.0, 0.0, lambda yy: yy, 1.0, 0)
         assert y == pytest.approx(0.5, abs=1e-12)
 
     def test_solve_output_cubic(self):
         # y + D y^3 = c with c = 2, D = 1: root of y^3 + y - 2 = 0 is y = 1
-        y, _ = _solve_output(2.0, 1.0, 0.0, lambda yy, t: yy**3, 0.0, 2.0, 0)
+        y, _ = _solve_output(2.0, 1.0, 0.0, lambda yy: yy**3, 2.0, 0)
         assert y == pytest.approx(1.0, abs=1e-10)
 
     def test_solve_output_relay(self):
         # y = c - D*a*sign(y): c = 2, D = 1, a = 1 -> y = 1
         y, _ = _solve_output(2.0, 1.0, 0.0,
-                             lambda yy, t: 1.0 if yy > 0 else (-1.0 if yy < 0 else 0.0),
-                             0.0, 2.0, 0)
+                             lambda yy: 1.0 if yy > 0 else (-1.0 if yy < 0 else 0.0),
+                             2.0, 0)
         assert y == pytest.approx(1.0, abs=1e-9)
 
     def test_newton_path_matches_affine_path(self):
-        # the same sector device through the exact affine solve and through
-        # the generic Newton solve must give identical trajectories
-        sector = unit_sector()
-        sc = sspr_scenario(horizon=2.0)
-        run_affine = run_closed_loop(sc)
-
-        y_solutions = []
-        c_vals = []
-        D = 1.0
-        for k in range(5):
-            c = 0.3 * (k + 1)
-            c_vals.append(c)
-            y_solutions.append(_solve_output(c, D, 0.0, lambda yy, t: yy, 0.0, c, k)[0])
-        for c, y in zip(c_vals, y_solutions):
-            assert y == pytest.approx(c / 2.0, abs=1e-12)
-        assert run_affine.verdict in (Verdict.ASYMPTOTIC, Verdict.HYPERSTABLE)
+        # the unit sector's loop through the affine scan's closed-form solve,
+        # and its law v = y, given here as a scalar law, through the generic
+        # root solve: started from the previous output, each solve of
+        # y = c + D (e - y), with c = y - D u, gives the recorded output
+        run = run_closed_loop(sspr_scenario(horizon=2.0))
+        assert run.kernel == "scan"
+        D = realize(run.scenario.plant).D
+        y, e = run.y.values, run.e.values
+        c = y - D * run.u.values
+        for k in range(1, len(y)):
+            yk, _ = _solve_output(c[k], D, e[k], lambda yy: yy, y[k - 1], k)
+            scale = 1.0 + abs(c[k]) + abs(D * e[k])
+            assert abs(yk - y[k]) <= 2.0 * NEWTON_TOL * scale
+        assert run.verdict in (Verdict.ASYMPTOTIC, Verdict.HYPERSTABLE)
 
     def test_loop_algebra_exact(self):
         run = run_closed_loop(sspr_scenario(horizon=5.0))
@@ -155,8 +153,8 @@ class TestAlgebraicLoop:
         # solution for 0 < e < 1, and the solver must say so
         with pytest.raises(AlgebraicLoopNoConvergence):
             _solve_output(0.5, 1.0, 0.0,
-                          lambda yy, t: 1.0 if yy > 0 else (-1.0 if yy < 0 else 0.0),
-                          0.0, 0.5, 0)
+                          lambda yy: 1.0 if yy > 0 else (-1.0 if yy < 0 else 0.0),
+                          0.5, 0)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -184,20 +182,20 @@ class TestAlgebraicLoop:
         f = DeviceSpec(kind=kind, params=params).law.f
         calls = []
 
-        def device(yy, t):
+        def device(yy):
             calls.append(yy)
-            return f(yy, t)
+            return f(yy)
 
         b = c + D * e
         assume(all(abs(abs(b) - edge) > 1e-6 for edge in gap))
         try:
-            y, spent = _solve_output(c, D, e, device, 0.0, y0, 0)
+            y, spent = _solve_output(c, D, e, device, y0, 0)
         except AlgebraicLoopNoConvergence:
             assert gap[0] < abs(b) < gap[1]
             return
         assert not gap[0] < abs(b) < gap[1]
         scale = 1.0 + abs(c) + abs(D * e)
-        assert abs(y - c - D * (e - f(y, 0.0))) <= NEWTON_TOL * scale
+        assert abs(y - c - D * (e - f(y))) <= NEWTON_TOL * scale
         assert spent == len(calls)
         lo, hi = min(calls[:2]), max(calls[:2])
         assert all(lo <= yy <= hi for yy in calls[2:])
@@ -214,9 +212,9 @@ class TestAlgebraicLoop:
         rng = np.random.default_rng(7)
         draws += rng.uniform([1e-3, -20, -2, -300], [20, 20, 2, 300], (3000, 4)).tolist()
         for D, c, e, y0 in draws:
-            y, calls = _solve_output(c, D, e, f, 0.0, y0, 0)
+            y, calls = _solve_output(c, D, e, f, y0, 0)
             scale = 1.0 + abs(c) + abs(D * e)
-            assert abs(y - c - D * (e - f(y, 0.0))) <= 1e-9 * scale
+            assert abs(y - c - D * (e - f(y))) <= 1e-9 * scale
             assert calls < 2**16
 
     def test_output_row_past_the_float_range_raises(self):
@@ -260,11 +258,11 @@ class TestAlgebraicLoop:
         # and at the first bisection point after it
         f = self.deadzone_through_negative_feedthrough(3.0, None).device.law.f
         for y in (1.080863910568919e17, 7.642862007030925e16):
-            assert y - 6.0 - (-1.0) * (0.0 - f(y, 0.0)) == 0.0
+            assert y - 6.0 - (-1.0) * (0.0 - f(y)) == 0.0
         with pytest.raises(AlgebraicLoopNoConvergence, match="no bracket at step 7,"):
-            _solve_output(6.0, -1.0, 0.0, f, 0.0, 6.0, 7)
+            _solve_output(6.0, -1.0, 0.0, f, 6.0, 7)
         # with c = 0.2 the root y = c lies in the zone
-        y, _ = _solve_output(0.2, -1.0, 0.0, f, 0.0, 0.45, 7)
+        y, _ = _solve_output(0.2, -1.0, 0.0, f, 0.45, 7)
         assert y == pytest.approx(0.2, abs=1e-12)
 
     def test_relay_raises_at_the_step_with_no_root(self):

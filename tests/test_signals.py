@@ -74,8 +74,16 @@ class TestInnerProduct:
             inner_product(const(1.0, dt=1e-3), const(1.0, dt=2e-3), 0.5)
 
     def test_time_out_of_range(self):
-        with pytest.raises(TimeOutOfRange):
-            inner_product(const(1.0), const(1.0), 2.0)
+        # a time past the record, and the times with no grid position
+        u = const(1.0)
+        zero = Signal(u.dt, np.zeros(len(u)))
+        for t in (2.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(TimeOutOfRange):
+                inner_product(u, u, t)
+            with pytest.raises(TimeOutOfRange):
+                u.truncate(t)
+            with pytest.raises(TimeOutOfRange):
+                energy_balance_residual(u, u, zero, zero, t)
 
     def test_truncate_needs_two_samples(self):
         with pytest.raises(TimeOutOfRange):
@@ -367,6 +375,13 @@ class TestTraceRoundTrip:
             path.write_text(text + tail)
             assert np.array_equal(read_trace_signals(path, ("u",))["u"].values, u)
             assert np.array_equal(read_trace_csv(path)["t"], t)
+
+    def test_columns_of_unequal_length_rejected(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        with pytest.raises(ValueError, match="all of one length"):
+            write_trace_csv(path, {"t": DT * np.arange(3), "u": np.ones(2)})
+        with pytest.raises(ValueError, match="at least one column"):
+            write_trace_csv(path, {})
 
     def test_non_uniform_grid_rejected(self, tmp_path):
         path = tmp_path / "trace.csv"
