@@ -6,10 +6,14 @@
 
 For each closed loop it records SHA-256 hashes of u, y, v, e, the trace energy
 E, the zero-state energy E_op and each lower trace of the bound-chain audit, the
-kernel name and the text of report.json, or the error a run raises. The loops
-are the bundled demos (the integrator demo replaced by the benchmark's shorter
-copy in perfbench/scenarios) and every ``affine_loops`` and ``nonlinear_loops``
-case of the benchmark generator (perfbench/gen.py) at each seed. For each demo
+kernel name and the text of report.json, or the error a run raises. Its
+``:outcome`` key holds what the run decided, not the values it recorded: the
+verdict, the divergence time, the record length, the kernel and the violation
+count of each chain, or the error's type and the step it names. A change that
+moves bits but no outcome differs in no ``:outcome`` key. The loops are the
+bundled demos (the integrator demo replaced by the benchmark's shorter copy in
+perfbench/scenarios) and every ``affine_loops`` and ``nonlinear_loops`` case
+of the benchmark generator (perfbench/gen.py) at each seed. For each demo
 it also writes the run's artifacts to a temporary directory and records the
 hash of traces.csv and what ``hyperstab audit`` and ``hyperstab parseval``
 print on it, run through ``cli.main`` in this process, and the same for each
@@ -18,8 +22,9 @@ malformed trace file of MALFORMED_TRACES: the error contract. For every
 report of ``classify_pr``, ``real_part_margin`` and the normalized
 coefficients, as exact JSON floats.
 
-``--diff`` prints each key whose value differs or that only one file has, and
-exits 1 when there is one.
+``--diff`` prints each key whose value differs or that only one file has, then
+the number of differing keys of each kind (``outcome``, ``y``, ``report``, ...,
+``grade`` for the grade keys), and exits 1 when there is one.
 """
 
 from __future__ import annotations
@@ -31,7 +36,9 @@ import importlib.util
 import io
 import json
 import os
+import re
 import sys
+from collections import Counter
 import tempfile
 from importlib import resources
 
@@ -65,6 +72,8 @@ def _run_keys(prefix: str, scenario: dict, out: dict):
         run = run_closed_loop(scenario_from_json_dict(scenario))
     except Exception as exc:  # noqa: BLE001 - the error text is the fingerprint
         out[f"{prefix}:error"] = f"{type(exc).__name__}: {exc}"
+        step = re.search(r"at step \d+", str(exc))
+        out[f"{prefix}:outcome"] = f"{type(exc).__name__} {step[0] if step else exc}"
         return None
     for name in ("u", "y", "v", "e"):
         out[f"{prefix}:{name}"] = _digest(getattr(run, name).values)
@@ -74,6 +83,11 @@ def _run_keys(prefix: str, scenario: dict, out: dict):
     for name, trace in (audit.lower.items() if audit else ()):
         out[f"{prefix}:lower:{name}"] = _digest(trace)
     out[f"{prefix}:kernel"] = run.kernel
+    out[f"{prefix}:outcome"] = json.dumps({
+        "verdict": run.verdict.value, "diverged_at": run.diverged_at,
+        "length": len(run.y), "kernel": run.kernel,
+        "chain_violations": audit.chain_violations if audit else None,
+    }, sort_keys=True)
     text = json.dumps(run_report(run), indent=2) + "\n"
     out[f"{prefix}:report"] = hashlib.sha256(text.encode()).hexdigest()
     return run
@@ -161,6 +175,14 @@ def fingerprints(seeds: list[int]) -> dict:
     return out
 
 
+def _kind(key: str) -> str:
+    """The kind of a key: what follows the run's prefix, or "grade"."""
+    parts = key.split(":")
+    if parts[0] in ("grade_batch", "corpus"):
+        return "grade"
+    return parts[3 if parts[0] in ("affine_loops", "nonlinear_loops") else 2]
+
+
 def diff(path_a: str, path_b: str) -> int:
     with open(path_a) as fh:
         a = json.load(fh)
@@ -170,6 +192,8 @@ def diff(path_a: str, path_b: str) -> int:
     for key in keys:
         print(f"{key}\n  {a.get(key, '<missing>')}\n  {b.get(key, '<missing>')}")
     print(f"{len(keys)} of {len(a.keys() | b.keys())} keys differ")
+    for kind, n in sorted(Counter(map(_kind, keys)).items()):
+        print(f"  {kind}: {n}")
     return 1 if keys else 0
 
 

@@ -28,7 +28,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import DeclarationViolated, InvalidParams
+from .errors import DeclarationViolated, InvalidParams, TimeOutOfRange
 from .signals import Signal, energy_trace
 
 QUADRANT_GAMMA_TOL = 1e-12
@@ -220,7 +220,10 @@ def sampled_gain(fn, duration: float, sample_dt: float) -> dict:
 
 def apply_device(spec: DeviceSpec, y: float, t: float) -> float:
     """Evaluate v = F(y, t) by the kind's one rule; an affine law is read at
-    the one sample t, as the loop's scan records v."""
+    the one sample t, as the loop's scan records v. Every kind takes a finite
+    t >= 0 only, the times of a run, and raises TimeOutOfRange otherwise."""
+    if not 0.0 <= t < math.inf:
+        raise TimeOutOfRange(f"device time t={t} must be finite and nonnegative")
     law = spec.law
     if law.affine is None:
         return law.f(y)

@@ -13,17 +13,23 @@ of device law (``DeviceLaw`` has exactly one rule); each returns y and v.
   whole trajectory comes from a blocked scan: prefix increments of the steps
   of a block of SCAN_BLOCK samples, then one product per block.
 * The time-invariant devices ``v = f(y)`` (odd power, relay, deadzone) are
-  stepped one sample at a time, by a loop compiled once per plant order that
-  holds the state and the coefficients in local floats and writes ``c = C x``
-  and ``x' = Ad x + Bd u`` out term by term; no time enters it. Plants of
-  relative degree zero have direct feedthrough, so each step solves
-  ``y = c + D (e - f(y))`` by secant steps inside a bracket, started from the
-  previous output. For monotone devices and ``D > 0`` the residual
-  ``phi(y) = y - c - D (e - f(y))`` has ``phi' >= 1``, so the root is unique
-  and lies within ``|phi(y0)|`` of the start y0, which brackets it before the
-  first secant step. With ``D < 0`` phi may fall through the root, so the
-  bracket is walked either way; the root reached from the previous output is
-  the one recorded.
+  stepped one sample at a time, by a loop compiled once per plant order and
+  feedthrough that holds the state and the coefficients in local floats and
+  writes ``c = C x`` and ``x' = Ad x + Bd u`` out term by term; no time
+  enters it. Plants of relative degree zero have direct feedthrough, so each
+  step solves ``y = c + D (e - f(y))``. For monotone devices and ``D > 0``
+  the residual ``phi(y) = y - c - D (e - f(y))`` has ``phi' >= 1``, so the
+  root is unique. From one step to the next phi changes by a constant only,
+  so the solve picks up where the last one left off: its first residual is
+  that of the previous output, from the previous device output, and up to
+  three secant steps follow with the last secant slope, about two device
+  calls a step in all. If they do not meet the stop rule, the bracketed
+  ``_solve_output`` takes over from the previous output: the root lies
+  within ``|phi(y0)|`` of the start y0, which brackets it before the first
+  secant step. Step 0, and every step with ``D < 0``, take the bracketed
+  solve alone. With ``D < 0`` phi may fall through the root, so the bracket
+  is walked either way; the root reached from the previous output is the
+  one recorded.
 
 Energy bookkeeping. The trace energy ``E_io(t) = <u, y>_t`` is the trapezoid
 of the recorded output, which the serialized CSV reproduces. The bound chains
@@ -241,8 +247,10 @@ class BoundChainAudit:
 class SimulationRun:
     """A completed run. ``kernel`` names the stepping path: "scan" for affine
     devices, "loop" for the others when D = 0, "newton" when D != 0. For
-    "newton", ``solve_evaluations[i]`` counts the steps whose root solve took
-    i device calls; it is None on the other paths."""
+    "newton", ``solve_evaluations[i]`` counts the steps whose root solve
+    evaluated the residual at i points; the first of them, the start, reuses
+    the previous step's device output, so a step after step 0 costs one
+    device call fewer. It is None on the other paths."""
 
     scenario: Scenario
     u: Signal
@@ -260,27 +268,29 @@ class SimulationRun:
 
 
 def _solve_output(c: float, D: float, e: float, f: Callable[[float], float],
-                  y: float, step_index: int) -> tuple[float, int]:
-    """Root of phi(y) = y - c - D*(e - f(y)) reached from the start ``y``.
+                  y: float, v: float, step_index: int) -> tuple[float, float, int]:
+    """Root of phi(y) = y - c - D*(e - f(y)) reached from the start ``y``,
+    where ``v = f(y)`` is already known.
 
-    Returns the root and the number of device calls spent on it. For D > 0
-    and a nondecreasing f, phi' >= 1: the root is unique (I + D F is strongly
-    monotone) and lies within |phi(y)| of the start, so the first trial point,
-    one residual away, brackets it. For D < 0 the root need not be unique, and
-    phi may fall through it; the one returned is the root reached from the
-    start, which the loop sets to the previous output. Secant steps through
-    the last two points refine the bracket; a step bisects instead whenever
-    the secant point leaves the bracket or three steps have not halved it,
-    and from step NEWTON_MAX_ITER on always, until the bracket closes to
-    1e-15 relative or is not finite. The count stays far below 2**16: the
-    walk takes at most 3 + 2*100 calls, and bisection halves asinh(y/scale).
+    Returns the root, its device output and the number of residuals evaluated,
+    the first of which reuses v. For D > 0 and a nondecreasing f, phi' >= 1:
+    the root is unique (I + D F is strongly monotone) and lies within |phi(y)|
+    of the start, so the first trial point, one residual away, brackets it.
+    For D < 0 the root need not be unique, and phi may fall through it; the
+    one returned is the root reached from the start, which the loop sets to
+    the previous output. Secant steps through the last two points refine the
+    bracket; a step bisects instead whenever the secant point leaves the
+    bracket or three steps have not halved it, and from step NEWTON_MAX_ITER
+    on always, until the bracket closes to 1e-15 relative or is not finite.
+    The count stays far below 2**16: the walk takes at most 3 + 2*100
+    residuals, and bisection halves asinh(y/scale).
     """
     scale = 1.0 + abs(c) + abs(D * e)
     tol = NEWTON_TOL * scale
-    r = y - c - D * (e - f(y))
+    r = y - c - D * (e - v)
     calls = 1
     if abs(r) <= tol:
-        return y, calls
+        return y, v, calls
     # walk away from y against the residual's sign until the residual flips;
     # the first step of |r| does so whenever phi' >= 1. After 100 doublings
     # without a flip, phi falls through the root: walk from y the other way.
@@ -292,10 +302,11 @@ def _solve_output(c: float, D: float, e: float, f: Callable[[float], float],
     step = abs(r)
     near, r_near = y, r
     far = y + sign * step
-    r_far = far - c - D * (e - f(far))
+    v = f(far)
+    r_far = far - c - D * (e - v)
     calls += 1
     if abs(r_far) <= tol:
-        return far, calls
+        return far, v, calls
     guard = 0
     while r_far * r > 0.0:
         guard += 1
@@ -309,7 +320,8 @@ def _solve_output(c: float, D: float, e: float, f: Callable[[float], float],
                 f"no bracket at step {step_index}, residual {r_far}"
             )
         far = near + sign * step
-        r_far = far - c - D * (e - f(far))
+        v = f(far)
+        r_far = far - c - D * (e - v)
         calls += 1
     # r is phi oriented to rise across the bracket: negative at lo
     orient = 1.0 if sign * r < 0.0 else -1.0
@@ -332,10 +344,11 @@ def _solve_output(c: float, D: float, e: float, f: Callable[[float], float],
                 trial = 0.5 * (lo + hi)
         oldest, older, old = older, old, hi - lo
         y_old, r_old, y = y, r, trial
-        r = orient * (y - c - D * (e - f(y)))
+        v = f(y)
+        r = orient * (y - c - D * (e - v))
         calls += 1
         if abs(r) <= tol:
-            return y, calls
+            return y, v, calls
         if r > 0.0:
             hi = y
         else:
@@ -343,11 +356,11 @@ def _solve_output(c: float, D: float, e: float, f: Callable[[float], float],
         if not hi - lo > 1e-15 * (1.0 + abs(y)):  # closed, or not finite
             break
     if abs(r) <= 1e-9 * scale:
-        return y, calls
+        return y, v, calls
     if not math.isfinite(c):
         # the state left the float range: return the output past the overflow
-        # guard, which ends the record as it does when D = 0
-        return c, calls
+        # guard, which ends the record as it does when D = 0, unrecorded
+        return c, math.nan, calls
     # a collapsed bracket with a large residual means the device response
     # jumps across the loop equation: no consistent output exists
     raise AlgebraicLoopNoConvergence(
@@ -452,34 +465,66 @@ def _scan_affine(sc: Scenario, ss, ad: np.ndarray, bd: np.ndarray,
 
 # The step loop for one plant order n, on local floats: x0..x(n-1) is the
 # state, and C, Bd and Ad arrive in one tuple that is unpacked into c*, b* and
-# a*_* once per run. The text depends on n alone; no scenario value enters it.
+# a*_* once per run. The text depends on n and on whether the plant has direct
+# feedthrough; no scenario value enters it.
 _STEP_SOURCE = """\
-def step(e, x, coefficients, D, f, solve, guard, push_y, push_v, push_calls):
+def step(e, x, coefficients, D, f, solve, tol, guard, push_y, push_v, push_calls):
     ({state}) = x
     ({names}) = coefficients
     for k, ek in enumerate(e):
         c = {output}
-        if D == 0.0:
-            yk = c
-        else:
-            yk, calls = solve(c, D, ek, f, yk if k else c + D * ek, k)
-            push_calls(calls)
-        if yk > guard or yk < -guard or yk != yk:
+{solve}        if yk > guard or yk < -guard or yk != yk:
             break
-        vk = f(yk)
-        uk = ek - vk
+{device}        uk = ek - vk
         push_y(yk)
         push_v(vk)
 {update}"""
 
-_STEP_KERNELS: dict[int, Callable] = {}
+# y = c + D (e - f(y)) at each step. With D > 0 the solve continues from the
+# previous step's output, device output and secant slope (phi changes by a
+# constant from step to step): up to three secant steps, each point accepted
+# by the bracketed solve's stop rule and its bound on |y|, then that solve
+# from the previous output. Step 0 and D < 0 take the bracketed solve alone.
+_FEEDTHROUGH_SOLVE = """\
+        if k and D > 0.0:
+            limit = tol * (1.0 + abs(c) + abs(D * ek))
+            y1, v1 = yk, vk
+            r1 = y1 - c - D * (ek - v1)
+            calls = 1
+            while not (abs(r1) <= limit and abs(y1) < limit * 2.0 ** 51):
+                if calls == 4:
+                    # its first residual is this step's first, again
+                    y1, v1, more = solve(c, D, ek, f, yk, vk, k)
+                    calls += more - 1
+                    break
+                y0, r0 = y1, r1
+                y1 = y0 - r0 / slope
+                v1 = f(y1)
+                r1 = y1 - c - D * (ek - v1)
+                calls += 1
+                if y1 != y0:
+                    secant = (r1 - r0) / (y1 - y0)
+                    if 1.0 <= secant < inf:
+                        slope = secant
+            yk, vk = y1, v1
+        else:
+            if not k:
+                yk = c + D * ek
+                vk = f(yk)
+                slope = 1.0  # phi' >= 1 when D > 0
+            yk, vk, calls = solve(c, D, ek, f, yk, vk, k)
+        push_calls(calls)
+"""
+
+_STEP_KERNELS: dict[tuple[int, bool], Callable] = {}
 
 
-def _step_kernel(n: int) -> Callable:
-    """The step loop for plant order n, compiled on its first use and kept in
-    ``_STEP_KERNELS`` for every later run of that order: compiling takes
-    about 0.3 ms, as long as a few hundred explicit steps."""
-    kernel = _STEP_KERNELS.get(n)
+def _step_kernel(n: int, feedthrough: bool) -> Callable:
+    """The step loop for plant order n, with or without direct feedthrough,
+    compiled on its first use and kept in ``_STEP_KERNELS`` for every later
+    run of that kind: compiling takes about 0.3 ms, as long as a few hundred
+    explicit steps."""
+    kernel = _STEP_KERNELS.get((n, feedthrough))
     if kernel is None:
         x = [f"x{j}" for j in range(n)]
         names = ([f"c{j}" for j in range(n)] + [f"b{i}" for i in range(n)]
@@ -490,11 +535,14 @@ def _step_kernel(n: int) -> Callable:
             state="".join(name + ", " for name in x),
             names="".join(name + ", " for name in names),
             output=" + ".join(["0.0"] + [f"c{j} * x{j}" for j in range(n)]),
+            solve=_FEEDTHROUGH_SOLVE if feedthrough else "        yk = c\n",
+            device="" if feedthrough else "        vk = f(yk)\n",
             update=f"        {', '.join(x)} = {', '.join(rows)}\n" if n else "",
         )
-        namespace: dict = {}
-        exec(compile(source, f"<step kernel, order {n}>", "exec"), namespace)
-        kernel = _STEP_KERNELS[n] = namespace["step"]
+        namespace: dict = {"inf": math.inf}
+        label = ", feedthrough" if feedthrough else ""
+        exec(compile(source, f"<step kernel, order {n}{label}>", "exec"), namespace)
+        kernel = _STEP_KERNELS[n, feedthrough] = namespace["step"]
     return kernel
 
 
@@ -502,22 +550,23 @@ def _step_loop(sc: Scenario, ss, ad: np.ndarray, bd: np.ndarray, e: np.ndarray):
     """y, v and solve effort of a loop stepped one sample at a time with
     excitation e, up to the first sample past the overflow guard.
 
-    The loop runs in ``_step_kernel(ss.order)``. Its output
+    The loop runs in ``_step_kernel(ss.order, ss.D != 0)``. Its output
     ``c = 0.0 + c0*x0 + c1*x1 + ...`` and state rows
     ``x_i' = b_i*u + a_i0*x0 + a_i1*x1 + ...`` add their terms left to right,
     the summation order of the row sums ``sum(map(mul, row, x), start)`` of a
     loop over lists of floats, so every record is bit for bit that loop's.
-    With D != 0 each step solves the loop equation from the previous output
-    (step 0 from c + D e); the effort is ``np.bincount`` of the device calls
-    per step's solve, None when D = 0.
+    With D != 0 each step solves the loop equation as ``_FEEDTHROUGH_SOLVE``
+    sets out; the device output of a step is the one its solve computed,
+    never evaluated again. The effort is ``np.bincount`` of the residuals
+    evaluated per step, None when D = 0.
     """
     coefficients = (*ss.C.reshape(-1).tolist(), *bd.reshape(-1).tolist(),
                     *ad.reshape(-1).tolist())
     D = ss.D
     y_buf, v_buf, calls_buf = array("d"), array("d"), array("H")
-    step = _step_kernel(ss.order)
+    step = _step_kernel(ss.order, D != 0.0)
     step(memoryview(e), sc.x0, coefficients, D, sc.device.law.f, _solve_output,
-         OVERFLOW_GUARD, y_buf.append, v_buf.append, calls_buf.append)
+         NEWTON_TOL, OVERFLOW_GUARD, y_buf.append, v_buf.append, calls_buf.append)
     if v_buf and not math.isfinite(v_buf[-1]):
         # the device output left the float range; only the last sample can
         # hold it, since the state is not finite after it
@@ -545,7 +594,8 @@ def _simulate(sc: Scenario, hold):
     the divergence time. Affine devices go through the blocked scan ("scan");
     any other device is stepped one sample at a time, explicitly when D = 0
     ("loop") and by the scalar root solve otherwise ("newton"). The solve
-    effort, a histogram of device calls per step, exists for "newton" only.
+    effort, a histogram of residual evaluations per step, exists for "newton"
+    only.
     """
     ss, _, phi, _ = hold
     if len(sc.x0) != ss.order:

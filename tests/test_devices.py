@@ -17,7 +17,8 @@ from hyperstab.devices import (
     device_popov_audit,
     sampled_gain,
 )
-from hyperstab.errors import DeclarationViolated, InvalidParams, SchemaError
+from hyperstab.errors import (DeclarationViolated, InvalidParams, SchemaError,
+                              TimeOutOfRange)
 from hyperstab.harness import scenario_from_json_dict
 from hyperstab.signals import Signal, energy_trace
 
@@ -76,6 +77,19 @@ class TestApplyDevice:
                               params={"samples": [0.5, 4.0], "sample_dt": sdt})
             assert apply_device(spec, 1.0, 0.0) == 0.5
             assert apply_device(spec, 1.0, 0.37) == 4.0
+
+    @pytest.mark.parametrize("t", [-1.5, -1e-300, math.nan, math.inf, -math.inf])
+    def test_time_outside_a_run_raises_for_every_kind(self, t):
+        # the gain table was read from its end at t = -1.5 (giving 3.0), and
+        # a nan t raised a bare RuntimeWarning; every kind shares the contract
+        table = DeviceSpec(kind="TimeVaryingGain",
+                           params={"samples": [1.0, 2.0, 3.0], "sample_dt": 1.0})
+        pulse = DeviceSpec(kind="RegenerativePulse",
+                           params={"t_start": 1.0, "t_end": 2.0, "rate": 0.7})
+        for spec in (*quadrant_devices(), table, pulse):
+            with pytest.raises(TimeOutOfRange, match="finite and nonnegative"):
+                apply_device(spec, 1.0, t)
+        assert apply_device(table, 1.0, -0.0) == 1.0
 
     def test_regenerative_pulse_window(self):
         spec = DeviceSpec(kind="RegenerativePulse",

@@ -4,9 +4,11 @@ import dataclasses
 import decimal
 import json
 import math
+import operator
 from importlib import resources
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -113,20 +115,21 @@ class TestScenarioValidation:
 class TestAlgebraicLoop:
     def test_solve_output_linear(self):
         # y = c + D(e - k y) -> y = (c + D e)/(1 + D k)
-        y, _ = _solve_output(1.0, 1.0, 0.0, lambda yy: yy, 1.0, 0)
+        y, v, _ = _solve_output(1.0, 1.0, 0.0, lambda yy: yy, 1.0, 1.0, 0)
         assert y == pytest.approx(0.5, abs=1e-12)
 
     def test_solve_output_cubic(self):
         # y + D y^3 = c with c = 2, D = 1: root of y^3 + y - 2 = 0 is y = 1
-        y, _ = _solve_output(2.0, 1.0, 0.0, lambda yy: yy**3, 2.0, 0)
+        y, v, _ = _solve_output(2.0, 1.0, 0.0, lambda yy: yy**3, 2.0, 8.0, 0)
         assert y == pytest.approx(1.0, abs=1e-10)
+        assert v == y**3
 
     def test_solve_output_relay(self):
         # y = c - D*a*sign(y): c = 2, D = 1, a = 1 -> y = 1
-        y, _ = _solve_output(2.0, 1.0, 0.0,
-                             lambda yy: 1.0 if yy > 0 else (-1.0 if yy < 0 else 0.0),
-                             2.0, 0)
-        assert y == pytest.approx(1.0, abs=1e-9)
+        y, v, _ = _solve_output(2.0, 1.0, 0.0,
+                                lambda yy: 1.0 if yy > 0 else (-1.0 if yy < 0 else 0.0),
+                                2.0, 1.0, 0)
+        assert y == pytest.approx(1.0, abs=1e-9) and v == 1.0
 
     def test_newton_path_matches_affine_path(self):
         # the unit sector's loop through the affine scan's closed-form solve,
@@ -139,7 +142,7 @@ class TestAlgebraicLoop:
         y, e = run.y.values, run.e.values
         c = y - D * run.u.values
         for k in range(1, len(y)):
-            yk, _ = _solve_output(c[k], D, e[k], lambda yy: yy, y[k - 1], k)
+            yk, _, _ = _solve_output(c[k], D, e[k], lambda yy: yy, y[k - 1], y[k - 1], k)
             scale = 1.0 + abs(c[k]) + abs(D * e[k])
             assert abs(yk - y[k]) <= 2.0 * NEWTON_TOL * scale
         assert run.verdict in (Verdict.ASYMPTOTIC, Verdict.HYPERSTABLE)
@@ -154,7 +157,7 @@ class TestAlgebraicLoop:
         with pytest.raises(AlgebraicLoopNoConvergence):
             _solve_output(0.5, 1.0, 0.0,
                           lambda yy: 1.0 if yy > 0 else (-1.0 if yy < 0 else 0.0),
-                          0.5, 0)
+                          0.5, 1.0, 0)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -189,13 +192,14 @@ class TestAlgebraicLoop:
         b = c + D * e
         assume(all(abs(abs(b) - edge) > 1e-6 for edge in gap))
         try:
-            y, spent = _solve_output(c, D, e, device, y0, 0)
+            y, v, spent = _solve_output(c, D, e, device, y0, device(y0), 0)
         except AlgebraicLoopNoConvergence:
             assert gap[0] < abs(b) < gap[1]
             return
         assert not gap[0] < abs(b) < gap[1]
         scale = 1.0 + abs(c) + abs(D * e)
         assert abs(y - c - D * (e - f(y))) <= NEWTON_TOL * scale
+        assert v == f(y)
         assert spent == len(calls)
         lo, hi = min(calls[:2]), max(calls[:2])
         assert all(lo <= yy <= hi for yy in calls[2:])
@@ -212,9 +216,9 @@ class TestAlgebraicLoop:
         rng = np.random.default_rng(7)
         draws += rng.uniform([1e-3, -20, -2, -300], [20, 20, 2, 300], (3000, 4)).tolist()
         for D, c, e, y0 in draws:
-            y, calls = _solve_output(c, D, e, f, y0, 0)
+            y, v, calls = _solve_output(c, D, e, f, y0, f(y0), 0)
             scale = 1.0 + abs(c) + abs(D * e)
-            assert abs(y - c - D * (e - f(y))) <= 1e-9 * scale
+            assert abs(y - c - D * (e - v)) <= 1e-9 * scale and v == f(y)
             assert calls < 2**16
 
     def test_output_row_past_the_float_range_raises(self):
@@ -260,9 +264,9 @@ class TestAlgebraicLoop:
         for y in (1.080863910568919e17, 7.642862007030925e16):
             assert y - 6.0 - (-1.0) * (0.0 - f(y)) == 0.0
         with pytest.raises(AlgebraicLoopNoConvergence, match="no bracket at step 7,"):
-            _solve_output(6.0, -1.0, 0.0, f, 6.0, 7)
+            _solve_output(6.0, -1.0, 0.0, f, 6.0, f(6.0), 7)
         # with c = 0.2 the root y = c lies in the zone
-        y, _ = _solve_output(0.2, -1.0, 0.0, f, 0.45, 7)
+        y, _, _ = _solve_output(0.2, -1.0, 0.0, f, 0.45, f(0.45), 7)
         assert y == pytest.approx(0.2, abs=1e-12)
 
     def test_relay_raises_at_the_step_with_no_root(self):
@@ -355,8 +359,9 @@ class TestSteppingLoop:
         assert_matches_forced_plant(run_closed_loop(sc), ss)
 
     def test_one_compiled_kernel_serves_every_plant_of_an_order(self, monkeypatch):
-        # the kernel's source holds the plant order, not its coefficients: two
-        # order-4 plants, one with D = 0 and one without, compile it once
+        # the kernel's source holds the plant order and whether D != 0, not
+        # the coefficients: four order-4 plants, two with D = 0 and two
+        # without, compile one kernel of each kind
         compiled = []
 
         def counting_compile(source, filename, mode):
@@ -368,15 +373,129 @@ class TestSteppingLoop:
         device = DeviceSpec(kind="CubicOddPower", params={"p": 3})
         kernels = []
         for feedthrough in (0, 1):
-            g = ratfun_new(*STEPPING_PLANTS[4, feedthrough])
-            sc = Scenario(plant=g, device=device, x0=(0.5, 1.0, 1.5, 2.0),
-                          excitation=Excitation(1.5, 0.3), dt=1e-2, horizon=3.0)
-            run = run_closed_loop(sc)
-            assert run.kernel == ("newton" if feedthrough else "loop")
-            assert_matches_forced_plant(run, realize(g))
-            kernels.append(harness._STEP_KERNELS[4])
-        assert compiled == ["<step kernel, order 4>"]
-        assert kernels[0] is kernels[1] and list(harness._STEP_KERNELS) == [4]
+            num, den = STEPPING_PLANTS[4, feedthrough]
+            for gain in (1.0, 0.5):
+                g = ratfun_new([gain * a for a in num], den)
+                sc = Scenario(plant=g, device=device, x0=(0.5, 1.0, 1.5, 2.0),
+                              excitation=Excitation(1.5, 0.3), dt=1e-2, horizon=3.0)
+                run = run_closed_loop(sc)
+                assert run.kernel == ("newton" if feedthrough else "loop")
+                assert_matches_forced_plant(run, realize(g))
+                kernels.append(harness._STEP_KERNELS[4, bool(feedthrough)])
+        assert compiled == ["<step kernel, order 4>", "<step kernel, order 4, feedthrough>"]
+        assert kernels[0] is kernels[1] and kernels[2] is kernels[3]
+        assert list(harness._STEP_KERNELS) == [(4, False), (4, True)]
+
+
+def recorded_outputs(sc, u):
+    """c_k = C x_k of each step of a loop driven by its recorded input u, in
+    the kernel's arithmetic: the output and state rows summed left to right
+    from 0.0 and from b*u."""
+    ss, _, phi, _ = _hold(sc)
+    C = ss.C.reshape(-1).tolist()
+    ad, bd = phi[:-2, :-2].tolist(), phi[:-2, -1].tolist()
+    x, c = list(sc.x0), []
+    for uk in u:
+        c.append(sum(map(operator.mul, C, x), 0.0))
+        x = [sum(map(operator.mul, row, x), b * uk) for row, b in zip(ad, bd)]
+    return c
+
+
+def solve_starts(run, c, f):
+    """Each step's start for ``_solve_output``, (y, f(y)): c + D e at step 0,
+    then the previous output and its device output."""
+    D, e = realize(run.scenario.plant).D, run.e.values
+    y0 = c[0] + D * e[0]
+    return [(y0, f(y0)), *zip(run.y.values[:-1], run.v.values[:-1])]
+
+
+def continued_solve_scenarios():
+    """Loops through plants with D > 0, drawn from a seed, one per device:
+    the odd powers 3 and 5 under a pulse, and a relay and a deadzone held by
+    a lasting excitation away from the band where the loop has no root."""
+    rng = np.random.default_rng(19)
+    devices = [
+        (DeviceSpec(kind="CubicOddPower", params={"p": 3}), Excitation(1.5, 0.4)),
+        (DeviceSpec(kind="CubicOddPower", params={"p": 5}), Excitation(-2.0, 0.7)),
+        (DeviceSpec(kind="Relay", params={"amplitude": 0.4}), Excitation(3.0, 5.0)),
+        (DeviceSpec(kind="DeadzoneSector", params={
+            "k1": 0.0, "k2": 2.0, "gain": 2.0, "deadzone": 0.2}), Excitation(3.0, 5.0)),
+    ]
+    scenarios = []
+    for device, excitation in devices:
+        for order in (1, 2):
+            # g = D + sum k_i/(s + p_i), positive real, with D in [0.5, 2]
+            D = float(rng.uniform(0.5, 2.0))
+            k, p = rng.uniform(0.5, 3.0, (2, order))
+            den = P.polyfromroots(-p)
+            num = D * den
+            for i in range(order):
+                num[:order] += k[i] * P.polyfromroots(np.delete(-p, i))
+            x0 = tuple(rng.uniform(0.5, 1.5, order).tolist())
+            scenarios.append(Scenario(plant=ratfun_new(num.tolist(), den.tolist()),
+                                      device=device, x0=x0,
+                                      excitation=excitation, dt=1e-3, horizon=2.0))
+    return scenarios
+
+
+class TestContinuedSolve:
+    @pytest.mark.parametrize("sc", continued_solve_scenarios(),
+                             ids=lambda sc: f"{sc.device.kind.value}-n{len(sc.x0)}")
+    def test_each_step_is_a_root_of_its_loop_equation(self, sc):
+        # with D > 0 each step continues the secant of the step before; every
+        # recorded output is the root the bracketed solve reaches from the
+        # previous output, within the stop rule on both sides, and its device
+        # output is the device's, computed once
+        f = sc.device.law.f
+        device_calls = []
+
+        def counting(y):
+            device_calls.append(y)
+            return f(y)
+
+        counted = dataclasses.replace(sc, device=DeviceSpec(sc.device.kind, sc.device.params))
+        object.__setattr__(counted.device.law, "f", counting)
+        run = run_closed_loop(counted)
+        assert run.kernel == "newton" and run.diverged_at is None
+        y, v, e, u = run.y.values, run.v.values, run.e.values, run.u.values
+        assert np.array_equal(v, [f(yk) for yk in y])
+        # one device call per residual but the first of each step after
+        # step 0, which reuses the previous step's device output
+        evaluations = run.solve_evaluations
+        assert evaluations.sum() == len(y)
+        assert len(device_calls) == evaluations @ np.arange(len(evaluations)) - (len(y) - 1)
+        assert evaluations[2:].sum() > len(y) // 2  # most steps took a secant step
+        D = realize(sc.plant).D
+        c = recorded_outputs(sc, u)
+        for k, start in enumerate(solve_starts(run, c, f)):
+            scale = 1.0 + abs(c[k]) + abs(D * e[k])
+            assert abs(y[k] - c[k] - D * (e[k] - v[k])) <= NEWTON_TOL * scale
+            again, _, _ = _solve_output(c[k], D, e[k], f, *start, k)
+            assert abs(again - y[k]) <= 2.0 * NEWTON_TOL * scale
+
+    @pytest.mark.parametrize("plant, device, x0", [
+        # a relay, whose loop equation has two roots while |c + D e| < |D| a,
+        # and odd powers, whose residual y - |D| y^p - (c + D e) falls for
+        # large |y|
+        (([0.5, -0.3], [1.0, 1.0]), DeviceSpec(kind="Relay", params={"amplitude": 0.5}),
+         (1.0,)),
+        (([1.0, -0.2], [1.0, 1.0]), DeviceSpec(kind="CubicOddPower", params={"p": 3}),
+         (1.2,)),
+        (([2.0, 0.5, -0.1], [2.0, 3.0, 1.0]),
+         DeviceSpec(kind="CubicOddPower", params={"p": 5}), (0.5, -0.4)),
+    ])
+    def test_negative_feedthrough_is_the_bracketed_solve(self, plant, device, x0):
+        # with D < 0 every step is _solve_output from the previous output:
+        # the record is the step-by-step bracketed solve's, bit for bit
+        sc = Scenario(plant=ratfun_new(*plant), device=device, x0=x0,
+                      excitation=Excitation(0.8, 0.5), dt=1e-3, horizon=3.0)
+        run = run_closed_loop(sc)
+        D, f = realize(sc.plant).D, device.law.f
+        assert run.kernel == "newton" and run.diverged_at is None and D < 0.0
+        y, v, e = run.y.values, run.v.values, run.e.values
+        c = recorded_outputs(sc, run.u.values)
+        for k, start in enumerate(solve_starts(run, c, f)):
+            assert _solve_output(c[k], D, e[k], f, *start, k)[:2] == (y[k], v[k])
 
 
 AFFINE_DEVICES = [
