@@ -2,7 +2,7 @@
 """Fingerprint every run and grade output, so that two builds can be compared bit for bit.
 
     PYTHONPATH=src python3 scripts/run_fingerprints.py --seeds 401 402 --out fp.json
-    PYTHONPATH=src python3 scripts/run_fingerprints.py --diff before.json after.json
+    python3 scripts/run_fingerprints.py --diff before.json after.json
 
 For each closed loop it records SHA-256 hashes of u, y, v, e, the trace energy
 E, the zero-state energy E_op and each lower trace of the bound-chain audit, the
@@ -22,9 +22,10 @@ malformed trace file of MALFORMED_TRACES: the error contract. For every
 report of ``classify_pr``, ``real_part_margin`` and the normalized
 coefficients, as exact JSON floats.
 
-``--diff`` prints each key whose value differs or that only one file has, then
-the number of differing keys of each kind (``outcome``, ``y``, ``report``, ...,
-``grade`` for the grade keys), and exits 1 when there is one.
+``--diff`` reads only the two files, not the package. It prints each key
+whose value differs or that only one file has, then the number of differing
+keys of each kind (``outcome``, ``y``, ``report``, ..., ``grade`` for the grade
+keys), and exits 1 when there is one.
 """
 
 from __future__ import annotations
@@ -43,11 +44,6 @@ import tempfile
 from importlib import resources
 
 import numpy as np
-
-from hyperstab import (RationalFunction, bundled_corpus_path, classify_pr, load_corpus,
-                       real_part_margin, run_closed_loop, scenario_from_json_dict)
-from hyperstab import cli
-from hyperstab.harness import run_report, write_run_artifacts
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -68,6 +64,7 @@ def _digest(values) -> str:
 
 def _run_keys(prefix: str, scenario: dict, out: dict):
     """Record the run's keys; returns the run, or None when it raises."""
+    from hyperstab.harness import run_closed_loop, run_report, scenario_from_json_dict
     try:
         run = run_closed_loop(scenario_from_json_dict(scenario))
     except Exception as exc:  # noqa: BLE001 - the error text is the fingerprint
@@ -111,6 +108,7 @@ MALFORMED_TRACES = {
 def _cli_keys(prefix: str, traces: str, out: dict) -> None:
     """What ``audit`` and ``parseval`` print on a trace file, with their exit
     codes."""
+    from hyperstab import cli
     for command in ("audit", "parseval"):
         printed = io.StringIO()
         with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
@@ -120,6 +118,7 @@ def _cli_keys(prefix: str, traces: str, out: dict) -> None:
 
 def _artifact_keys(prefix: str, run, out: dict) -> None:
     """The hash of the run's traces.csv, and the CLI's keys on it."""
+    from hyperstab.harness import write_run_artifacts
     with tempfile.TemporaryDirectory() as tmp:
         traces, _ = write_run_artifacts(run, tmp)
         with open(traces, "rb") as fh:
@@ -138,6 +137,7 @@ def _error_keys(out: dict) -> None:
 
 
 def _grade_key(g) -> str:
+    from hyperstab import classify_pr, real_part_margin
     facts = {"num": list(g.num.coeffs), "den": list(g.den.coeffs)}
     for name, fn in (("classification", lambda: classify_pr(g).to_report()),
                      ("real_part_margin", lambda: real_part_margin(g))):
@@ -149,6 +149,7 @@ def _grade_key(g) -> str:
 
 
 def fingerprints(seeds: list[int]) -> dict:
+    from hyperstab import RationalFunction, bundled_corpus_path, load_corpus
     gen = _generator()
     out: dict = {}
     demos = resources.files("hyperstab").joinpath("data/scenarios")

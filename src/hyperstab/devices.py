@@ -248,10 +248,10 @@ class DevicePopovStatus:
 
 def _first_sample_after(t: float, dt: float, n: int) -> int:
     """The least k < n with dt*k > t, or n; dt*k is monotone in k, so the
-    estimate t/dt is corrected by a step or two to the exact product."""
+    estimate floor(t/dt) is raised by a step or two to the exact product. It
+    is never too high: dt*(k-1) > t with t/dt rounded up to k needs k > 2**51,
+    far past any record length n."""
     k = math.floor(min(max(t / dt, 0.0), n))  # t/dt may overflow to inf
-    while k > 0 and dt * (k - 1) > t:
-        k -= 1
     while k < n and dt * k <= t:
         k += 1
     return k

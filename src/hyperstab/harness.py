@@ -17,19 +17,16 @@ of device law (``DeviceLaw`` has exactly one rule); each returns y and v.
   feedthrough that holds the state and the coefficients in local floats and
   writes ``c = C x`` and ``x' = Ad x + Bd u`` out term by term; no time
   enters it. Plants of relative degree zero have direct feedthrough, so each
-  step solves ``y = c + D (e - f(y))``. For monotone devices and ``D > 0``
-  the residual ``phi(y) = y - c - D (e - f(y))`` has ``phi' >= 1``, so the
-  root is unique. From one step to the next phi changes by a constant only,
-  so the solve picks up where the last one left off: its first residual is
-  that of the previous output, from the previous device output, and up to
-  three secant steps follow with the last secant slope, about two device
-  calls a step in all. If they do not meet the stop rule, the bracketed
-  ``_solve_output`` takes over from the previous output: the root lies
-  within ``|phi(y0)|`` of the start y0, which brackets it before the first
-  secant step. Step 0, and every step with ``D < 0``, take the bracketed
-  solve alone. With ``D < 0`` phi may fall through the root, so the bracket
-  is walked either way; the root reached from the previous output is the
-  one recorded.
+  step solves ``y = c + D (e - f(y))`` on one path. It starts from
+  ``c + D e`` at step 0 and from the previous output and device output after
+  it, where its first residual costs no device call. For monotone devices and
+  ``D > 0`` the residual ``phi(y) = y - c - D (e - f(y))`` has ``phi' >= 1``,
+  so the root is unique, and from one step to the next phi changes by a
+  constant only: up to three secant steps follow, with the secant slope
+  carried from the step before, about two device calls a step in all. A residual still outside the stop rule, for any D, hands the point
+  reached to the bracketed ``_solve_output``, which resumes from it. With
+  ``D < 0`` phi may fall through the root, so the bracket is walked either
+  way; the root reached from the previous output is the one recorded.
 
 Energy bookkeeping. The trace energy ``E_io(t) = <u, y>_t`` is the trapezoid
 of the recorded output, which the serialized CSV reproduces. The bound chains
@@ -247,10 +244,11 @@ class BoundChainAudit:
 class SimulationRun:
     """A completed run. ``kernel`` names the stepping path: "scan" for affine
     devices, "loop" for the others when D = 0, "newton" when D != 0. For
-    "newton", ``solve_evaluations[i]`` counts the steps whose root solve
-    evaluated the residual at i points; the first of them, the start, reuses
-    the previous step's device output, so a step after step 0 costs one
-    device call fewer. It is None on the other paths."""
+    "newton", ``solve_evaluations[i]`` counts the steps whose root solve,
+    secant and bracketed walk together, evaluated the residual at i points;
+    the first of them, the start, reuses the previous step's device output,
+    so a step after step 0 costs one device call fewer. It is None on the
+    other paths."""
 
     scenario: Scenario
     u: Signal
@@ -277,11 +275,12 @@ def _solve_output(c: float, D: float, e: float, f: Callable[[float], float],
     the root is unique (I + D F is strongly monotone) and lies within |phi(y)|
     of the start, so the first trial point, one residual away, brackets it.
     For D < 0 the root need not be unique, and phi may fall through it; the
-    one returned is the root reached from the start, which the loop sets to
-    the previous output. Secant steps through the last two points refine the
-    bracket; a step bisects instead whenever the secant point leaves the
-    bracket or three steps have not halved it, and from step NEWTON_MAX_ITER
-    on always, until the bracket closes to 1e-15 relative or is not finite.
+    one returned is the root reached from the start. The loop starts it from
+    the previous output, or for D > 0 from its last secant point. Secant
+    steps through the last two points refine the bracket; a step bisects
+    instead whenever the secant point leaves the bracket or three steps have
+    not halved it, and from step NEWTON_MAX_ITER on always, until the bracket
+    closes to 1e-15 relative or is not finite.
     The count stays far below 2**16: the walk takes at most 3 + 2*100
     residuals, and bisection halves asinh(y/scale).
     """
@@ -480,39 +479,33 @@ def step(e, x, coefficients, D, f, solve, tol, guard, push_y, push_v, push_calls
         push_v(vk)
 {update}"""
 
-# y = c + D (e - f(y)) at each step. With D > 0 the solve continues from the
-# previous step's output, device output and secant slope (phi changes by a
-# constant from step to step): up to three secant steps, each point accepted
-# by the bracketed solve's stop rule and its bound on |y|, then that solve
-# from the previous output. Step 0 and D < 0 take the bracketed solve alone.
+# y = c + D (e - f(y)) at each step, from c + D e at step 0 and from the
+# previous output and device output after it. With D > 0 up to three secant
+# steps follow, with the secant slope carried from step to step (phi changes
+# by a constant from one step to the next); then, for any D, a residual still
+# outside the stop rule hands the point reached to the bracketed solve.
 _FEEDTHROUGH_SOLVE = """\
-        if k and D > 0.0:
-            limit = tol * (1.0 + abs(c) + abs(D * ek))
-            y1, v1 = yk, vk
-            r1 = y1 - c - D * (ek - v1)
-            calls = 1
-            while not (abs(r1) <= limit and abs(y1) < limit * 2.0 ** 51):
-                if calls == 4:
-                    # its first residual is this step's first, again
-                    y1, v1, more = solve(c, D, ek, f, yk, vk, k)
-                    calls += more - 1
-                    break
-                y0, r0 = y1, r1
-                y1 = y0 - r0 / slope
-                v1 = f(y1)
-                r1 = y1 - c - D * (ek - v1)
-                calls += 1
-                if y1 != y0:
-                    secant = (r1 - r0) / (y1 - y0)
-                    if 1.0 <= secant < inf:
-                        slope = secant
-            yk, vk = y1, v1
-        else:
-            if not k:
-                yk = c + D * ek
-                vk = f(yk)
-                slope = 1.0  # phi' >= 1 when D > 0
-            yk, vk, calls = solve(c, D, ek, f, yk, vk, k)
+        if not k:
+            yk = c + D * ek
+            vk = f(yk)
+            slope = 1.0  # phi' >= 1 when D > 0
+        limit = tol * (1.0 + abs(c) + abs(D * ek))
+        rk = yk - c - D * (ek - vk)
+        calls = 1
+        while D > 0.0 and calls < 4 and not abs(rk) <= limit:
+            y0, r0 = yk, rk
+            yk = y0 - r0 / slope
+            vk = f(yk)
+            rk = yk - c - D * (ek - vk)
+            calls += 1
+            if yk != y0:
+                secant = (rk - r0) / (yk - y0)
+                if 1.0 <= secant < inf:
+                    slope = secant
+        if not abs(rk) <= limit:
+            # its first residual is this one, again
+            yk, vk, more = solve(c, D, ek, f, yk, vk, k)
+            calls += more - 1
         push_calls(calls)
 """
 
@@ -555,9 +548,9 @@ def _step_loop(sc: Scenario, ss, ad: np.ndarray, bd: np.ndarray, e: np.ndarray):
     ``x_i' = b_i*u + a_i0*x0 + a_i1*x1 + ...`` add their terms left to right,
     the summation order of the row sums ``sum(map(mul, row, x), start)`` of a
     loop over lists of floats, so every record is bit for bit that loop's.
-    With D != 0 each step solves the loop equation as ``_FEEDTHROUGH_SOLVE``
-    sets out; the device output of a step is the one its solve computed,
-    never evaluated again. The effort is ``np.bincount`` of the residuals
+    With D != 0 every step takes the one path ``_FEEDTHROUGH_SOLVE`` sets
+    out; the device output of a step is the one its solve computed, never
+    evaluated again. The effort is ``np.bincount`` of the residuals
     evaluated per step, None when D = 0.
     """
     coefficients = (*ss.C.reshape(-1).tolist(), *bd.reshape(-1).tolist(),

@@ -221,6 +221,18 @@ class TestAlgebraicLoop:
             assert abs(y - c - D * (e - v)) <= 1e-9 * scale and v == f(y)
             assert calls < 2**16
 
+    def test_closed_bracket_accepts_a_residual_within_its_rounding(self):
+        # y^10001 is so steep near its root that neighbouring floats give
+        # residuals far apart: the bracket closes with |phi| = 2.1e-9 above
+        # the stop rule's 1.5e-10, within the 1e-9 * scale of a closed bracket
+        f = DeviceSpec(kind="CubicOddPower", params={"p": 10001}).law.f
+        c = 146.357011801908
+        y0 = c ** (1 / 10001)
+        y, v, _ = _solve_output(c, 1.0, 0.0, f, y0, f(y0), 0)
+        scale = 1.0 + abs(c)
+        assert v == f(y)
+        assert NEWTON_TOL * scale < abs(y - c + v) <= 1e-9 * scale
+
     def test_output_row_past_the_float_range_raises(self):
         # C x0 = 3e308 overflows, so the first output is past the overflow
         # guard: with D = 1 the solve cannot bracket a nan residual and ends
@@ -465,6 +477,9 @@ class TestContinuedSolve:
         assert evaluations.sum() == len(y)
         assert len(device_calls) == evaluations @ np.arange(len(evaluations)) - (len(y) - 1)
         assert evaluations[2:].sum() > len(y) // 2  # most steps took a secant step
+        # the bracketed solve resumes from the last secant point, not from the
+        # previous output, so few steps take 8 or more residuals
+        assert evaluations[8:].sum() < 0.01 * len(y)
         D = realize(sc.plant).D
         c = recorded_outputs(sc, u)
         for k, start in enumerate(solve_starts(run, c, f)):
