@@ -53,14 +53,17 @@ def _parse_tf(text: str) -> RationalFunction:
     parts = text.split(";")
     if len(parts) != 2:
         raise SchemaError("expected exactly one ';' between numerator and denominator")
-    try:
-        num = [float(tok) for tok in parts[0].split(",") if tok.strip()]
-        den = [float(tok) for tok in parts[1].split(",") if tok.strip()]
-    except ValueError as exc:
-        raise SchemaError(f"bad coefficient: {exc}") from None
-    if not num or not den:
-        raise SchemaError("empty coefficient list")
-    return RationalFunction(num[::-1], den[::-1])
+    coeffs = []
+    for part in parts:
+        tokens = [tok.strip() for tok in part.split(",")]
+        if "" in tokens:
+            # "1,,1" would silently drop a power of s
+            raise SchemaError(f"empty coefficient in {part!r}")
+        try:
+            coeffs.append([float(tok) for tok in tokens[::-1]])
+        except ValueError as exc:
+            raise SchemaError(f"bad coefficient: {exc}") from None
+    return RationalFunction(*coeffs)
 
 
 def _emit(data: dict, path: str | None) -> None:

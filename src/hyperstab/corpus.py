@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import SchemaError
+from .errors import SchemaError, is_number
 from .ratfun import RationalFunction
 from .realness import Grade, classify_pr
 
@@ -84,10 +84,12 @@ def load_corpus(path) -> list[CorpusEntry]:
             plant = RationalFunction(item["num"], item["den"])
         except Exception as exc:
             raise SchemaError(f"entry {entry_id}: bad coefficients ({exc})") from None
-        try:
-            margins = {fld: float(item[fld]) for fld in _MARGIN_FIELDS if fld in item}
-        except (TypeError, ValueError):
-            raise SchemaError(f"entry {entry_id}: margins must be numbers") from None
+        margins = {fld: item[fld] for fld in _MARGIN_FIELDS if fld in item}
+        for fld, value in margins.items():
+            if not is_number(value):
+                raise SchemaError(f"entry {entry_id}: margin {fld} must be a number, "
+                                  f"got {value!r}")
+            margins[fld] = float(value)
         entries.append(
             CorpusEntry(
                 id=str(item["id"]),

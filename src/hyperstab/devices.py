@@ -28,7 +28,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import DeclarationViolated, InvalidParams, TimeOutOfRange
+from .errors import DeclarationViolated, InvalidParams, TimeOutOfRange, is_number
 from .signals import Signal, energy_trace
 
 QUADRANT_GAMMA_TOL = 1e-12
@@ -70,10 +70,9 @@ class DeviceLaw:
 
 def _number(params: dict, name: str, default: float) -> float:
     value = params.get(name, default)
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise InvalidParams(f"{name} must be a number, got {value!r}") from None
+    if not is_number(value):
+        raise InvalidParams(f"{name} must be a number, got {value!r}")
+    x = float(value)
     if not math.isfinite(x):
         raise InvalidParams(f"{name} must be finite, got {x}")
     return x
@@ -134,13 +133,15 @@ def _cubic_odd_power(params: dict) -> DeviceLaw:
 
 
 def _time_varying_gain(params: dict) -> DeviceLaw:
-    try:
-        # a copy, so the law holds whatever happens to the given array
-        arr = np.array(params.get("samples", ()), dtype=float)
-    except (TypeError, ValueError):
-        raise InvalidParams("gain samples must be a list of numbers") from None
+    samples = params.get("samples", ())
+    if isinstance(samples, np.ndarray):
+        samples = samples.tolist()
+    if not isinstance(samples, (list, tuple)) or not all(map(is_number, samples)):
+        raise InvalidParams("gain samples must be a list of numbers")
+    # a copy, so the law holds whatever happens to the given array
+    arr = np.array(samples, dtype=float)
     sdt = _number(params, "sample_dt", 0.0)
-    if arr.ndim != 1 or arr.size < 1 or sdt <= 0:
+    if arr.size < 1 or sdt <= 0:
         raise InvalidParams("time-varying gain needs samples and sample_dt > 0")
     if not np.all((arr >= 0.0) & (arr < np.inf)):
         raise InvalidParams("gain samples must be finite and nonnegative")

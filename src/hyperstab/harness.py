@@ -54,9 +54,11 @@ import numpy as np
 from .devices import DevicePopovStatus, DeviceSpec, device_popov_audit
 from .errors import (
     AlgebraicLoopNoConvergence,
+    DegenerateInput,
     DimensionMismatch,
     GradeUnsupported,
     SchemaError,
+    is_number,
 )
 from .ltisim import realize, van_loan, zero_states, zoh_hold
 from .ratfun import RationalFunction, inverse
@@ -142,14 +144,24 @@ class Scenario:
         }
 
 
+def _json_float(value, what: str) -> float:
+    """A JSON number as a float; SchemaError naming ``what`` for anything
+    else, a bool or a quoted number included."""
+    if not is_number(value):
+        raise SchemaError(f"{what} must be a number; could not convert {value!r}")
+    return float(value)
+
+
 def scenario_from_json_dict(data: dict) -> Scenario:
     """Validate and build a Scenario from its JSON form."""
+    if not isinstance(data, dict):
+        raise SchemaError("a scenario must be a JSON object")
     try:
         plant_spec = data["plant"]
         g = RationalFunction(plant_spec["num"], plant_spec["den"])
     except KeyError as exc:
         raise SchemaError(f"scenario missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, DegenerateInput) as exc:
         raise SchemaError(f"bad plant coefficients: {exc}") from None
     try:
         dev_spec = data["device"]
@@ -164,26 +176,26 @@ def scenario_from_json_dict(data: dict) -> Scenario:
     exc_spec = data.get("excitation")
     excitation = None
     if exc_spec is not None:
+        if not isinstance(exc_spec, dict):
+            raise SchemaError("excitation must be an object with an amplitude and a duration")
         try:
             excitation = Excitation(
-                amplitude=float(exc_spec["amplitude"]),
-                duration=float(exc_spec["duration"]),
+                amplitude=_json_float(exc_spec["amplitude"], "excitation amplitude"),
+                duration=_json_float(exc_spec["duration"], "excitation duration"),
             )
         except KeyError as missing:
             raise SchemaError(f"excitation missing field {missing}") from None
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"bad excitation: {exc}") from None
-    try:
-        return Scenario(
-            plant=g,
-            device=device,
-            x0=tuple(data.get("x0", ())),
-            excitation=excitation,
-            dt=float(data.get("dt", 1e-3)),
-            horizon=float(data.get("horizon", 50.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(str(exc)) from None
+    x0 = data.get("x0", [])
+    if not isinstance(x0, list):
+        raise SchemaError(f"x0 must be a list of numbers, got {x0!r}")
+    return Scenario(
+        plant=g,
+        device=device,
+        x0=tuple(_json_float(v, "x0 entry") for v in x0),
+        excitation=excitation,
+        dt=_json_float(data.get("dt", 1e-3), "dt"),
+        horizon=_json_float(data.get("horizon", 50.0), "horizon"),
+    )
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 from numpy.polynomial import polynomial as npp
 
 from .errors import (
@@ -24,6 +25,7 @@ from .errors import (
     RepeatedAxisPole,
     ZeroDenominator,
     ZeroNumerator,
+    is_number,
 )
 
 # Tolerance for treating roots as one (repeated poles, a real root with a
@@ -38,18 +40,22 @@ FACTOR_REM_TOL = 1e-12
 TOL_AXIS = 1e-9
 # Relative threshold below which trailing coefficients are trimmed.
 COEFF_TRIM_TOL = 1e-12
+_FLOATS = frozenset((float,))
 
 
 def _trim(coeffs) -> tuple[float, ...]:
     if isinstance(coeffs, np.ndarray):
         coeffs = coeffs.tolist()
-    if isinstance(coeffs, (list, tuple)) and all(isinstance(c, (float, int)) for c in coeffs):
-        vals = [float(c) for c in coeffs]
-    else:
-        arr = np.atleast_1d(np.asarray(coeffs, dtype=float))
-        vals = arr.tolist() if arr.ndim == 1 else []
-    if not vals:
+    if not isinstance(coeffs, (list, tuple)):
+        coeffs = [coeffs]
+    if not coeffs:
         raise DegenerateInput("coefficient list must be a nonempty 1-d sequence")
+    # floats at once, else numbers and numpy's real scalars; never a bool or
+    # a str
+    if not _FLOATS.issuperset(map(type, coeffs)) and not all(
+            is_number(c) or isinstance(c, (np.floating, np.integer)) for c in coeffs):
+        raise DegenerateInput(f"coefficients must be numbers, got {list(coeffs)!r}")
+    vals = [float(c) for c in coeffs]
     if not all(map(math.isfinite, vals)):
         raise DegenerateInput("coefficients must be finite")
     scale = max(map(abs, vals))
@@ -115,6 +121,25 @@ class Polynomial:
         return bool(np.allclose(self.coeffs, other.coeffs, rtol=0.0, atol=tol * scale))
 
 
+def _eigvals(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvals(a)`` of a real square float64 matrix, bit for bit.
+
+    It calls the LAPACK gufunc that ``np.linalg.eigvals`` calls, without the
+    wrapper's array conversion, type promotion and finiteness pass, which on
+    the short companion matrices of grading cost more than LAPACK itself.
+    The contract stays: a non-finite entry raises before LAPACK sees it,
+    non-convergence raises, and an all-real spectrum comes back real.
+    """
+    if not all(map(math.isfinite, a.ravel().tolist())):
+        raise LinAlgError("Array must not contain infs or NaNs")
+    try:
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+            w = _umath_linalg.eigvals(a, signature="d->D")
+    except FloatingPointError:
+        raise LinAlgError("Eigenvalues did not converge") from None
+    return w if w.imag.any() else w.real
+
+
 def roots(p: Polynomial) -> list[complex]:
     """All roots of ``p`` (with multiplicity), sorted by real then imaginary
     part: the eigenvalues of the companion matrix that ``np.roots`` builds,
@@ -133,7 +158,7 @@ def roots(p: Polynomial) -> list[complex]:
     if n:
         companion = np.eye(n, k=-1)
         companion[0] = [-x / c[-1] for x in reversed(c[low:-1])]
-        rts = np.linalg.eigvals(companion).tolist() + rts
+        rts = _eigvals(companion).tolist() + rts
     return sorted(map(complex, rts), key=lambda r: (r.real, r.imag))
 
 

@@ -4,16 +4,17 @@ Every grade and margin is decided from the coefficients. On the imaginary axis
 ``Re g(jw) = R(x)/Q(x)`` with ``x = w^2`` and ``Q(x) = |den(jw)|^2 >= 0``. R
 and Q are built once in exact integer arithmetic from the float coefficients
 (a float is a dyadic rational, so nothing is lost), and one primitive decides
-``N(x) - t*Q(x) >= 0 on [0, inf)``: a Sturm sequence of the polynomial's
-odd-multiplicity part, evaluated only at 0 and infinity, counts the points
-where it changes sign (the nonnegativity test in w^2 of Anderson and
-Vongpanitlerd). It decides ``Re g >= -TOL_MARGIN``, with R and Q taken from g
-minus its axis-pole partial fractions, and the strict positivity behind WSPR,
-and certifies the margins d, d1 and c_w as lower bounds on the true infima; d0
-is the exact ratio of the leading coefficients of R and Q. For rational
-functions, nonnegativity of the real part on the imaginary axis together with
-stability is equivalent (maximum principle) to nonnegativity of Re g on the
-whole closed right half-plane.
+``N(x) - t*Q(x) >= 0 on [0, inf)``: coefficients of one sign settle it at
+once (Descartes' rule of signs); otherwise a Sturm sequence of the
+polynomial's odd-multiplicity part, evaluated only at 0 and infinity, counts
+the points where it changes sign (the nonnegativity test in w^2 of Anderson
+and Vongpanitlerd). It decides ``Re g >= -TOL_MARGIN``, with R and Q taken
+from g minus its axis-pole partial fractions, and the strict positivity
+behind WSPR, and certifies the margins d, d1 and c_w as lower bounds on the
+true infima; d0 is the exact ratio of the leading coefficients of R and Q.
+For rational functions, nonnegativity of the real part on the imaginary axis
+together with stability is equivalent (maximum principle) to nonnegativity
+of Re g on the whole closed right half-plane.
 
 The grade and every field of its report come from these exact tests, and
 ``quadrant_ok`` is the ``Re g >= -TOL_MARGIN`` test itself; no frequency grid
@@ -46,6 +47,7 @@ from .ratfun import (
     RationalFunction,
     StabilityClass,
     _axis_poles,
+    _eigvals,
     _polydiv,
     _residues,
     _stability,
@@ -185,6 +187,10 @@ def _nonnegative(f: list[int]) -> bool:
         return True
     if f[-1] <= 0:
         return False
+    # Descartes' rule of signs: coefficients of one sign leave no root in
+    # (0, inf), so the Sturm chain is needed only when they change sign
+    if _variations(f) == 0:
+        return True
     # a factor x^k is positive on (0, inf) and changes no sign there
     while f[0] == 0:
         f = f[1:]
@@ -221,7 +227,7 @@ def _polyroots(c: list[float]) -> np.ndarray:
         return np.array([-c[0] / c[1]] if len(c) == 2 else [])
     companion = np.eye(len(c) - 1, k=-1)
     companion[:, -1] = [0.0 - x / c[-1] for x in c[:-1]]
-    return np.linalg.eigvals(companion)
+    return _eigvals(companion)
 
 
 def _infimum(n: list[int], q: list[int], value) -> float:
@@ -448,7 +454,8 @@ def classify_pr(g: RationalFunction) -> PRClassification:
     if strictly_stable and g.relative_degree == 1:
         # w^2 Re g -> d0, the ratio of the x^(n-1) and x^n coefficients
         d0 = r[-1] / q[-1] if len(r) + 1 == len(q) else 0.0
-        if d0 > TOL_MARGIN and r[0] > 0 and _sign_changes(_sturm(r)) == 0:
+        if d0 > TOL_MARGIN and r[0] > 0 and (
+                _variations(r) == 0 or _sign_changes(_sturm(r)) == 0):
             return graded(Grade.WSPR, d0=d0)
 
     single = sum(1 for p in poles if abs(p) <= TOL_AXIS) == 1

@@ -47,11 +47,19 @@ class TestClassify:
         assert code == 3
 
     def test_garbage_exit_2(self, capsys, tmp_path):
+        # an empty coefficient is refused, not dropped: "1;1,,1" is not 1/(s+1)
         for argv in (["--tf", "a,b;c"], ["--tf", "1,2"], ["--tf", ";1"],
+                     ["--tf", "1;1,,1"], ["--tf", "1;,1,1"], ["--tf", "1;1,1,"],
+                     ["--tf", ",1;1,1"], ["--tf", "1; ,1"],
                      ["--tf", "1;1,1", "--json", str(tmp_path / "missing" / "x.json")]):
             code, _, err = run_cli(capsys, "classify", *argv)
             assert code == 2
             assert err.startswith("error:")
+
+    def test_whitespace_around_coefficients(self, capsys):
+        code, out, _ = run_cli(capsys, "classify", "--tf", " 1 ; 1 , 1 ")
+        assert code == 0
+        assert json.loads(out)["grade"] == "WSPR"
 
     def test_json_file_output(self, capsys, tmp_path):
         out_file = tmp_path / "cls.json"
@@ -212,6 +220,37 @@ class TestSimulate:
                                "--out-dir", str(tmp_path / "run"))
         assert code == 2
         assert err.startswith("error:") and "unknown device kind" not in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("change, field", [
+        ({"dt": "0.01"}, "dt"),
+        ({"horizon": "2"}, "horizon"),
+        ({"x0": [True]}, "x0"),
+        ({"x0": ["1"]}, "x0"),
+        ({"x0": "1"}, "x0"),
+        ({"plant": {"num": "2", "den": [1, 1]}}, "plant"),
+        ({"plant": {"num": [True], "den": [1, 1]}}, "plant"),
+        ({"device": {"kind": "StaticSector", "params": {"k1": 1, "k2": True}}}, "k2"),
+        ({"device": {"kind": "CubicOddPower", "params": {"p": True}}}, "p"),
+        ({"device": {"kind": "Relay", "params": {"amplitude": "1"}}}, "amplitude"),
+        ({"device": {"kind": "TimeVaryingGain",
+                     "params": {"samples": [1, True], "sample_dt": 0.5}}}, "samples"),
+        ({"excitation": {"amplitude": "1", "duration": 1}}, "amplitude"),
+        ({"excitation": {"amplitude": 1, "duration": True}}, "duration"),
+    ], ids=["dt_str", "horizon_str", "x0_bool", "x0_str", "x0_not_list", "num_str",
+            "num_bool", "k2_bool", "p_bool", "relay_amplitude_str", "samples_bool",
+            "excitation_amplitude_str", "excitation_duration_bool"])
+    def test_quoted_or_boolean_number_exit_2(self, capsys, tmp_path, change, field):
+        # JSON numbers only: "0.01" and true are not read as 0.01 and 1
+        path = self._write_scenario(tmp_path, {
+            "plant": {"num": [2, 1], "den": [1, 1]},
+            "device": {"kind": "StaticSector", "params": {"k1": 1.0, "k2": 1.0}},
+            "x0": [1.0], "excitation": None, "dt": 1e-2, "horizon": 2.0, **change,
+        })
+        code, out, err = run_cli(capsys, "simulate", "--scenario", str(path),
+                                 "--out-dir", str(tmp_path / "run"))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and field in err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("x0, excitation, field", [
@@ -386,7 +425,13 @@ class TestCorpus:
         for text, named in (("{not json", ""),
                             ("[1, 2]", "entry 0"),
                             (json.dumps([{"id": "m", "num": [1], "den": [1, 1],
-                                          "grade": "WSPR", "d": "abc"}]), "entry m")):
+                                          "grade": "WSPR", "d": "abc"}]), "entry m"),
+                            (json.dumps([{"id": "q", "num": [1], "den": [1, 1],
+                                          "grade": "WSPR", "d0": "1"}]), "d0"),
+                            (json.dumps([{"id": "b", "num": [1], "den": [1, 1],
+                                          "grade": "WSPR", "d1": True}]), "d1"),
+                            (json.dumps([{"id": "n", "num": ["1"], "den": [1, 1],
+                                          "grade": "WSPR"}]), "entry n")):
             path.write_text(text)
             code, _, err = run_cli(capsys, "corpus", "--file", str(path))
             assert code == 2

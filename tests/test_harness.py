@@ -94,6 +94,8 @@ class TestScenarioValidation:
     def test_schema_errors_name_the_field(self):
         with pytest.raises(SchemaError, match="plant"):
             scenario_from_json_dict({"device": {"kind": "Relay"}})
+        with pytest.raises(SchemaError, match="a scenario must be a JSON object"):
+            scenario_from_json_dict([1])
         with pytest.raises(SchemaError, match="kind"):
             scenario_from_json_dict(
                 {"plant": {"num": [1], "den": [1, 1]}, "device": {}, "x0": [1.0]}

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npp
 
@@ -16,6 +16,7 @@ from hyperstab.errors import (
 )
 from hyperstab.ratfun import (
     Polynomial,
+    _eigvals,
     _horner,
     _mean,
     _polydiv,
@@ -154,6 +155,66 @@ def _bits(values) -> bytes:
 
 _coeff = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
                    st.floats(min_value=-1e6, max_value=1e6, allow_subnormal=False))
+
+
+def _eigvals_outcome(fn, a):
+    """The dtype and exact bytes of fn(a), or the message of its LinAlgError."""
+    try:
+        w = fn(a)
+    except np.linalg.LinAlgError as exc:
+        return str(exc)
+    return w.dtype, w.shape, w.tobytes()
+
+
+# signed magnitudes from 1e-300 to 1e300, with zeros and small integers
+_entry = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0]),
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(min_value=-9.99, max_value=9.99),
+              st.integers(min_value=-300, max_value=299)),
+)
+_square = st.integers(min_value=1, max_value=8).flatmap(
+    lambda n: st.lists(_entry, min_size=n * n, max_size=n * n).map(
+        lambda v: np.array(v, dtype=float).reshape(n, n)))
+
+
+class TestEigvals:
+    """``_eigvals`` is ``np.linalg.eigvals`` bit for bit, errors included."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_square)
+    @example(np.array([[-2.7556e-262]]))
+    @example(np.array([[1e300, -1e-300], [1.0, 0.0]]))
+    def test_matches_numpy(self, a):
+        assert _eigvals_outcome(_eigvals, a) == _eigvals_outcome(np.linalg.eigvals, a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_entry, min_size=1, max_size=8), st.booleans())
+    def test_companion_matrices_match_numpy(self, row, by_column):
+        # the shapes grading builds: np.roots' first row, polyroots' last column
+        a = np.eye(len(row), k=-1)
+        if by_column:
+            a[:, -1] = row
+        else:
+            a[0] = row
+        assert _eigvals_outcome(_eigvals, a) == _eigvals_outcome(np.linalg.eigvals, a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_square, st.integers(min_value=0), st.sampled_from([np.inf, -np.inf, np.nan]))
+    def test_non_finite_raises_as_numpy(self, a, where, bad):
+        a = a.copy()
+        a.flat[where % a.size] = bad
+        with pytest.raises(np.linalg.LinAlgError) as mine:
+            _eigvals(a)
+        with pytest.raises(np.linalg.LinAlgError) as theirs:
+            np.linalg.eigvals(a)
+        assert str(mine.value) == str(theirs.value) == "Array must not contain infs or NaNs"
+
+    def test_real_and_complex_spectra(self):
+        real = _eigvals(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        pair = _eigvals(np.array([[0.0, -1.0], [1.0, 0.0]]))
+        assert real.dtype == np.float64 and sorted(real.tolist()) == [-1.0, 1.0]
+        assert pair.dtype == np.complex128 and sorted(pair.imag.tolist()) == [-1.0, 1.0]
 
 
 class TestNumpyEquivalence:

@@ -6,11 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperstab.errors import PoleOnGrid
-from hyperstab.ratfun import inverse, ratfun_new
+from hyperstab.ratfun import _trimseq, inverse, ratfun_new
 from hyperstab.realness import (
     TOL_MARGIN,
     Grade,
+    _mul,
+    _nonnegative,
+    _odd_part,
     _polyroots,
+    _sign_changes,
+    _sturm,
+    _variations,
     classify_pr,
     hodograph_quadrant_check,
     phase_deviation,
@@ -145,6 +151,62 @@ class TestPolyroots:
         for c in (coeffs + [lead], coeffs + [lead, 0.0]):
             assert (np.sort(_polyroots(c)).tobytes()
                     == np.polynomial.polynomial.polyroots(c).tobytes())
+
+
+def _sturm_nonnegative(f: list[int]) -> bool:
+    """f >= 0 on [0, inf) decided by the Sturm chain alone, without the
+    coefficient-sign shortcut: the reference for ``_nonnegative``."""
+    if f == [0]:
+        return True
+    if f[-1] <= 0:
+        return False
+    while f[0] == 0:
+        f = f[1:]
+    chain = _sturm(f)
+    if len(chain[-1]) > 1:
+        chain = _sturm(_odd_part(f, chain))
+    return _sign_changes(chain) == 0
+
+
+_int_coeffs = st.lists(st.integers(-30, 30), min_size=1, max_size=6)
+
+
+class TestDescartes:
+    """Descartes' rule of signs decides without a Sturm chain exactly where
+    the chain gives the same answer."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_int_coeffs, st.booleans(), st.lists(st.integers(0, 6), max_size=3),
+           st.integers(0, 3), st.lists(st.integers(-4, 4), min_size=1, max_size=3))
+    def test_nonnegative_matches_sturm(self, base, positive, holes, k, square):
+        # all-positive coefficients, interior zeros, a factor x^k and a squared
+        # factor, alone and together
+        f = [abs(c) for c in base] if positive else list(base)
+        for i in holes:
+            if i < len(f) - 1:
+                f[i] = 0
+        candidates = [f, [0] * k + f, _mul(f, _mul(square, square)),
+                      [0] * k + _mul(f, _mul(square, square))]
+        for c in map(_trimseq, candidates):
+            assert _nonnegative(list(c)) is _sturm_nonnegative(list(c)), c
+
+    @settings(max_examples=500, deadline=None)
+    @given(_int_coeffs, st.integers(1, 30), st.booleans(),
+           st.lists(st.integers(-4, 4), min_size=1, max_size=3))
+    def test_one_sign_means_no_positive_root(self, rest, r0, positive, square):
+        # the WSPR test: r(0) > 0 and no root in (0, inf)
+        tail = [abs(c) for c in rest] if positive else rest
+        for r in map(_trimseq, ([r0] + tail, _mul([r0] + tail, _mul(square, square)))):
+            if r[0] <= 0:
+                continue
+            if _variations(r) == 0:
+                assert _sign_changes(_sturm(r)) == 0, r
+
+    def test_by_hand(self):
+        for f, expected in (([1, 2, 1], True), ([0, 0, 3], True), ([1, 0, 0, 1], True),
+                            ([1, -2, 1], True), ([-1, 0, 1], False), ([2, -3, 1], False),
+                            ([0, 1, -2, 1], True), ([1], True), ([-1], False), ([0], True)):
+            assert _nonnegative(f) is expected is _sturm_nonnegative(f), f
 
 
 class TestWSPRChainConstant:
