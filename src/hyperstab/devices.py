@@ -111,8 +111,8 @@ def _deadzone_sector(params: dict) -> DeviceLaw:
             "a deadzone forces v*y = 0 near the origin, so k1 must be 0"
         )
     # sector response applies to y itself outside the zone, so the map jumps
-    # at |y| = deadzone; pair with strictly proper plants (D = 0) when loop
-    # well-posedness matters
+    # at |y| = deadzone. It is nondecreasing: with D > 0 a loop step has one
+    # output at most, and none where dz < |c + D e| < dz (1 + D k)
     return DeviceLaw(lambda y: 0.0 if abs(y) <= dz else k * y, None,
                      PopovDeclaration.ALWAYS_ZERO_GAMMA)
 

@@ -19,14 +19,14 @@ of device law (``DeviceLaw`` has exactly one rule); each returns y and v.
   enters it. Plants of relative degree zero have direct feedthrough, so each
   step solves ``y = c + D (e - f(y))`` on one path. It starts from
   ``c + D e`` at step 0 and from the previous output and device output after
-  it, where its first residual costs no device call. For monotone devices and
-  ``D > 0`` the residual ``phi(y) = y - c - D (e - f(y))`` has ``phi' >= 1``,
-  so the root is unique, and from one step to the next phi changes by a
-  constant only: up to three secant steps follow, with the secant slope
-  carried from the step before, about two device calls a step in all. A residual still outside the stop rule, for any D, hands the point
-  reached to the bracketed ``_solve_output``, which resumes from it. With
-  ``D < 0`` phi may fall through the root, so the bracket is walked either
-  way; the root reached from the previous output is the one recorded.
+  it, where its first residual costs no device call. With ``D > 0`` the
+  residual ``phi(y) = y - c - D (e - f(y))`` of a nondecreasing f has
+  ``phi' >= 1``, so the root is unique, and from one step to the next phi
+  changes by a constant only: up to three secant steps follow, with the
+  secant slope carried from the step before, about two device calls a step
+  in all. A residual still outside the stop rule hands the point reached to
+  the bracketed ``_solve_output``, which resumes from it. With ``D < 0`` the
+  loop is not well-posed, and ``_simulate`` refuses it before the first step.
 
 Energy bookkeeping. The trace energy ``E_io(t) = <u, y>_t`` is the trapezoid
 of the recorded output, which the serialized CSV reproduces. The bound chains
@@ -255,9 +255,9 @@ class BoundChainAudit:
 @dataclass(frozen=True)
 class SimulationRun:
     """A completed run. ``kernel`` names the stepping path: "scan" for affine
-    devices, "loop" for the others when D = 0, "newton" when D != 0. For
+    devices, "loop" for the others when D = 0, "newton" when D > 0. For
     "newton", ``solve_evaluations[i]`` counts the steps whose root solve,
-    secant and bracketed walk together, evaluated the residual at i points;
+    secant and bracketed solve together, evaluated the residual at i points;
     the first of them, the start, reuses the previous step's device output,
     so a step after step 0 costs one device call fewer. It is None on the
     other paths."""
@@ -279,22 +279,19 @@ class SimulationRun:
 
 def _solve_output(c: float, D: float, e: float, f: Callable[[float], float],
                   y: float, v: float, step_index: int) -> tuple[float, float, int]:
-    """Root of phi(y) = y - c - D*(e - f(y)) reached from the start ``y``,
-    where ``v = f(y)`` is already known.
+    """Root of phi(y) = y - c - D*(e - f(y)) from the start ``y``, where
+    ``v = f(y)`` is already known: the previous output or the loop's last
+    secant point.
 
     Returns the root, its device output and the number of residuals evaluated,
-    the first of which reuses v. For D > 0 and a nondecreasing f, phi' >= 1:
-    the root is unique (I + D F is strongly monotone) and lies within |phi(y)|
-    of the start, so the first trial point, one residual away, brackets it.
-    For D < 0 the root need not be unique, and phi may fall through it; the
-    one returned is the root reached from the start. The loop starts it from
-    the previous output, or for D > 0 from its last secant point. Secant
-    steps through the last two points refine the bracket; a step bisects
-    instead whenever the secant point leaves the bracket or three steps have
-    not halved it, and from step NEWTON_MAX_ITER on always, until the bracket
-    closes to 1e-15 relative or is not finite.
-    The count stays far below 2**16: the walk takes at most 3 + 2*100
-    residuals, and bisection halves asinh(y/scale).
+    the first of which reuses v. The loop is well-posed, D > 0 and f
+    nondecreasing, so phi' >= 1: the root is unique (I + D F is strongly
+    monotone) and lies within |phi(y)| of the start. Secant steps through the
+    last two points refine the bracket; a step bisects instead whenever the
+    secant point leaves the bracket or three steps have not halved it, and
+    from step NEWTON_MAX_ITER on always, until the bracket closes to 1e-15
+    relative or is not finite. The count stays far below 2**16: the walk takes
+    at most 2 + 100 residuals, and bisection halves asinh(y/scale).
     """
     scale = 1.0 + abs(c) + abs(D * e)
     tol = NEWTON_TOL * scale
@@ -302,42 +299,25 @@ def _solve_output(c: float, D: float, e: float, f: Callable[[float], float],
     calls = 1
     if abs(r) <= tol:
         return y, v, calls
-    # walk away from y against the residual's sign until the residual flips;
-    # the first step of |r| does so whenever phi' >= 1. After 100 doublings
-    # without a flip, phi falls through the root: walk from y the other way.
-    # Past |y| = tol / (2 eps) = tol * 2**51 the walk stops doubling too: a
-    # residual within tol has y - c near D (e - f(y)), so phi rounds by about
-    # 2 eps |y| > tol there, and a zero would be rounding, not a root (a
-    # deadzone with D = -1 and no root evaluates phi = 0 near y = 1e17)
-    sign = -1.0 if r > 0.0 else 1.0
-    step = abs(r)
-    near, r_near = y, r
-    far = y + sign * step
-    v = f(far)
-    r_far = far - c - D * (e - v)
-    calls += 1
-    if abs(r_far) <= tol:
-        return far, v, calls
-    guard = 0
-    while r_far * r > 0.0:
-        guard += 1
-        if guard <= 100 and abs(far) < tol * 2.0**51:
-            near, r_near = far, r_far
-            step *= 2.0
-        elif sign * r < 0.0:
-            sign, near, r_near, step, guard = -sign, y, r, abs(r), 0
-        else:
-            raise AlgebraicLoopNoConvergence(
-                f"no bracket at step {step_index}, residual {r_far}"
-            )
-        far = near + sign * step
+    # walk against the residual's sign until it flips: the first step, -r,
+    # brackets the root in exact arithmetic, but from a start far from the root
+    # rounding can leave its residual on the start's side; the step then doubles
+    near, r_near, step = y, r, -r
+    for _ in range(101):
+        far = near + step
         v = f(far)
         r_far = far - c - D * (e - v)
         calls += 1
-    # r is phi oriented to rise across the bracket: negative at lo
-    orient = 1.0 if sign * r < 0.0 else -1.0
-    lo, hi = (far, near) if sign < 0.0 else (near, far)
-    y_old, r_old, y, r = near, orient * r_near, far, orient * r_far
+        if abs(r_far) <= tol:
+            return far, v, calls
+        if not r_far * r > 0.0:
+            break
+        near, r_near, step = far, r_far, 2.0 * step
+    else:
+        raise AlgebraicLoopNoConvergence(f"no bracket at step {step_index}, residual {r_far}")
+    # phi rises across the bracket: negative at lo
+    lo, hi = (far, near) if r > 0.0 else (near, far)
+    y_old, r_old, y, r = near, r_near, far, r_far
     # bracket widths three, two and one iterations back
     oldest = older = old = math.inf
     for i in count():
@@ -356,7 +336,7 @@ def _solve_output(c: float, D: float, e: float, f: Callable[[float], float],
         oldest, older, old = older, old, hi - lo
         y_old, r_old, y = y, r, trial
         v = f(y)
-        r = orient * (y - c - D * (e - v))
+        r = y - c - D * (e - v)
         calls += 1
         if abs(r) <= tol:
             return y, v, calls
@@ -376,7 +356,7 @@ def _solve_output(c: float, D: float, e: float, f: Callable[[float], float],
     # jumps across the loop equation: no consistent output exists
     raise AlgebraicLoopNoConvergence(
         f"algebraic loop has no solution at step {step_index}: "
-        f"residual {orient * r} at y = {y}"
+        f"residual {r} at y = {y}"
     )
 
 
@@ -418,15 +398,16 @@ def _scan_affine(sc: Scenario, ss, ad: np.ndarray, bd: np.ndarray,
     w = e - offset
     n_samples = len(e)
     n, D = ss.order, ss.D
-    # the loop cannot be stepped past the first sample where 1 + D g vanishes
-    end = n_samples
-    if D != 0.0:
+    # where 1 + D g vanishes the loop has no unique output, and no sample is
+    # stepped; every gain is >= 0, so that takes D < 0
+    if D < 0.0:
         degenerate = np.nonzero(np.abs(1.0 + D * gain) < 1e-12)[0]
         if degenerate.size:
-            end = int(degenerate[0])
-    g_run, w_run = gain[:end], w[:end]
-    change = np.nonzero((g_run[1:] != g_run[:-1]) | (w_run[1:] != w_run[:-1]))[0] + 1
-    mixed = np.zeros(end // SCAN_BLOCK + 1, dtype=bool)
+            k = degenerate[0]
+            raise AlgebraicLoopNoConvergence(
+                f"degenerate affine loop at step {k}: 1 + D*k = {1.0 + D * gain[k]}")
+    change = np.nonzero((gain[1:] != gain[:-1]) | (w[1:] != w[:-1]))[0] + 1
+    mixed = np.zeros(n_samples // SCAN_BLOCK + 1, dtype=bool)
     mixed[change[change % SCAN_BLOCK != 0] // SCAN_BLOCK] = True
 
     c = ss.C.reshape(-1)
@@ -437,8 +418,8 @@ def _scan_affine(sc: Scenario, ss, ad: np.ndarray, bd: np.ndarray,
     z = np.append(np.asarray(sc.x0, dtype=float), 1.0)
     table = out = key = stop = None
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(0, end, SCAN_BLOCK):
-            m = min(SCAN_BLOCK, end - s)
+        for s in range(0, n_samples, SCAN_BLOCK):
+            m = min(SCAN_BLOCK, n_samples - s)
             block_mixed = mixed[s // SCAN_BLOCK]
             if block_mixed or key != (gain[s], w[s]):
                 g, wb = gain[s : s + m], w[s : s + m]
@@ -461,10 +442,6 @@ def _scan_affine(sc: Scenario, ss, ad: np.ndarray, bd: np.ndarray,
                 break
             y[s : s + m] = ys
             z[:n] += table[m] @ z
-    if stop is None and end < n_samples:
-        raise AlgebraicLoopNoConvergence(
-            f"degenerate affine loop at step {end}: 1 + D*k = {1.0 + D * gain[end]}"
-        )
     del w
     k = n_samples if stop is None else stop
     # v = F(y, t) sample by sample, in the buffer of the gains
@@ -491,20 +468,19 @@ def step(e, x, coefficients, D, f, solve, tol, guard, push_y, push_v, push_calls
         push_v(vk)
 {update}"""
 
-# y = c + D (e - f(y)) at each step, from c + D e at step 0 and from the
-# previous output and device output after it. With D > 0 up to three secant
-# steps follow, with the secant slope carried from step to step (phi changes
-# by a constant from one step to the next); then, for any D, a residual still
-# outside the stop rule hands the point reached to the bracketed solve.
+# y = c + D (e - f(y)), D > 0, at each step, from c + D e at step 0 and from
+# the previous output and device output after it: up to three secant steps,
+# with the slope carried from step to step (phi changes by a constant from one
+# step to the next), then, outside the stop rule, the bracketed solve from there.
 _FEEDTHROUGH_SOLVE = """\
         if not k:
             yk = c + D * ek
             vk = f(yk)
-            slope = 1.0  # phi' >= 1 when D > 0
+            slope = 1.0  # phi' >= 1
         limit = tol * (1.0 + abs(c) + abs(D * ek))
         rk = yk - c - D * (ek - vk)
         calls = 1
-        while D > 0.0 and calls < 4 and not abs(rk) <= limit:
+        while calls < 4 and not abs(rk) <= limit:
             y0, r0 = yk, rk
             yk = y0 - r0 / slope
             vk = f(yk)
@@ -600,13 +576,17 @@ def _simulate(sc: Scenario, hold):
     any other device is stepped one sample at a time, explicitly when D = 0
     ("loop") and by the scalar root solve otherwise ("newton"). The solve
     effort, a histogram of residual evaluations per step, exists for "newton"
-    only.
+    only. A loop that is not well-posed is refused before its first step.
     """
     ss, _, phi, _ = hold
     if len(sc.x0) != ss.order:
         raise DimensionMismatch(
             f"x0 has {len(sc.x0)} entries, plant realization has order {ss.order}"
         )
+    if ss.D < 0.0 and sc.device.law.affine is None:
+        raise AlgebraicLoopNoConvergence(
+            f"ill-posed loop: a {sc.device.kind.value} device through a plant with "
+            f"D = {ss.D} < 0, where y = Cx + D(e - f(y)) may have several roots or none")
     ad, bd = phi[:-2, :-2], phi[:-2, -1:]  # the plant block
     n_samples = int(round(sc.horizon / sc.dt)) + 1
     t = np.arange(n_samples) * sc.dt

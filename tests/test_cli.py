@@ -123,8 +123,9 @@ class TestSimulate:
         assert "left the overflow guard within the first step" in err
 
     def test_loop_with_no_root_exit_2(self, capsys, tmp_path):
-        # (1 - s)/(1 + s) with a deadzone: at t = 2.303 no output solves the
-        # loop equation; the run ends there with a typed error, not Diverged
+        # (1 - s)/(1 + s) with a deadzone: at t = 2.303 no output would solve
+        # the loop equation. With D = -1 the loop is not well-posed, so the run
+        # is refused before its first step, and nothing is written
         path = self._write_scenario(tmp_path, {
             "plant": {"num": [1, -1], "den": [1, 1]},
             "device": {"kind": "DeadzoneSector",
@@ -135,7 +136,9 @@ class TestSimulate:
         code, out, err = run_cli(capsys, "simulate", "--scenario", str(path),
                                  "--out-dir", str(tmp_path / "run"))
         assert code == 2 and out == ""
-        assert err.startswith("error: no bracket at step 2303, residual -0.5")
+        assert err.startswith("error: ill-posed loop: a DeadzoneSector device "
+                              "through a plant with D = -1.0 < 0")
+        assert not (tmp_path / "run").exists()
 
     def test_missing_file_exit_2(self, capsys, tmp_path):
         for scenario in (tmp_path / "nope.json", tmp_path):
@@ -175,21 +178,20 @@ class TestSimulate:
 
     def test_device_overflow_is_typed_or_diverged(self, capsys, tmp_path):
         # (1 - s)/(1 + s) has D = -1: from x0 = 10 the residual
-        # y - 20 - y**5 falls through its root, so the walk up from the start
-        # finds no sign change before y**5 leaves the float range; the walk
-        # down brackets the quintic's one real root
+        # y - 20 - y**5 falls through its root, and y**5 leaves the float range
+        # on the way. The loop is not well-posed: a typed refusal, exit 2,
+        # before the first step and with nothing written
         path = self._write_scenario(tmp_path, {
             "plant": {"num": [1, -1], "den": [1, 1]},
             "device": {"kind": "CubicOddPower", "params": {"p": 5}},
             "x0": [10.0], "excitation": None, "dt": 1e-3, "horizon": 1.0,
         })
-        code, _, _ = run_cli(capsys, "simulate", "--scenario", str(path),
-                             "--out-dir", str(tmp_path / "run"))
-        assert code == 0
-        y0 = read_trace_csv(tmp_path / "run" / "traces.csv")["y"][0]
-        roots = np.roots([-1.0, 0.0, 0.0, 0.0, 1.0, -20.0])
-        real_root = float(roots[np.abs(roots.imag) < 1e-9].real[0])
-        assert y0 == pytest.approx(real_root, rel=1e-12)
+        code, _, err = run_cli(capsys, "simulate", "--scenario", str(path),
+                               "--out-dir", str(tmp_path / "run"))
+        assert code == 2
+        assert err.startswith("error: ill-posed loop: a CubicOddPower device "
+                              "through a plant with D = -1.0 < 0")
+        assert not (tmp_path / "run").exists()
         # D = 0: y**101 leaves the float range at the third sample while |y|
         # is far below the divergence guard; the run diverges there
         path = self._write_scenario(tmp_path, {

@@ -5,6 +5,7 @@ import decimal
 import json
 import math
 import operator
+import re
 from importlib import resources
 
 import numpy as np
@@ -223,6 +224,27 @@ class TestAlgebraicLoop:
             assert abs(y - c - D * (e - v)) <= 1e-9 * scale and v == f(y)
             assert calls < 2**16
 
+    def test_rounded_first_trial_doubles_the_step(self):
+        # from a start far from the root against the stop rule, the first
+        # trial point y0 - phi(y0) is the root only up to the rounding of y0:
+        # with a relay of amplitude 1 its residual keeps the start's sign here,
+        # outside the stop rule, so the walk doubles its step to bracket the root
+        f = DeviceSpec(kind="Relay", params={"amplitude": 1.0}).law.f
+        for c, D, e, y0 in [
+            (-2.826604669311902, 0.0016507807759281719, 6.921094153058999,
+             -272408.10589462623),
+            (2.1068393813500668e-06, 5.200861937532827e-05, 63.65222117346548,
+             1974489.291928843),
+        ]:
+            scale = 1.0 + abs(c) + abs(D * e)
+            r0 = y0 - c - D * (e - f(y0))
+            trial = y0 - r0
+            r1 = trial - c - D * (e - f(trial))
+            assert r1 * r0 > 0.0 and abs(r1) > NEWTON_TOL * scale
+            y, v, calls = _solve_output(c, D, e, f, y0, f(y0), 0)
+            assert abs(y - c - D * (e - v)) <= NEWTON_TOL * scale and v == f(y)
+            assert calls > 2
+
     def test_closed_bracket_accepts_a_residual_within_its_rounding(self):
         # y^10001 is so steep near its root that neighbouring floats give
         # residuals far apart: the bracket closes with |phi| = 2.1e-9 above
@@ -247,41 +269,35 @@ class TestAlgebraicLoop:
                                match="trajectory left the overflow guard within the first step"):
                 run_closed_loop(sc)
 
-    @staticmethod
-    def deadzone_through_negative_feedthrough(x0, excitation):
-        # (1 - s)/(1 + s) has D = -1: outside the zone f(y) = y, so the
-        # residual y - c + e - f(y) is the constant e - c there, and inside
-        # it is y - c + e: once |c - e| > 0.5 no output solves the loop
-        return Scenario(plant=ratfun_new([1.0, -1.0], [1.0, 1.0]),
-                        device=DeviceSpec(kind="DeadzoneSector", params={
-                            "k1": 0.0, "k2": 1.0, "gain": 1.0, "deadzone": 0.5}),
-                        x0=(x0,), excitation=excitation, dt=1e-3, horizon=5.0)
-
-    @pytest.mark.parametrize("x0, excitation, step", [
-        (0.1, Excitation(0.6, 10.0), 2303),
-        (3.0, None, 0),
-    ])
-    def test_deadzone_with_no_root_raises_at_its_step(self, x0, excitation, step):
-        # past |y| of about 1e16, y - c and D f(y) round to one value and the
-        # computed residual is 0: rounding, not a root. The walk stops short
-        # of it (this run once ended Diverged at t = 2.303 with y near 0.5,
-        # and the x0 = 3 run in the overflow guard at step 0)
-        sc = self.deadzone_through_negative_feedthrough(x0, excitation)
-        with pytest.raises(AlgebraicLoopNoConvergence, match=f"no bracket at step {step},"):
+    @pytest.mark.parametrize("device", [
+        DeviceSpec(kind="CubicOddPower", params={"p": 3}),
+        DeviceSpec(kind="Relay", params={"amplitude": 0.5}),
+        DeviceSpec(kind="DeadzoneSector",
+                   params={"k1": 0.0, "k2": 1.0, "gain": 1.0, "deadzone": 0.5}),
+    ], ids=lambda d: d.kind.value)
+    @pytest.mark.parametrize("plant", [
+        ([-0.5], [1.0]),
+        ([1.0, -1.0], [1.0, 1.0]),
+        ([2.0, 0.5, -0.1], [2.0, 3.0, 1.0]),
+    ], ids=["n0", "n1", "n2"])
+    def test_negative_feedthrough_is_refused_before_the_first_step(self, plant, device):
+        # every device law is nondecreasing, so with D < 0 the loop equation
+        # y = Cx + D(e - f(y)) can have several roots or none: (1 - s)/(1 + s)
+        # has two under a relay while |Cx + De| < a, and none under the
+        # deadzone once |Cx - e| > 0.5. Such a loop is not well-posed, and the
+        # run is refused before its device is evaluated once
+        g = ratfun_new(*plant)
+        ss = realize(g)
+        calls = []
+        counted = DeviceSpec(device.kind, device.params)
+        object.__setattr__(counted.law, "f", lambda y: calls.append(y) or device.law.f(y))
+        sc = Scenario(plant=g, device=counted, x0=(1.0,) * ss.order,
+                      excitation=Excitation(0.8, 0.5), dt=1e-3, horizon=1.0)
+        message = f"ill-posed loop: a {device.kind.value} device through a plant with D = {ss.D} < 0"
+        assert ss.D < 0.0
+        with pytest.raises(AlgebraicLoopNoConvergence, match=re.escape(message)):
             run_closed_loop(sc)
-
-    def test_rounded_residual_is_no_root(self):
-        # c = 6, D = -1, e = 0: phi(y) = -6 for every y > 0.5, but it
-        # evaluates to exactly 0 where the walk up from y = 6 first meets 0,
-        # and at the first bisection point after it
-        f = self.deadzone_through_negative_feedthrough(3.0, None).device.law.f
-        for y in (1.080863910568919e17, 7.642862007030925e16):
-            assert y - 6.0 - (-1.0) * (0.0 - f(y)) == 0.0
-        with pytest.raises(AlgebraicLoopNoConvergence, match="no bracket at step 7,"):
-            _solve_output(6.0, -1.0, 0.0, f, 6.0, f(6.0), 7)
-        # with c = 0.2 the root y = c lies in the zone
-        y, _, _ = _solve_output(0.2, -1.0, 0.0, f, 0.45, f(0.45), 7)
-        assert y == pytest.approx(0.2, abs=1e-12)
+        assert calls == []
 
     def test_relay_raises_at_the_step_with_no_root(self):
         # y = Cx + D(e - a sign(y)) has no root once 0 < |Cx| <= D a: the
@@ -290,28 +306,6 @@ class TestAlgebraicLoop:
                            x0=(3.0,), horizon=5.0)
         with pytest.raises(AlgebraicLoopNoConvergence, match="at step 694:"):
             run_closed_loop(sc)
-
-    def test_negative_feedthrough_keeps_the_previous_branch(self):
-        # (0.5 - 0.3s)/(1 + s) has D = -0.3: with a relay both y = b + |D|a
-        # and y = b - |D|a solve the loop equation while |b| < |D|a. Each
-        # recorded y satisfies it, on the branch of the previous output
-        # whenever that branch has a root
-        a = 0.5
-        sc = Scenario(plant=ratfun_new([0.5, -0.3], [1.0, 1.0]),
-                      device=DeviceSpec(kind="Relay", params={"amplitude": a}),
-                      x0=(1.0,), dt=1e-3, horizon=5.0)
-        run = run_closed_loop(sc)
-        ss = realize(sc.plant)
-        assert ss.D == -0.3 and run.kernel == "newton"
-        y, u, v, e = run.y.values, run.u.values, run.v.values, run.e.values
-        ref = simulate_forced(ss, run.u, sc.x0).values
-        scale = 1.0 + np.abs(ref - ss.D * u) + np.abs(ss.D * e)
-        assert np.all(np.abs(y - ref) <= 2.0 * NEWTON_TOL * scale)
-        b = ref + ss.D * v  # C x + D e
-        branch = np.sign(y[:-1])
-        kept = branch * b[1:] + abs(ss.D) * a > 0.0
-        assert np.count_nonzero(kept) > 0.9 * len(kept)
-        assert np.array_equal(np.sign(y[1:])[kept], branch[kept])
 
     def test_cubic_with_feedthrough_satisfies_implicit_equation(self):
         # plant (s+2)/(s+1) has D = 1; with v = y^3 each step solves
@@ -490,30 +484,6 @@ class TestContinuedSolve:
             again, _, _ = _solve_output(c[k], D, e[k], f, *start, k)
             assert abs(again - y[k]) <= 2.0 * NEWTON_TOL * scale
 
-    @pytest.mark.parametrize("plant, device, x0", [
-        # a relay, whose loop equation has two roots while |c + D e| < |D| a,
-        # and odd powers, whose residual y - |D| y^p - (c + D e) falls for
-        # large |y|
-        (([0.5, -0.3], [1.0, 1.0]), DeviceSpec(kind="Relay", params={"amplitude": 0.5}),
-         (1.0,)),
-        (([1.0, -0.2], [1.0, 1.0]), DeviceSpec(kind="CubicOddPower", params={"p": 3}),
-         (1.2,)),
-        (([2.0, 0.5, -0.1], [2.0, 3.0, 1.0]),
-         DeviceSpec(kind="CubicOddPower", params={"p": 5}), (0.5, -0.4)),
-    ])
-    def test_negative_feedthrough_is_the_bracketed_solve(self, plant, device, x0):
-        # with D < 0 every step is _solve_output from the previous output:
-        # the record is the step-by-step bracketed solve's, bit for bit
-        sc = Scenario(plant=ratfun_new(*plant), device=device, x0=x0,
-                      excitation=Excitation(0.8, 0.5), dt=1e-3, horizon=3.0)
-        run = run_closed_loop(sc)
-        D, f = realize(sc.plant).D, device.law.f
-        assert run.kernel == "newton" and run.diverged_at is None and D < 0.0
-        y, v, e = run.y.values, run.v.values, run.e.values
-        c = recorded_outputs(sc, run.u.values)
-        for k, start in enumerate(solve_starts(run, c, f)):
-            assert _solve_output(c[k], D, e[k], f, *start, k)[:2] == (y[k], v[k])
-
 
 AFFINE_DEVICES = [
     DeviceSpec(kind="StaticSector", params={"k1": 0.5, "k2": 2.0}),
@@ -580,26 +550,38 @@ class TestAffineScan:
         assert len(run.y) == len(run.u) == k
         assert np.all(np.abs(run.y.values) <= OVERFLOW_GUARD)
 
-    def test_degenerate_loop_raises_at_first_reached_step(self):
-        # g = -1 has D = -1, so 1 + D*k = 0 where the gain reaches 1: at t = 0
-        # for a constant gain, and at the first sample with floor(t/0.37) = 2
-        g = ratfun_new([-1.0], [1.0])
-        for device, step in (
-            (DeviceSpec(kind="StaticSector", params={"k1": 1.0, "k2": 1.0}), 0),
-            (DeviceSpec(kind="TimeVaryingGain",
+    def test_degenerate_loop_raises_at_first_reached_step(self, monkeypatch):
+        # with D = -1, 1 + D*k = 0 where the gain reaches 1, and there the loop
+        # has no unique output: g = -1 reaches it at t = 0 under a constant
+        # gain, and at the first sample with floor(t/0.37) = 2 under a
+        # time-varying one. (2 - s)/(s - 10) under gain 0.1, its closed-loop
+        # pole at 10.9, would leave the guard at sample 171, before its gain
+        # reaches 1 at sample 250: well-posedness is the loop's, not the
+        # trajectory's, so that run is refused as well, before any step
+        refused = [
+            (ratfun_new([-1.0], [1.0]), (),
+             DeviceSpec(kind="StaticSector", params={"k1": 1.0, "k2": 1.0}), 0),
+            (ratfun_new([-1.0], [1.0]), (),
+             DeviceSpec(kind="TimeVaryingGain",
                         params={"samples": [0.5, 0.25, 1.0], "sample_dt": 0.37}), 74),
-        ):
-            sc = Scenario(plant=g, device=device, excitation=Excitation(1.0, 0.5),
-                          dt=1e-2, horizon=3.0)
-            with pytest.raises(AlgebraicLoopNoConvergence,
-                               match=rf"degenerate affine loop at step {step}: "
-                                     r"1 \+ D\*k = 0\.0$"):
-                run_closed_loop(sc)
-        # a loop that leaves the guard before the degenerate step is a
-        # diverged run: (2 - s)/(s - 10) under gain 0.1 has its pole at 10.9
+            (ratfun_new([2.0, -1.0], [-10.0, 1.0]), (1.0,),
+             DeviceSpec(kind="TimeVaryingGain",
+                        params={"samples": [0.1, 1.0], "sample_dt": 2.5}), 250),
+        ]
+        with monkeypatch.context() as patched:
+            patched.setattr(harness, "_prefix", None)  # no block is scanned
+            for g, x0, device, step in refused:
+                sc = Scenario(plant=g, device=device, x0=x0,
+                              excitation=Excitation(1.0, 0.5), dt=1e-2, horizon=3.0)
+                with pytest.raises(AlgebraicLoopNoConvergence,
+                                   match=rf"degenerate affine loop at step {step}: "
+                                         r"1 \+ D\*k = 0\.0$"):
+                    run_closed_loop(sc)
+        # under a gain of 0.5 from t = 2.5 the same loop is well-posed, and it
+        # is a diverged run
         sc = Scenario(plant=ratfun_new([2.0, -1.0], [-10.0, 1.0]),
                       device=DeviceSpec(kind="TimeVaryingGain",
-                                        params={"samples": [0.1, 1.0], "sample_dt": 2.5}),
+                                        params={"samples": [0.1, 0.5], "sample_dt": 2.5}),
                       x0=(1.0,), dt=1e-2, horizon=5.0)
         run = run_closed_loop(sc)
         assert run.verdict is Verdict.DIVERGED and len(run.y) == 171
