@@ -28,9 +28,10 @@ import numpy as np
 
 from .corpus import corpus_check, load_corpus, read_json_file
 from .errors import HyperstabError, ImproperTransferFunction, SchemaError
-from .harness import run_closed_loop, scenario_from_json_dict, write_run_artifacts
+from .harness import run_closed_loop, write_run_artifacts
 from .ratfun import RationalFunction
 from .realness import classify_pr
+from .scenario import scenario_from_json_dict
 from .signals import (
     PARSEVAL_TOL,
     classify_taxonomy,

@@ -1,5 +1,9 @@
 """Closed-loop runner and bound-chain auditor for negative feedback loops.
 
+The loops it runs are ``Scenario`` records. Their schema, its validation and
+its JSON form live in ``scenario``, which needs numpy only; ``Excitation``,
+``Scenario`` and ``scenario_from_json_dict`` can be imported from here too.
+
 The loop is ``u = e - F(y)`` around a realized plant, stepped with the exact
 zero-order-hold discretization at every plant order, zero included, with the
 overflow guard on y at every sample. ``_simulate`` builds the loop record: the
@@ -25,8 +29,9 @@ of device law (``DeviceLaw`` has exactly one rule); each returns y and v.
   changes by a constant only: up to three secant steps follow, with the
   secant slope carried from the step before, about two device calls a step
   in all. A residual still outside the stop rule hands the point reached to
-  the bracketed ``_solve_output``, which resumes from it. With ``D < 0`` the
-  loop is not well-posed, and ``_simulate`` refuses it before the first step.
+  the bracketed ``_solve_output``, which resumes from it, or from ``c + D e``
+  when the secant left the float range. With ``D < 0`` the loop is not
+  well-posed, and ``_simulate`` refuses it before the first step.
 
 Energy bookkeeping. The trace energy ``E_io(t) = <u, y>_t`` is the trapezoid
 of the recorded output, which the serialized CSV reproduces. The bound chains
@@ -51,17 +56,10 @@ from typing import Callable
 
 import numpy as np
 
-from .devices import DevicePopovStatus, DeviceSpec, device_popov_audit
-from .errors import (
-    AlgebraicLoopNoConvergence,
-    DegenerateInput,
-    DimensionMismatch,
-    GradeUnsupported,
-    SchemaError,
-    is_number,
-)
+from .devices import DevicePopovStatus, device_popov_audit
+from .errors import AlgebraicLoopNoConvergence, DimensionMismatch, GradeUnsupported
 from .ltisim import realize, van_loan, zero_states, zoh_hold
-from .ratfun import RationalFunction, inverse
+from .ratfun import inverse
 from .realness import (
     Grade,
     PRClassification,
@@ -69,6 +67,7 @@ from .realness import (
     real_part_margin,
     wspr_chain_constant,
 )
+from .scenario import Excitation, Scenario, scenario_from_json_dict  # noqa: F401 - re-exported
 from .signals import BLOCK, EnergyTrace, Signal, energy_trace, write_trace_csv
 
 CONV_TOL = 1e-3
@@ -77,7 +76,6 @@ OVERFLOW_GUARD = 1e9
 NEWTON_MAX_ITER = 50
 NEWTON_TOL = 1e-12
 VIOLATION_CAP = 50
-MAX_STEPS = 10_000_000
 SCAN_BLOCK = 256
 
 
@@ -86,116 +84,6 @@ class Verdict(str, enum.Enum):
     HYPERSTABLE = "HyperstableEvidence"
     DIVERGED = "Diverged"
     INCONCLUSIVE = "Inconclusive"
-
-
-@dataclass(frozen=True)
-class Excitation:
-    amplitude: float
-    duration: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.amplitude):
-            raise SchemaError("excitation amplitude must be finite")
-        if not (math.isfinite(self.duration) and self.duration > 0):
-            raise SchemaError("excitation duration must be positive and finite")
-
-
-@dataclass(frozen=True)
-class Scenario:
-    plant: RationalFunction
-    device: DeviceSpec
-    x0: tuple[float, ...] = ()
-    excitation: Excitation | None = None
-    dt: float = 1e-3
-    horizon: float = 50.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise SchemaError("dt must be positive and finite")
-        if not math.isfinite(self.horizon) or self.horizon < 100 * self.dt:
-            raise SchemaError("horizon must be finite and cover at least 100 steps")
-        # round(horizon/dt) > MAX_STEPS, without rounding an infinite ratio
-        if self.horizon / self.dt > MAX_STEPS + 0.5:
-            raise SchemaError(f"horizon/dt asks for more than {MAX_STEPS} steps")
-        if not all(map(math.isfinite, self.x0)):
-            raise SchemaError("x0 entries must be finite")
-        if not any(self.x0) and not (self.excitation and self.excitation.amplitude):
-            raise SchemaError(
-                "need a nonzero x0 or a nonzero excitation amplitude: "
-                "the identically-zero run carries no information"
-            )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "plant": {
-                "num": list(self.plant.num.coeffs),
-                "den": list(self.plant.den.coeffs),
-            },
-            "device": self.device.to_json_dict(),
-            "x0": list(self.x0),
-            "excitation": (
-                {"amplitude": self.excitation.amplitude,
-                 "duration": self.excitation.duration}
-                if self.excitation else None
-            ),
-            "dt": self.dt,
-            "horizon": self.horizon,
-        }
-
-
-def _json_float(value, what: str) -> float:
-    """A JSON number as a float; SchemaError naming ``what`` for anything
-    else, a bool or a quoted number included."""
-    if not is_number(value):
-        raise SchemaError(f"{what} must be a number; could not convert {value!r}")
-    return float(value)
-
-
-def scenario_from_json_dict(data: dict) -> Scenario:
-    """Validate and build a Scenario from its JSON form."""
-    if not isinstance(data, dict):
-        raise SchemaError("a scenario must be a JSON object")
-    try:
-        plant_spec = data["plant"]
-        g = RationalFunction(plant_spec["num"], plant_spec["den"])
-    except KeyError as exc:
-        raise SchemaError(f"scenario missing field {exc}") from None
-    except (TypeError, ValueError, DegenerateInput) as exc:
-        raise SchemaError(f"bad plant coefficients: {exc}") from None
-    try:
-        dev_spec = data["device"]
-        if not isinstance(dev_spec, dict):
-            raise SchemaError("device must be an object with a kind and params")
-        device = DeviceSpec(kind=dev_spec["kind"], params=dev_spec.get("params", {}))
-    except KeyError as exc:
-        raise SchemaError(f"device missing field {exc}") from None
-    except ValueError as exc:
-        # parameter errors are InvalidParams, so only the kind lookup lands here
-        raise SchemaError(f"unknown device kind: {exc}") from None
-    exc_spec = data.get("excitation")
-    excitation = None
-    if exc_spec is not None:
-        if not isinstance(exc_spec, dict):
-            raise SchemaError("excitation must be an object with an amplitude and a duration")
-        try:
-            excitation = Excitation(
-                amplitude=_json_float(exc_spec["amplitude"], "excitation amplitude"),
-                duration=_json_float(exc_spec["duration"], "excitation duration"),
-            )
-        except KeyError as missing:
-            raise SchemaError(f"excitation missing field {missing}") from None
-    x0 = data.get("x0", [])
-    if not isinstance(x0, list):
-        raise SchemaError(f"x0 must be a list of numbers, got {x0!r}")
-    return Scenario(
-        plant=g,
-        device=device,
-        x0=tuple(_json_float(v, "x0 entry") for v in x0),
-        excitation=excitation,
-        dt=_json_float(data.get("dt", 1e-3), "dt"),
-        horizon=_json_float(data.get("horizon", 50.0), "horizon"),
-    )
 
 
 @dataclass(frozen=True)
@@ -280,8 +168,8 @@ class SimulationRun:
 def _solve_output(c: float, D: float, e: float, f: Callable[[float], float],
                   y: float, v: float, step_index: int) -> tuple[float, float, int]:
     """Root of phi(y) = y - c - D*(e - f(y)) from the start ``y``, where
-    ``v = f(y)`` is already known: the previous output or the loop's last
-    secant point.
+    ``v = f(y)`` is already known: the previous output, the loop's last
+    secant point, or ``c + D*e`` when that point's residual is not finite.
 
     Returns the root, its device output and the number of residuals evaluated,
     the first of which reuses v. The loop is well-posed, D > 0 and f
@@ -491,6 +379,12 @@ _FEEDTHROUGH_SOLVE = """\
                 if 1.0 <= secant < inf:
                     slope = secant
         if not abs(rk) <= limit:
+            if not abs(rk) < inf:
+                # the secant left the float range, and a residual that is not
+                # finite brackets nothing: the solve starts again from c + D e
+                yk = c + D * ek
+                vk = f(yk)
+                calls += 1
             # its first residual is this one, again
             yk, vk, more = solve(c, D, ek, f, yk, vk, k)
             calls += more - 1

@@ -484,6 +484,30 @@ class TestContinuedSolve:
             again, _, _ = _solve_output(c[k], D, e[k], f, *start, k)
             assert abs(again - y[k]) <= 2.0 * NEWTON_TOL * scale
 
+    @pytest.mark.parametrize("x0, root", [(10.0, 1.0219683285902323),
+                                          (1000.0, 1.0707753467663943)])
+    def test_secant_past_the_float_range_restarts_the_solve(self, x0, root):
+        # (s + 2)/(s + 1) has C = D = 1, so step 0 solves y + y**101 = x0, which
+        # has one root; from y = x0 the secant steps to an output whose device
+        # output overflows, and the bracketed solve starts again from c + D e
+        # instead of from a residual that is not finite
+        sc = Scenario(plant=ratfun_new([2.0, 1.0], [1.0, 1.0]),
+                      device=DeviceSpec(kind="CubicOddPower", params={"p": 101}),
+                      x0=(x0,), dt=1e-2, horizon=2.0)
+        run = run_closed_loop(sc)
+        assert run.kernel == "newton" and run.diverged_at is None
+        y0, v0 = run.y.values[0], run.v.values[0]
+        assert y0 == root
+        assert abs(y0 - x0 + v0) <= NEWTON_TOL * (1.0 + x0)
+
+    def test_device_overflow_at_the_start_raises(self):
+        # f(2000) = 2000**101 is not finite, so no start has a finite residual
+        sc = Scenario(plant=ratfun_new([2.0, 1.0], [1.0, 1.0]),
+                      device=DeviceSpec(kind="CubicOddPower", params={"p": 101}),
+                      x0=(2000.0,), dt=1e-2, horizon=2.0)
+        with pytest.raises(AlgebraicLoopNoConvergence, match="at step 0"):
+            run_closed_loop(sc)
+
 
 AFFINE_DEVICES = [
     DeviceSpec(kind="StaticSector", params={"k1": 0.5, "k2": 2.0}),
