@@ -221,7 +221,7 @@ def sampled_gain(fn, duration: float, sample_dt: float) -> dict:
 
 def apply_device(spec: DeviceSpec, y: float, t: float) -> float:
     """Evaluate v = F(y, t) by the kind's one rule; an affine law is read at
-    the one sample t, as the loop's scan records v. Every kind takes a finite
+    the one sample t, as the closed loop records v. Every kind takes a finite
     t >= 0 only, the times of a run, and raises TimeOutOfRange otherwise."""
     if not 0.0 <= t < math.inf:
         raise TimeOutOfRange(f"device time t={t} must be finite and nonnegative")

@@ -8,20 +8,18 @@ The loop is ``u = e - F(y)`` around a realized plant, stepped with the exact
 zero-order-hold discretization at every plant order, zero included, with the
 overflow guard on y at every sample. ``_simulate`` builds the loop record: the
 time grid and the excitation e once, then u = e - v and the divergence time
-from the samples the kernel keeps. There are two kernels, one for each kind
-of device law (``DeviceLaw`` has exactly one rule); each returns y and v.
+from the samples the kernel keeps. One kernel steps every loop, compiled once
+per plant order, feedthrough and kind of device law (``DeviceLaw`` has exactly
+one rule); it holds the state and the coefficients in local floats and writes
+``c = C x`` and ``x' = Ad x + Bd u`` out term by term. Its device line is:
 
-* Affine devices, ``F(y, t) = g(t) y + o(t)`` (static sector, time-varying
-  gain, regenerative pulse), make each step one affine map of the state, with
-  the algebraic loop ``y = C x + D (e - F(y))`` solved in closed form. The
-  whole trajectory comes from a blocked scan: prefix increments of the steps
-  of a block of SCAN_BLOCK samples, then one product per block.
-* The time-invariant devices ``v = f(y)`` (odd power, relay, deadzone) are
-  stepped one sample at a time, by a loop compiled once per plant order and
-  feedthrough that holds the state and the coefficients in local floats and
-  writes ``c = C x`` and ``x' = Ad x + Bd u`` out term by term; no time
-  enters it. Plants of relative degree zero have direct feedthrough, so each
-  step solves ``y = c + D (e - f(y))`` on one path. It starts from
+* "affine" for ``F(y, t) = g(t) y + o(t)`` (static sector, time-varying gain,
+  regenerative pulse): ``y = C x + D (e - F(y))`` in closed form from
+  ``e - o`` and g, with v formed from y after the loop;
+* "loop" for a time-invariant device ``v = f(y)`` (odd power, relay,
+  deadzone) through a plant with D = 0;
+* "newton" for the same devices through a plant with direct feedthrough,
+  where each step solves ``y = c + D (e - f(y))`` on one path. It starts from
   ``c + D e`` at step 0 and from the previous output and device output after
   it, where its first residual costs no device call. With ``D > 0`` the
   residual ``phi(y) = y - c - D (e - f(y))`` of a nondecreasing f has
@@ -30,8 +28,10 @@ of device law (``DeviceLaw`` has exactly one rule); each returns y and v.
   secant slope carried from the step before, about two device calls a step
   in all. A residual still outside the stop rule hands the point reached to
   the bracketed ``_solve_output``, which resumes from it, or from ``c + D e``
-  when the secant left the float range. With ``D < 0`` the loop is not
-  well-posed, and ``_simulate`` refuses it before the first step.
+  when the secant left the float range.
+
+A loop that is not well-posed, "newton" with ``D < 0`` or "affine" where
+``1 + D g`` vanishes at a sample, is refused before the first step.
 
 Energy bookkeeping. The trace energy ``E_io(t) = <u, y>_t`` is the trapezoid
 of the recorded output, which the serialized CSV reproduces. The bound chains
@@ -76,7 +76,6 @@ OVERFLOW_GUARD = 1e9
 NEWTON_MAX_ITER = 50
 NEWTON_TOL = 1e-12
 VIOLATION_CAP = 50
-SCAN_BLOCK = 256
 
 
 class Verdict(str, enum.Enum):
@@ -142,9 +141,9 @@ class BoundChainAudit:
 
 @dataclass(frozen=True)
 class SimulationRun:
-    """A completed run. ``kernel`` names the stepping path: "scan" for affine
-    devices, "loop" for the others when D = 0, "newton" when D > 0. For
-    "newton", ``solve_evaluations[i]`` counts the steps whose root solve,
+    """A completed run. ``kernel`` names the step loop's device line: "affine"
+    for affine devices, "loop" for the others when D = 0, "newton" when D > 0.
+    For "newton", ``solve_evaluations[i]`` counts the steps whose root solve,
     secant and bracketed solve together, evaluated the residual at i points;
     the first of them, the start, reuses the previous step's device output,
     so a step after step 0 costs one device call fewer. It is None on the
@@ -248,112 +247,19 @@ def _solve_output(c: float, D: float, e: float, f: Callable[[float], float],
     )
 
 
-def _prefix(inc: np.ndarray) -> np.ndarray:
-    """Prefix products of affine steps z -> z + [A_k | b_k] z on z = [x; 1].
-
-    ``inc`` stacks the m increments [A_k | b_k] (shape m x n x n+1); entry i
-    of the result is the increment of the first i steps together, so entry 0
-    is zero. A Hillis-Steele scan composes later after earlier as
-    P + Q + P[:, :n] Q, in ceil(log2(m + 1)) batched products. The identity is
-    never added, so it cannot swamp increments of order dt; equal increments
-    give the powers F^i - I.
-    """
-    n = inc.shape[1]
-    p = np.zeros((inc.shape[0] + 1,) + inc.shape[1:])
-    p[1:] = inc
-    o = 1
-    while o < len(p):
-        later, earlier = p[o:], p[:-o]
-        p[o:] = later + earlier + later[:, :, :n] @ earlier
-        o *= 2
-    return p
-
-
-def _scan_affine(sc: Scenario, ss, ad: np.ndarray, bd: np.ndarray,
-                 t: np.ndarray, e: np.ndarray):
-    """y and v of a loop whose device is affine, on the time grid t with
-    excitation e, up to the first sample past the overflow guard.
-
-    With v = g*y + o and w = e - o, y = (C x + D w)/(1 + D g), so each step
-    adds [Ad - I - Bd g C/den | Bd w/den] z to x, with z = [x; 1]. The samples
-    go in blocks of SCAN_BLOCK: a block's outputs are one product of a table
-    built from the prefix increments of its steps with the state it starts
-    from. A block with one (g, w) throughout reuses the previous block's table
-    when that block had the same (g, w).
-    """
-    gains, offsets = sc.device.law.affine
-    gain, offset = gains(t), offsets(t)
-    w = e - offset
-    n_samples = len(e)
-    n, D = ss.order, ss.D
-    # where 1 + D g vanishes the loop has no unique output, and no sample is
-    # stepped; every gain is >= 0, so that takes D < 0
-    if D < 0.0:
-        degenerate = np.nonzero(np.abs(1.0 + D * gain) < 1e-12)[0]
-        if degenerate.size:
-            k = degenerate[0]
-            raise AlgebraicLoopNoConvergence(
-                f"degenerate affine loop at step {k}: 1 + D*k = {1.0 + D * gain[k]}")
-    change = np.nonzero((gain[1:] != gain[:-1]) | (w[1:] != w[:-1]))[0] + 1
-    mixed = np.zeros(n_samples // SCAN_BLOCK + 1, dtype=bool)
-    mixed[change[change % SCAN_BLOCK != 0] // SCAN_BLOCK] = True
-
-    c = ss.C.reshape(-1)
-    bc = np.outer(bd, c)
-    am1 = ad - np.eye(n)  # exact while the diagonal of Ad is in [0.5, 2]
-    bd = bd.reshape(-1)
-    y = np.empty(n_samples)
-    z = np.append(np.asarray(sc.x0, dtype=float), 1.0)
-    table = out = key = stop = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(0, n_samples, SCAN_BLOCK):
-            m = min(SCAN_BLOCK, n_samples - s)
-            block_mixed = mixed[s // SCAN_BLOCK]
-            if block_mixed or key != (gain[s], w[s]):
-                g, wb = gain[s : s + m], w[s : s + m]
-                den = 1.0 + D * g
-                inc = np.empty((m, n, n + 1))
-                inc[:, :, :n] = am1 - (g / den)[:, None, None] * bc
-                inc[:, :, n] = (wb / den)[:, None] * bd
-                table = _prefix(inc)
-                # y_(s+i) = out[i] z_s = (C (x_s + P_i z_s) + D w)/(1 + D g)
-                out = c @ table[:m]
-                out[:, :n] += c
-                out[:, n] += D * wb
-                out /= den[:, None]
-                key = None if block_mixed else (gain[s], w[s])
-            ys = out[:m] @ z
-            ok = np.abs(ys) <= OVERFLOW_GUARD
-            if not ok.all():
-                stop = s + int(np.argmin(ok))
-                y[s:stop] = ys[: stop - s]
-                break
-            y[s : s + m] = ys
-            z[:n] += table[m] @ z
-    del w
-    k = n_samples if stop is None else stop
-    # v = F(y, t) sample by sample, in the buffer of the gains
-    v = gain[:k]
-    v *= y[:k]
-    v += offset[:k]
-    return y[:k], v
-
-
 # The step loop for one plant order n, on local floats: x0..x(n-1) is the
 # state, and C, Bd and Ad arrive in one tuple that is unpacked into c*, b* and
-# a*_* once per run. The text depends on n and on whether the plant has direct
-# feedthrough; no scenario value enters it.
+# a*_* once per run. The text depends on n, on feedthrough and on whether the
+# device law is affine; no scenario value enters it.
 _STEP_SOURCE = """\
-def step(e, x, coefficients, D, f, solve, tol, guard, push_y, push_v, push_calls):
+def step(samples, x, coefficients, D, f, solve, tol, guard, push_y, push_v, push_calls):
     ({state}) = x
     ({names}) = coefficients
-    for k, ek in enumerate(e):
+    for {sample} in samples:
         c = {output}
 {solve}        if yk > guard or yk < -guard or yk != yk:
             break
-{device}        uk = ek - vk
-        push_y(yk)
-        push_v(vk)
+{device}        push_y(yk)
 {update}"""
 
 # y = c + D (e - f(y)), D > 0, at each step, from c + D e at step 0 and from
@@ -391,65 +297,89 @@ _FEEDTHROUGH_SOLVE = """\
         push_calls(calls)
 """
 
-_STEP_KERNELS: dict[tuple[int, bool], Callable] = {}
+_STEP_KERNELS: dict[tuple[int, bool, bool], Callable] = {}
 
 
-def _step_kernel(n: int, feedthrough: bool) -> Callable:
+def _step_kernel(n: int, feedthrough: bool, affine: bool) -> Callable:
     """The step loop for plant order n, with or without direct feedthrough,
-    compiled on its first use and kept in ``_STEP_KERNELS`` for every later
-    run of that kind: compiling takes about 0.3 ms, as long as a few hundred
-    explicit steps."""
-    kernel = _STEP_KERNELS.get((n, feedthrough))
+    for an affine or a time-invariant device law, compiled on its first use
+    and kept in ``_STEP_KERNELS`` for every later run of that kind: compiling
+    takes about 0.3 ms, as long as a few hundred explicit steps."""
+    kernel = _STEP_KERNELS.get((n, feedthrough, affine))
     if kernel is None:
         x = [f"x{j}" for j in range(n)]
         names = ([f"c{j}" for j in range(n)] + [f"b{i}" for i in range(n)]
                  + [f"a{i}_{j}" for i in range(n) for j in range(n)])
         rows = [" + ".join([f"b{i} * uk"] + [f"a{i}_{j} * x{j}" for j in range(n)])
                 for i in range(n)]
+        if affine:  # y = c + D (w - g y) in closed form, with w = e - o
+            sample, device = "ek, gk", "        uk = ek - gk * yk\n"
+            solve = ("        yk = (c + D * ek) / (1.0 + D * gk)\n" if feedthrough
+                     else "        yk = c\n")
+        else:
+            sample, device = "k, ek", "        uk = ek - vk\n        push_v(vk)\n"
+            solve = _FEEDTHROUGH_SOLVE
+            if not feedthrough:
+                solve, device = "        yk = c\n", "        vk = f(yk)\n" + device
         source = _STEP_SOURCE.format(
             state="".join(name + ", " for name in x),
             names="".join(name + ", " for name in names),
+            sample=sample,
             output=" + ".join(["0.0"] + [f"c{j} * x{j}" for j in range(n)]),
-            solve=_FEEDTHROUGH_SOLVE if feedthrough else "        yk = c\n",
-            device="" if feedthrough else "        vk = f(yk)\n",
+            solve=solve,
+            device=device,
             update=f"        {', '.join(x)} = {', '.join(rows)}\n" if n else "",
         )
         namespace: dict = {"inf": math.inf}
-        label = ", feedthrough" if feedthrough else ""
+        label = ", feedthrough" * feedthrough + ", affine" * affine
         exec(compile(source, f"<step kernel, order {n}{label}>", "exec"), namespace)
-        kernel = _STEP_KERNELS[n, feedthrough] = namespace["step"]
+        kernel = _STEP_KERNELS[n, feedthrough, affine] = namespace["step"]
     return kernel
 
 
-def _step_loop(sc: Scenario, ss, ad: np.ndarray, bd: np.ndarray, e: np.ndarray):
+def _step_loop(sc: Scenario, ss, ad: np.ndarray, bd: np.ndarray, e: np.ndarray,
+               affine: tuple[np.ndarray, np.ndarray] | None):
     """y, v and solve effort of a loop stepped one sample at a time with
-    excitation e, up to the first sample past the overflow guard.
+    excitation e, up to the first sample past the overflow guard. ``affine``
+    is an affine device's (gain, offset) on the time grid, else None.
 
-    The loop runs in ``_step_kernel(ss.order, ss.D != 0)``. Its output
-    ``c = 0.0 + c0*x0 + c1*x1 + ...`` and state rows
+    Its output ``c = 0.0 + c0*x0 + c1*x1 + ...`` and state rows
     ``x_i' = b_i*u + a_i0*x0 + a_i1*x1 + ...`` add their terms left to right,
     the summation order of the row sums ``sum(map(mul, row, x), start)`` of a
     loop over lists of floats, so every record is bit for bit that loop's.
-    With D != 0 every step takes the one path ``_FEEDTHROUGH_SOLVE`` sets
-    out; the device output of a step is the one its solve computed, never
-    evaluated again. The effort is ``np.bincount`` of the residuals
-    evaluated per step, None when D = 0.
+    An affine v is ``gain*y + offset``, as ``apply_device`` forms it. A solved
+    step's device output is the one its solve computed, never evaluated
+    again; the effort is ``np.bincount`` of the residuals evaluated per step,
+    None but for "newton".
     """
     coefficients = (*ss.C.reshape(-1).tolist(), *bd.reshape(-1).tolist(),
                     *ad.reshape(-1).tolist())
     D = ss.D
     y_buf, v_buf, calls_buf = array("d"), array("d"), array("H")
-    step = _step_kernel(ss.order, D != 0.0)
-    step(memoryview(e), sc.x0, coefficients, D, sc.device.law.f, _solve_output,
+    step = _step_kernel(ss.order, D != 0.0, affine is not None)
+    if affine is None:
+        samples = enumerate(memoryview(e))
+    else:
+        gain, offset = affine
+        samples = zip(memoryview(e - offset), memoryview(gain))
+    step(samples, sc.x0, coefficients, D, sc.device.law.f, _solve_output,
          NEWTON_TOL, OVERFLOW_GUARD, y_buf.append, v_buf.append, calls_buf.append)
     if v_buf and not math.isfinite(v_buf[-1]):
         # the device output left the float range; only the last sample can
         # hold it, since the state is not finite after it
         del y_buf[-1], v_buf[-1]
-    y, v = np.frombuffer(y_buf), np.frombuffer(v_buf)
+    y = np.frombuffer(y_buf)
+    k = len(y)
+    if affine is None:
+        v = np.frombuffer(v_buf)
+    else:
+        # v = F(y, t) sample by sample, in the buffer of the gains
+        v = gain[:k]
+        v *= y
+        v += offset[:k]
     # a diverged step's solve is not one of the recorded samples
-    evaluations = (None if D == 0.0
-                   else np.bincount(np.frombuffer(calls_buf, np.uint16)[: len(y)]))
+    evaluations = (np.bincount(np.frombuffer(calls_buf, np.uint16)[:k])
+                   if D != 0.0 and affine is None else None)
     return y, v, evaluations
 
 
@@ -464,20 +394,19 @@ def _simulate(sc: Scenario, hold):
     """Step the loop; returns u, y, v, e, the divergence time, the kernel and
     the solve effort. ``hold`` is ``_hold(sc)``.
 
-    The time grid and the excitation e go to the kernel, which returns y and v
-    up to the first sample past the overflow guard; a record cut short sets
-    the divergence time. Affine devices go through the blocked scan ("scan");
-    any other device is stepped one sample at a time, explicitly when D = 0
-    ("loop") and by the scalar root solve otherwise ("newton"). The solve
-    effort, a histogram of residual evaluations per step, exists for "newton"
-    only. A loop that is not well-posed is refused before its first step.
+    The time grid and the excitation e go to the step loop, which returns y
+    and v up to the first sample past the overflow guard; a record cut short
+    sets the divergence time. Both refusals of a loop that is not well-posed
+    come first: a time-invariant device through a plant with D < 0, and an
+    affine one where 1 + D g vanishes at any sample.
     """
     ss, _, phi, _ = hold
     if len(sc.x0) != ss.order:
         raise DimensionMismatch(
             f"x0 has {len(sc.x0)} entries, plant realization has order {ss.order}"
         )
-    if ss.D < 0.0 and sc.device.law.affine is None:
+    law = sc.device.law
+    if ss.D < 0.0 and law.affine is None:
         raise AlgebraicLoopNoConvergence(
             f"ill-posed loop: a {sc.device.kind.value} device through a plant with "
             f"D = {ss.D} < 0, where y = Cx + D(e - f(y)) may have several roots or none")
@@ -487,11 +416,18 @@ def _simulate(sc: Scenario, hold):
     e = np.zeros(n_samples)
     if sc.excitation is not None:
         e[t < sc.excitation.duration] = sc.excitation.amplitude
-    if sc.device.law.affine is not None:
-        (y, v), kernel, evaluations = _scan_affine(sc, ss, ad, bd, t, e), "scan", None
-    else:
-        y, v, evaluations = _step_loop(sc, ss, ad, bd, e)
-        kernel = "loop" if ss.D == 0.0 else "newton"
+    affine = None if law.affine is None else tuple(rule(t) for rule in law.affine)
+    del t
+    # every gain is >= 0, so 1 + D g can vanish only with D < 0
+    if affine is not None and ss.D < 0.0:
+        den = 1.0 + ss.D * affine[0]
+        degenerate = np.flatnonzero(np.abs(den) < 1e-12)
+        if degenerate.size:
+            k = degenerate[0]
+            raise AlgebraicLoopNoConvergence(
+                f"degenerate affine loop at step {k}: 1 + D*k = {den[k]}")
+    y, v, evaluations = _step_loop(sc, ss, ad, bd, e, affine)
+    kernel = "affine" if affine is not None else ("loop" if ss.D == 0.0 else "newton")
     kept = len(y)
     if kept < 2:
         raise AlgebraicLoopNoConvergence(

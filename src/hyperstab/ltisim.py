@@ -21,6 +21,7 @@ from scipy.signal import fftconvolve
 
 from .errors import DimensionMismatch, GridMismatch
 from .ratfun import RationalFunction
+from .scenario import MAX_STEPS
 from .signals import Signal
 
 
@@ -154,8 +155,9 @@ def zero_states(step: np.ndarray, first: np.ndarray, u: np.ndarray, block: int):
 
 def impulse_response(g: RationalFunction, T: float, dt: float) -> ImpulseResponse:
     """Sampled C exp(A t) B on [0, T] plus the Dirac weight D."""
-    if dt <= 0 or T < dt:
-        raise ValueError("need dt > 0 and T >= dt")
+    # round(T/dt) > MAX_STEPS is tested before rounding, as a Scenario does
+    if not 0 < dt <= T < np.inf or T / dt > MAX_STEPS + 0.5:
+        raise ValueError(f"need dt > 0, a finite T >= dt and T/dt <= {MAX_STEPS}")
     ss = realize(g)
     n_samp = int(round(T / dt)) + 1
     samples = power_record(expm(ss.A * dt), ss.B.ravel(), n_samp) @ ss.C.ravel()

@@ -26,7 +26,6 @@ from hyperstab.errors import (
 from hyperstab.harness import (
     NEWTON_TOL,
     OVERFLOW_GUARD,
-    SCAN_BLOCK,
     Excitation,
     Scenario,
     Verdict,
@@ -135,12 +134,12 @@ class TestAlgebraicLoop:
         assert y == pytest.approx(1.0, abs=1e-9) and v == 1.0
 
     def test_newton_path_matches_affine_path(self):
-        # the unit sector's loop through the affine scan's closed-form solve,
+        # the unit sector's loop through the affine kernel's closed-form solve,
         # and its law v = y, given here as a scalar law, through the generic
         # root solve: started from the previous output, each solve of
         # y = c + D (e - y), with c = y - D u, gives the recorded output
         run = run_closed_loop(sspr_scenario(horizon=2.0))
-        assert run.kernel == "scan"
+        assert run.kernel == "affine"
         D = realize(run.scenario.plant).D
         y, e = run.y.values, run.e.values
         c = y - D * run.u.values
@@ -367,9 +366,10 @@ class TestSteppingLoop:
         assert_matches_forced_plant(run_closed_loop(sc), ss)
 
     def test_one_compiled_kernel_serves_every_plant_of_an_order(self, monkeypatch):
-        # the kernel's source holds the plant order and whether D != 0, not
-        # the coefficients: four order-4 plants, two with D = 0 and two
-        # without, compile one kernel of each kind
+        # the kernel's source holds the plant order, whether D != 0 and
+        # whether the device law is affine, not the coefficients: four order-4
+        # plants, two with D = 0 and two without, under a time-invariant and
+        # under an affine device compile one kernel of each kind
         compiled = []
 
         def counting_compile(source, filename, mode):
@@ -378,21 +378,27 @@ class TestSteppingLoop:
 
         monkeypatch.setattr(harness, "_STEP_KERNELS", {})
         monkeypatch.setattr(harness, "compile", counting_compile, raising=False)
-        device = DeviceSpec(kind="CubicOddPower", params={"p": 3})
         kernels = []
-        for feedthrough in (0, 1):
-            num, den = STEPPING_PLANTS[4, feedthrough]
-            for gain in (1.0, 0.5):
-                g = ratfun_new([gain * a for a in num], den)
-                sc = Scenario(plant=g, device=device, x0=(0.5, 1.0, 1.5, 2.0),
-                              excitation=Excitation(1.5, 0.3), dt=1e-2, horizon=3.0)
-                run = run_closed_loop(sc)
-                assert run.kernel == ("newton" if feedthrough else "loop")
-                assert_matches_forced_plant(run, realize(g))
-                kernels.append(harness._STEP_KERNELS[4, bool(feedthrough)])
-        assert compiled == ["<step kernel, order 4>", "<step kernel, order 4, feedthrough>"]
-        assert kernels[0] is kernels[1] and kernels[2] is kernels[3]
-        assert list(harness._STEP_KERNELS) == [(4, False), (4, True)]
+        for device in (DeviceSpec(kind="CubicOddPower", params={"p": 3}),
+                       DeviceSpec(kind="StaticSector", params={"k1": 0.5, "k2": 2.0})):
+            affine = device.law.affine is not None
+            for feedthrough in (0, 1):
+                num, den = STEPPING_PLANTS[4, feedthrough]
+                for gain in (1.0, 0.5):
+                    g = ratfun_new([gain * a for a in num], den)
+                    sc = Scenario(plant=g, device=device, x0=(0.5, 1.0, 1.5, 2.0),
+                                  excitation=Excitation(1.5, 0.3), dt=1e-2, horizon=3.0)
+                    run = run_closed_loop(sc)
+                    assert run.kernel == ("affine" if affine
+                                          else "newton" if feedthrough else "loop")
+                    assert_matches_forced_plant(run, realize(g))
+                    kernels.append(harness._STEP_KERNELS[4, bool(feedthrough), affine])
+        assert compiled == ["<step kernel, order 4>", "<step kernel, order 4, feedthrough>",
+                            "<step kernel, order 4, affine>",
+                            "<step kernel, order 4, feedthrough, affine>"]
+        assert all(kernels[i] is kernels[i + 1] for i in range(0, 8, 2))
+        assert list(harness._STEP_KERNELS) == [(4, False, False), (4, True, False),
+                                               (4, False, True), (4, True, True)]
 
 
 def recorded_outputs(sc, u):
@@ -515,9 +521,9 @@ AFFINE_DEVICES = [
     # holds from t = 2.22 to the end
     DeviceSpec(kind="TimeVaryingGain",
                params={"samples": [0.5, 2.0, 1.0, 0.0, 3.0, 1.5], "sample_dt": 0.37}),
-    # a gain that changes exactly where the scan's blocks of dt = 0.01 meet
+    # a gain that changes exactly at samples 256 and 512 of dt = 0.01
     DeviceSpec(kind="TimeVaryingGain",
-               params={"samples": [1.0, 2.0, 0.5], "sample_dt": SCAN_BLOCK * 1e-2}),
+               params={"samples": [1.0, 2.0, 0.5], "sample_dt": 2.56}),
     # pulse edges on a sample (t = 0.5, t = 1.0) and between two
     DeviceSpec(kind="RegenerativePulse",
                params={"t_start": 0.5, "t_end": 1.234, "rate": 1.0}),
@@ -531,20 +537,19 @@ def demo_scenario(name):
     return scenario_from_json_dict(json.loads(path.read_text()))
 
 
-class TestAffineScan:
+class TestAffineKernel:
     @pytest.mark.parametrize("device", AFFINE_DEVICES, ids=lambda d: d.kind.value)
     @pytest.mark.parametrize("order, feedthrough", sorted(STEPPING_PLANTS),
                              ids=lambda v: str(v))
-    def test_scan_matches_forced_plant(self, order, feedthrough, device):
+    def test_kernel_matches_forced_plant(self, order, feedthrough, device):
         g = ratfun_new(*STEPPING_PLANTS[order, feedthrough])
         ss = realize(g)
         x0 = tuple(0.5 * (i + 1) for i in range(order))
-        # 1001 samples: the excitation ends inside the first block of the
-        # scan, and the last blocks hold one (gain, e - offset) throughout
+        # 1001 samples, with the excitation ending at t = 0.3
         sc = Scenario(plant=g, device=device, x0=x0,
                       excitation=Excitation(1.5, 0.3), dt=1e-2, horizon=10.0)
         run = run_closed_loop(sc)
-        assert run.kernel == "scan" and run.diverged_at is None
+        assert run.kernel == "affine" and run.diverged_at is None
         t = run.y.times()
         y = run.y.values
         ref = simulate_forced(ss, run.u, x0).values
@@ -553,6 +558,48 @@ class TestAffineScan:
         assert np.array_equal(run.v.values, v)
         assert np.array_equal(run.u.values, run.e.values - run.v.values)
         assert np.array_equal(run.e.values, np.where(t < 0.3, 1.5, 0.0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=3),
+        st.sampled_from(["D = 0", "D > 0", "D < 0"]),
+        st.data(),
+    )
+    def test_kernel_matches_forced_plant_on_drawn_loops(self, order, sign, data):
+        # a stable plant of the drawn order, strictly proper, with D > 0, or
+        # NotPR with D < 0, under a static sector or a table of gains: y is the
+        # plant's forced response to the recorded u, and v the device's law
+        assume(order > 0 or sign != "D = 0")
+        coefficient = st.floats(min_value=-2.0, max_value=2.0)
+        poles = data.draw(st.lists(st.floats(min_value=-3.0, max_value=-0.2),
+                                   min_size=order, max_size=order))
+        D = {"D = 0": 0.0,
+             "D > 0": data.draw(st.floats(min_value=0.1, max_value=2.0)),
+             "D < 0": data.draw(st.floats(min_value=-2.0, max_value=-0.1))}[sign]
+        num = data.draw(st.lists(coefficient, min_size=order, max_size=order)) + [D]
+        g = ratfun_new(num, P.polyfromroots(poles) if order else [1.0])
+        ss = realize(g)
+        assume(ss.order == order and ss.D == D)
+        gain = st.floats(min_value=0.0, max_value=3.0)
+        if data.draw(st.booleans()):
+            device = DeviceSpec(kind="StaticSector", params={"k1": 0.0, "k2": data.draw(gain)})
+        else:
+            device = DeviceSpec(kind="TimeVaryingGain", params={
+                "samples": data.draw(st.lists(gain, min_size=1, max_size=5)),
+                "sample_dt": data.draw(st.floats(min_value=0.05, max_value=1.0))})
+        x0 = tuple(data.draw(st.lists(coefficient, min_size=order, max_size=order)))
+        sc = Scenario(plant=g, device=device, x0=x0,
+                      excitation=Excitation(data.draw(st.floats(0.25, 2.0)), 0.3),
+                      dt=1e-2, horizon=2.0)
+        t = np.arange(201) * sc.dt
+        assume(np.min(np.abs(1.0 + D * device.law.affine[0](t))) > 0.1)
+        run = run_closed_loop(sc)
+        assert run.kernel == "affine"
+        y = run.y.values
+        ref = simulate_forced(ss, run.u, x0).values
+        assert np.max(np.abs(y - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
+        v = [apply_device(device, yk, tk) for yk, tk in zip(y, run.y.times())]
+        assert np.array_equal(run.v.values, v)
 
     def test_divergence_at_first_sample_past_guard(self):
         # 1/(s - 1) under a gain that drops from 3 to 0.5 between two samples
@@ -593,7 +640,7 @@ class TestAffineScan:
                         params={"samples": [0.1, 1.0], "sample_dt": 2.5}), 250),
         ]
         with monkeypatch.context() as patched:
-            patched.setattr(harness, "_prefix", None)  # no block is scanned
+            patched.setattr(harness, "_step_kernel", None)  # no sample is stepped
             for g, x0, device, step in refused:
                 sc = Scenario(plant=g, device=device, x0=x0,
                               excitation=Excitation(1.0, 0.5), dt=1e-2, horizon=3.0)
@@ -615,7 +662,7 @@ class TestAffineScan:
         # 1/s under unit gain: y_k = (1 - dt)^k exactly, for the binary dt
         sc = demo_scenario("integrator_unit_gain")
         u, y, v, e, diverged_at, kernel, _ = _simulate(sc, _hold(sc))
-        assert kernel == "scan" and diverged_at is None and len(y) == 2_000_001
+        assert kernel == "affine" and diverged_at is None and len(y) == 2_000_001
         with decimal.localcontext() as ctx:
             ctx.prec = 40
             base = 1 - decimal.Decimal(sc.dt)
@@ -625,11 +672,11 @@ class TestAffineScan:
 
 class TestKernel:
     @pytest.mark.parametrize("name, kernel", [
-        ("sspr_sector", "scan"),
+        ("sspr_sector", "affine"),
         ("wspr_cubic", "loop"),
-        ("integrator_unit_gain", "scan"),
-        ("regenerative_pulse", "scan"),
-        ("unstable_gain", "scan"),
+        ("integrator_unit_gain", "affine"),
+        ("regenerative_pulse", "affine"),
+        ("unstable_gain", "affine"),
     ])
     def test_demo_kernels(self, name, kernel):
         # the path depends on the device and on D only, so a short horizon will do

@@ -1,5 +1,7 @@
 """Realization, impulse response, forced simulation and convolution."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from hyperstab.ltisim import (
 )
 from hyperstab.ratfun import ratfun_new
 from hyperstab.realness import Grade, classify_pr
+from hyperstab.scenario import MAX_STEPS
 from hyperstab.signals import Signal
 
 DT = 1e-3
@@ -66,6 +69,14 @@ class TestImpulseResponse:
     def test_horizon_shorter_than_step_rejected(self):
         with pytest.raises(ValueError, match="T >= dt"):
             impulse_response(ratfun_new([1], [1, 1]), T=1e-4, dt=DT)
+        # a grid that is not finite, or asks for more than MAX_STEPS samples,
+        # is refused the same way before any sample is made
+        for T, dt in ((math.nan, 0.1), (1.0, math.nan), (math.inf, 0.1),
+                      (1.0, math.inf)):
+            with pytest.raises(ValueError, match="T >= dt"):
+                impulse_response(ratfun_new([1], [1, 1]), T=T, dt=dt)
+        with pytest.raises(ValueError, match=f"T/dt <= {MAX_STEPS}"):
+            impulse_response(ratfun_new([1], [1, 1]), T=1e12, dt=1e-3)
 
     def test_integrator_does_not_decay(self):
         ir = impulse_response(ratfun_new([1], [0, 1]), T=5.0, dt=DT)
