@@ -84,8 +84,11 @@ def _sector(params: dict) -> tuple[float, float]:
     k2 = _number(params, "k2", k1)
     if not 0.0 <= k1 <= k2:
         raise InvalidParams(f"sector slopes need 0 <= k1 <= k2, got {k1}, {k2}")
-    # the midpoint of [k1, k2] rounds into [k1, k2], so no clamp is needed
-    gain = _number(params, "gain", 0.5 * (k1 + k2))
+    # the midpoint of [k1, k2] rounds into [k1, k2], so no clamp is needed;
+    # where k1 + k2 overflows, the sum of the halves is that midpoint
+    total = k1 + k2
+    mid = 0.5 * total if total < math.inf else 0.5 * k1 + 0.5 * k2
+    gain = _number(params, "gain", mid)
     if not k1 <= gain <= k2:
         raise InvalidParams("nominal gain must lie inside [k1, k2]")
     return k1, gain

@@ -452,9 +452,10 @@ def _bound_chain_audit(
     w_j, int y^2 and int xi^2 are forms w_j' M w_j, and delta = int u is
     linear in t.
 
-    The holds go in blocks of BLOCK samples, each sum carried from block to
-    block, so the audit allocates no full-length array but the E_op and lower
-    traces it returns. A record of one block is audited in one pass.
+    The holds go in blocks of BLOCK samples; each block writes its
+    increments into the E_op and lower traces it returns, the only
+    full-length arrays, and one cumsum per trace sums them in place. A record
+    of one block is audited in one pass.
     """
     grade = classification.grade
     if grade is Grade.NOT_PR:
@@ -472,38 +473,31 @@ def _bound_chain_audit(
         _, g12, g22 = van_loan(-f.T, np.outer(h[cols], h[cols]), f, dt)
         return g22.T @ g12
 
-    carried: dict[str, float] = {}
-
-    def running(key, inc):
-        """inc summed from t = 0, in place: the sum carried under key from
-        the block before enters as the first term, as in one long cumsum."""
-        if key in carried:
-            inc[0] += carried[key]
-        np.cumsum(inc, out=inc)
-        carried[key] = inc[-1]
-        return inc
-
     # each chain E >= constant*int(integrand), named by its inequality, with
-    # the block function giving its integral from t = 0 at each row of w
+    # the function giving the integral's increment over each hold, row by row of w
     chains = []
     c_w = None
     note = ""
+    squared = False  # the d1 chain's trace is (int |u|)^2 / 2
     if grade is Grade.SSPR:
         form_y = form(h_y)
         chains = [
-            ("E >= d*int(u^2)", classification.d,
-             lambda w, held: running("u^2", dt * held * held)),
+            ("E >= d*int(u^2)", classification.d, lambda w, held: dt * held * held),
             ("E >= d_inv*int(y^2)", real_part_margin(inverse(sc.plant)),
-             lambda w, held: running("y^2", np.einsum("ij,ij->i", w @ form_y, w))),
+             lambda w, held: np.einsum("ij,ij->i", w @ form_y, w)),
         ]
     elif grade is Grade.WSPR:
         form_xi = form(np.eye(n + 2)[n])
+        delta = 0.0  # delta where the next block's first hold starts
 
         def delta_squared(w, held):
-            a0 = carried.get("delta", 0.0)  # delta where the block's first hold starts
-            b = running("delta", dt * held)  # and where each hold ends
-            a = np.concatenate(([a0], b[:-1]))
-            return running("delta^2", dt * (a * a + a * b + b * b) / 3)
+            nonlocal delta
+            b = dt * held
+            b[0] += delta
+            np.cumsum(b, out=b)  # delta where each hold ends
+            a = np.concatenate(([delta], b[:-1]))
+            delta = b[-1]
+            return dt * (a * a + a * b + b * b) / 3
 
         # the squared-frequency chain is not implied by WSPR; the c_w one is:
         # Re g(jw) >= c_w/(1 + w^2), and xi is u through 1/(s+1)
@@ -511,25 +505,20 @@ def _bound_chain_audit(
         chains = [
             ("E >= d0*int(delta^2)", classification.d0, delta_squared),
             ("E >= c_w*int(xi^2)", c_w,
-             lambda w, held: running("xi^2", np.einsum("ij,ij->i", w @ form_xi, w))),
+             lambda w, held: np.einsum("ij,ij->i", w @ form_xi, w)),
         ]
     elif grade is Grade.PR and classification.single_pole_at_origin \
             and classification.g1_grade is Grade.SSPR:
-
-        def delta_abs_squared(w, held):
-            delta_abs = running("delta_abs", dt * np.abs(held))
-            # squared and halved in place: its running sum is already carried
-            delta_abs *= delta_abs
-            delta_abs /= 2
-            return delta_abs
-
-        chains = [("E >= d1*int(delta_abs*|u|)", classification.d1, delta_abs_squared)]
+        squared = True
+        chains = [("E >= d1*int(delta_abs*|u|)", classification.d1,
+                   lambda w, held: dt * np.abs(held))]
     else:
         note = f"no lower bound chain defined for grade {grade.value}"
 
     # row k of w is w_j of the hold that ends at sample k (row 0: no hold):
-    # [z_(k-1); xi_(k-1); u_(k-1)]. The zero states come block by block, so
-    # the only full-length arrays are E_op and the lower traces
+    # [z_(k-1); xi_(k-1); u_(k-1)]. The zero states come block by block, and
+    # each block's increments go into the E_op and lower traces, the only
+    # full-length arrays, which one cumsum each then sums in place
     h_op = (h_y @ psi)[cols]
     e_op = np.empty(N)
     lower = {name: np.empty(N) for name, _, _ in chains}
@@ -541,11 +530,19 @@ def _bound_chain_audit(
         lead = 1 if row == 0 else 0
         w[lead:, m] = u.values[row + lead - 1 : end - 1]
         held = w[:, m]
-        e_op[row:end] = running("E", held * (w @ h_op))
-        for name, constant, integral in chains:
-            lower[name][row:end] = constant * integral(w, held)
+        e_op[row:end] = held * (w @ h_op)
+        for name, _, increment in chains:
+            lower[name][row:end] = increment(w, held)
         row = end
         del z, w, held  # before the next block's scratch is made
+    np.cumsum(e_op, out=e_op)
+    for name, constant, _ in chains:
+        trace = lower[name]
+        np.cumsum(trace, out=trace)
+        if squared:
+            trace *= trace
+            trace /= 2
+        trace *= constant
 
     gamma0_sq = max(0.0, float(np.max(e_op)))
     tol_bound = 1e-6 * (1.0 + abs(float(e_op[-1])))

@@ -26,38 +26,24 @@ PARSEVAL_TOL = 1e-6
 # slack of the taxonomy's inequalities, and the least int u^2 that beta_s divides by
 TAXONOMY_TOL = 1e-9
 _DT_REL_TOL = 1e-9
-# samples per block of a running integral: its scratch stays this size
+# samples per block of a running integral's increments: its scratch stays this size
 BLOCK = 65_536
-
-
-def _trapz_blocks(a: np.ndarray, b: np.ndarray | None, dt: float):
-    """The running trapezoidal integral of a*b (of a when b is None) from
-    sample 0, in consecutive blocks of at most BLOCK samples: yields
-    (k, values), values[i] being the integral up to sample k + i, so the first
-    block starts with 0. Each block is fresh scratch; the running sum enters
-    the next block as part of its first increment, so the blocks equal one
-    cumsum over the record bit for bit.
-    """
-    total = 0.0
-    for k in range(0, a.size, BLOCK):
-        lo = max(k - 1, 0)
-        p = a[lo:k + BLOCK] if b is None else a[lo:k + BLOCK] * b[lo:k + BLOCK]
-        inc = p[1:] + p[:-1]
-        inc *= 0.5 * dt
-        if k:
-            inc[0] += total
-        np.cumsum(inc, out=inc)
-        block = inc if k else np.concatenate(([0.0], inc))
-        total = block[-1]
-        yield k, block
 
 
 def _cumtrapz(a: np.ndarray, b: np.ndarray | None, dt: float) -> np.ndarray:
     """Running trapezoidal integral of a*b (of a when b is None) with a
-    leading zero; the only full-length array it makes is the one it returns."""
+    leading zero. The increments are formed BLOCK at a time in the array it
+    returns, the only full-length array it makes, and summed there by one
+    sequential cumsum. The sum starts at the first increment, not at the
+    leading 0.0, which would turn a first increment of -0.0 into 0.0."""
     out = np.empty(a.size)
-    for k, block in _trapz_blocks(a, b, dt):
-        out[k:k + block.size] = block
+    out[0] = 0.0
+    for k in range(0, a.size - 1, BLOCK):
+        p = a[k:k + BLOCK + 1] if b is None else a[k:k + BLOCK + 1] * b[k:k + BLOCK + 1]
+        inc = out[k + 1:k + BLOCK + 1]
+        np.add(p[1:], p[:-1], out=inc)
+        inc *= 0.5 * dt
+    np.cumsum(out[1:], out=out[1:])
     return out
 
 
@@ -277,12 +263,13 @@ def classify_taxonomy(
     if np.min(E[1:]) > 0.0:
         labels.add(TaxonomyLabel.WEAKLY_STRICTLY_PASSIVE)
 
-    u_n = u.values[:n]
+    u_sq = _cumtrapz(u.values[:n], u.values[:n], u.dt)  # int u^2
     lows = []
-    for k, uu in _trapz_blocks(u_n, u_n, u.dt):  # int u^2 block by block
+    for k in range(0, n, BLOCK):  # the ratio's temporaries stay one block
+        uu = u_sq[k:k + BLOCK]
         live = uu > TAXONOMY_TOL
         if live.any():
-            lows.append(np.min(E[k:k + uu.size][live] / uu[live]))
+            lows.append(np.min(E[k:k + BLOCK][live] / uu[live]))
     beta_s = float(np.min(lows)) if lows else None
     if lows and beta_s > TAXONOMY_TOL:
         labels.add(TaxonomyLabel.STRONGLY_STRICTLY_PASSIVE)
@@ -358,6 +345,9 @@ def _read_columns(path, keep: tuple[str, ...] | None) -> dict[str, np.ndarray]:
         if not header:
             raise GridMismatch("empty trace file")
         names = [name.strip() for name in header.split(",")]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise GridMismatch(f"trace header names column {name!r} twice")
         kept = [i for i, name in enumerate(names) if keep is None or name in keep]
         parts: list[list[np.ndarray]] = [[] for _ in kept]
         any_rows = False
@@ -387,8 +377,8 @@ def _read_columns(path, keep: tuple[str, ...] | None) -> dict[str, np.ndarray]:
 def read_trace_csv(path) -> dict[str, np.ndarray]:
     """Read a trace CSV back into named float arrays, one per header name.
 
-    A header-only file and a row whose cell count differs from the header's
-    raise GridMismatch.
+    A header-only file, a header that names a column twice and a row whose
+    cell count differs from the header's raise GridMismatch.
     """
     return _read_columns(path, None)
 

@@ -324,6 +324,8 @@ class TestAudit:
         ("t,u,y\n0,1,1\n", "at least two rows"),
         ("t,u,y\nnan,1,1\nnan,1,1\nnan,1,1\n", "positive and finite"),
         ("t,u,y\n0,1,1\ninf,1,1\n1,1,1\n", "positive and finite"),
+        ("t,u,y,u\n0,1,1,5\n0.1,1,1,5\n0.2,1,1,5\n", "column 'u' twice"),
+        ("t,u,y,t\n0,1,1,7\n0.1,1,1,9\n0.2,1,1,11\n", "column 't' twice"),
     ])
     def test_bad_trace_file_exit_2(self, capsys, tmp_path, text, message):
         path = tmp_path / "trace.csv"

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -52,6 +53,15 @@ class TestApplyDevice:
         spec = DeviceSpec(kind="StaticSector", params={"k1": 1.0, "k2": 1.0})
         v = apply_device(spec, -0.5, 0.0)
         assert v == -0.5
+
+    @pytest.mark.parametrize("kind", ["StaticSector", "DeadzoneSector"])
+    @pytest.mark.parametrize("k1, k2", [(1e308, 1.5e308), (sys.float_info.max,) * 2,
+                                        (0.0, sys.float_info.max)])
+    def test_default_gain_of_a_sector_near_the_float_maximum(self, kind, k1, k2):
+        # k1 + k2 overflows in the first two; the default gain stays in [k1, k2]
+        spec = DeviceSpec(kind=kind, params={"k1": k1, "k2": k2})
+        gain = apply_device(spec, 1.0, 0.0)
+        assert math.isfinite(gain) and k1 <= gain <= k2
 
     def test_relay_zero_input_zero_output(self):
         spec = DeviceSpec(kind="Relay", params={"amplitude": 1.0})

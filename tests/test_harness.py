@@ -906,6 +906,10 @@ CHAIN_LOOPS = {
                             x0=(1.0,), dt=1e-3, horizon=10.0),
 }
 
+# the chains that read only the held input, not the zero states
+HELD_INPUT_CHAINS = ("E >= d*int(u^2)", "E >= d0*int(delta^2)",
+                     "E >= d1*int(delta_abs*|u|)")
+
 
 class TestChainTable:
     @pytest.mark.parametrize("name", list(CHAIN_LOOPS))
@@ -957,20 +961,26 @@ class TestExactAudit:
         storage = audit.energy_op - audit.lower["E >= c_w*int(xi^2)"] / audit.c_w
         assert np.max(np.abs(storage - xi**2 / 2)) <= 1e-12 * (1.0 + np.max(audit.energy_op))
 
+    @pytest.mark.parametrize("block", [
+        lambda n: 1000, lambda n: n - 2, lambda n: n - 3, lambda n: (n - 2) // 2,
+    ], ids=["1000", "one_block", "last_block_of_one_state", "two_blocks"])
     @pytest.mark.parametrize("name", list(CHAIN_LOOPS))
-    def test_blocked_audit_matches_one_pass(self, name, monkeypatch):
-        # in blocks of 1,000 samples, each sum carried from block to block,
-        # the audit of the 10,001 samples agrees with the one-pass audit up
-        # to round-off
+    def test_blocked_audit_matches_one_pass(self, name, block, monkeypatch):
+        # in blocks of the zero states (a record of n samples has n - 2), the
+        # audit of the 10,001 samples agrees with the one-pass audit up to
+        # round-off where it reads z, and bit for bit where it reads only the
+        # held input: the blocks just hold that input's increments
         run = run_closed_loop(CHAIN_LOOPS[name])
         one = run.bound_audit
-        monkeypatch.setattr(harness, "BLOCK", 1000)
+        monkeypatch.setattr(harness, "BLOCK", block(len(run.u)))
         blocked = verify_bound_chain(run)
         scale = 1e-12 * (1.0 + np.max(np.abs(one.energy_op)))
         assert np.max(np.abs(blocked.energy_op - one.energy_op)) <= scale
         assert blocked.lower.keys() == one.lower.keys()
         for chain, trace in one.lower.items():
             assert np.max(np.abs(blocked.lower[chain] - trace)) <= scale
+            if chain in HELD_INPUT_CHAINS:
+                assert np.array_equal(blocked.lower[chain], trace)
         assert blocked.chain_violations == one.chain_violations
 
     @pytest.mark.parametrize("name", list(REFINED_CHAINS))

@@ -144,18 +144,25 @@ class TestEnergyTrace:
         u = sampled(lambda t: np.exp(-t) * np.sin(5 * t), 3.0)
         assert energy_trace(u, u).final == pytest.approx(inner_product(u, u))
 
-    def test_blocks_equal_one_cumsum(self, monkeypatch):
-        # the running sums carried from block to block give the bits of one
-        # cumsum of the trapezoid increments, and the same taxonomy verdict
+    @pytest.mark.parametrize("n", [999, 1000, 1001, 1002, 2001])
+    def test_blocks_equal_one_cumsum(self, monkeypatch, n):
+        # increments formed in blocks of 1,000 and summed by one cumsum give
+        # the bits of one cumsum of the trapezoid increments, and the same
+        # taxonomy verdict, on either side of the edges of one and two blocks
         rng = np.random.default_rng(5)
-        u = Signal(DT, rng.standard_normal(2500))
-        y = Signal(DT, 2.0 * u.values + 0.1 * rng.standard_normal(2500))
-        p = u.values * y.values
-        whole = np.concatenate(([0.0], np.cumsum((p[1:] + p[:-1]) * (0.5 * DT))))
+        u = Signal(DT, rng.standard_normal(n))
+        y = Signal(DT, 2.0 * u.values + 0.1 * rng.standard_normal(n))
+
+        def one_cumsum(p):
+            return np.concatenate(([0.0], np.cumsum((p[1:] + p[:-1]) * (0.5 * DT))))
+
         verdict = classify_taxonomy(u, y)
         assert TaxonomyLabel.STRONGLY_STRICTLY_PASSIVE in verdict.labels
         monkeypatch.setattr(signals, "BLOCK", 1000)
-        assert np.array_equal(energy_trace(u, y).E, whole)
+        assert np.array_equal(energy_trace(u, y).E, one_cumsum(u.values * y.values))
+        assert np.array_equal(input_integral(u).values, one_cumsum(u.values))
+        assert np.array_equal(input_integral(u, absolute=True).values,
+                              one_cumsum(np.abs(u.values)))
         assert classify_taxonomy(u, y) == verdict
 
 
@@ -342,6 +349,19 @@ class TestTraceRoundTrip:
             path.write_text(text + row)
             with pytest.raises(GridMismatch):
                 read_trace_signals(path, ("u",))
+
+    @pytest.mark.parametrize("header, repeated", [
+        ("t,u,y,u", "u"), ("t,u,y,t", "t"), ("t,u,u,y", "u"), ("t,u,y,v,v", "v"),
+    ])
+    def test_column_named_twice_rejected(self, tmp_path, header, repeated):
+        # neither the first nor the last column of a repeated name is read,
+        # nor is the file when the repeated column is not one of those kept
+        path = tmp_path / "trace.csv"
+        cells = ",".join(["1"] * header.count(","))
+        path.write_text(header + "".join(f"\n{t},{cells}" for t in (0, 0.1, 0.2)))
+        for read in (read_trace_csv, lambda p: read_trace_signals(p, ("u", "y"))):
+            with pytest.raises(GridMismatch, match=f"column '{repeated}' twice"):
+                read(path)
 
     @pytest.mark.parametrize("bad, message", [
         ("0.1,1", "trace row at line 102 has 2 cells, the header names 3"),
