@@ -3,9 +3,10 @@
 Coefficients are stored in ascending powers of s, so ``[2, 1]`` is ``s + 2``.
 Rational functions are normalized at construction: common numerator/denominator
 factors are divided out, the denominator is made monic, and properness
-(``deg den >= deg num``) is enforced. Everything here is immutable after
-construction and all operations are pure, so values can be shared across
-threads freely.
+(``deg den >= deg num``) is enforced. Outside input always goes through the
+common-root search; ``inverse``, ``times_s`` at an origin pole and grading's
+axis-free part build functions coprime by construction, so they skip it. All
+values are immutable and all operations pure, so threads can share them.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
-from numpy.polynomial import polynomial as npp
 
 from .errors import (
     DegenerateInput,
@@ -228,7 +228,29 @@ def _polydiv(c1, c2) -> tuple[list[float], list[float]]:
     return [c / scl for c in c1[n:]], _trimseq(c1[:n])
 
 
-def _quotient(p: Polynomial, factor: np.ndarray) -> list[float] | None:
+def _mul(a: list, b: list) -> list:
+    """The product of coefficient lists a and b, each sum from 0 along a."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def _polymul(c1, c2) -> list[float]:
+    """``npp.polymul(c1, c2)`` on plain floats, summed along the longer factor
+    (where the factors part-overlap numpy may fuse multiply-adds)."""
+    c1, c2 = _trimseq([float(c) for c in c1]), _trimseq([float(c) for c in c2])
+    return _trimseq(_mul(c1, c2) if len(c1) >= len(c2) else _mul(c2, c1))
+
+
+def _polysub(c1, c2) -> list[float]:
+    """``npp.polysub(c1, c2)`` on plain floats."""
+    c1, c2 = _trimseq([float(c) for c in c1]), _trimseq([float(c) for c in c2])
+    return _trimseq([a - b for a, b in zip(c1, c2)] + c1[len(c2):] + [-b for b in c2[len(c1):]])
+
+
+def _quotient(p: Polynomial, factor: list[float]) -> list[float] | None:
     """p / factor, or None when the remainder is not negligible."""
     quo, rem = _polydiv(p.coeffs, factor)
     return quo if max(map(abs, rem)) <= FACTOR_REM_TOL * max(map(abs, p.coeffs)) else None
@@ -256,19 +278,19 @@ def _cancel_common_roots(num: Polynomial, den: Polynomial):
         return num, den
     den_near = [r for r in den_roots if _near(r, num_near)]
     means = [c for c, _ in _cluster_roots(num_near, CLUSTER_TOL)]
-    common, taken, quotients = np.array([1.0]), [], (num, den)
+    common, taken, quotients = [1.0], [], (num, den)
     for center in means + num_near + den_near:
         if abs(center.imag) <= ROOT_MATCH_TOL * (1.0 + abs(center)):
-            factor = np.array([-center.real, 1.0])
+            factor = [-center.real, 1.0]
         elif center.imag > 0.0:
-            factor = np.array([abs(center) ** 2, -2.0 * center.real, 1.0])
+            factor = [abs(center) ** 2, -2.0 * center.real, 1.0]
         else:
             continue
         if _near(center, taken):
             continue
         trial, size = common, len(common)
         for _ in range(min(_near(center, num_roots), _near(center, den_roots))):
-            trial = npp.polymul(trial, factor)
+            trial = _polymul(trial, factor)
             q_num = _quotient(num, trial)
             q_den = None if q_num is None else _quotient(den, trial)
             if q_den is None:
@@ -301,12 +323,12 @@ class RationalFunction:
     num: Polynomial
     den: Polynomial
 
-    def __init__(self, num, den):
+    def __init__(self, num, den, _search: bool = True):
         num = num if isinstance(num, Polynomial) else Polynomial(num)
         den = den if isinstance(den, Polynomial) else Polynomial(den)
         if den.is_zero:
             raise ZeroDenominator("denominator is the zero polynomial")
-        if not num.is_zero:
+        if _search and not num.is_zero:
             num, den = _cancel_common_roots(num, den)
         if num.degree > den.degree and not num.is_zero:
             raise ImproperTransferFunction(
@@ -335,6 +357,12 @@ class RationalFunction:
 
     def __str__(self) -> str:
         return f"({list(self.num.coeffs)}) / ({list(self.den.coeffs)})"
+
+
+def _coprime(num, den) -> RationalFunction:
+    """``RationalFunction(num, den)`` without the common-root search, for a
+    pair that has no common root by construction."""
+    return RationalFunction(num, den, _search=False)
 
 
 def ratfun_new(num, den) -> RationalFunction:
@@ -400,12 +428,17 @@ def imaginary_axis_residues(g: RationalFunction) -> list[PoleInfo]:
 
 
 def times_s(g: RationalFunction) -> RationalFunction:
-    """Return s*g(s) in cancelled form; errors if the product is improper."""
+    """Return s*g(s) in cancelled form; errors if the product is improper. At
+    an origin pole it is num/(den/s), coprime, built without the search."""
+    if g.den.coeffs[0] == 0.0 and not g.num.is_zero:
+        num, den = (_polydiv(c, [0.0, 1.0])[0] for c in (g.num.times_s().coeffs, g.den.coeffs))
+        return _coprime(num, den)
     return RationalFunction(g.num.times_s(), g.den)
 
 
 def inverse(g: RationalFunction) -> RationalFunction:
-    """Return 1/g(s); errors on a zero numerator or an improper result."""
+    """Return 1/g(s); errors on a zero numerator or an improper result.
+    1/g of a cancelled g is cancelled: it is built without the search."""
     if g.num.is_zero:
         raise ZeroNumerator("cannot invert the zero function")
-    return RationalFunction(g.den, g.num)
+    return _coprime(g.den, g.num)

@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .errors import ImproperTransferFunction, PoleOnGrid, RepeatedAxisPole
 from .ratfun import (
@@ -47,8 +46,12 @@ from .ratfun import (
     RationalFunction,
     StabilityClass,
     _axis_poles,
+    _coprime,
     _eigvals,
+    _mul,
     _polydiv,
+    _polymul,
+    _polysub,
     _residues,
     _stability,
     _trimseq,
@@ -100,14 +103,6 @@ class PRClassification:
 
 
 # --- exact polynomials: integer coefficient lists, ascending powers ----------
-
-def _mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
 
 def _lin(a: list[int], ka: int, b: list[int], kb: int) -> list[int]:
     """ka*a - kb*b."""
@@ -298,15 +293,16 @@ def _axis_free_part(g: RationalFunction, axis) -> RationalFunction:
             fracs.append([0.0, 2.0 * r])
     if not factors:
         return g
-    axis_poly = np.array([1.0])
+    axis_poly = [1.0]
     for f in factors:
-        axis_poly = P.polymul(axis_poly, f)
+        axis_poly = _polymul(axis_poly, f)
     rest = _polydiv(g.den.coeffs, axis_poly)[0]
-    num = np.array(g.num.coeffs)
+    num = g.num.coeffs
     for k, frac in enumerate(fracs):
         others = _polydiv(axis_poly, factors[k])[0]
-        num = P.polysub(num, P.polymul(frac, P.polymul(others, rest)))
-    return RationalFunction(_polydiv(num, axis_poly)[0], rest)
+        num = _polysub(num, _polymul(frac, _polymul(others, rest)))
+    # every pole left keeps the nonzero principal part it has in g
+    return _coprime(_polydiv(num, axis_poly)[0], rest)
 
 
 def _re_value(g: RationalFunction):

@@ -30,20 +30,21 @@ _DT_REL_TOL = 1e-9
 BLOCK = 65_536
 
 
-def _cumtrapz(a: np.ndarray, b: np.ndarray | None, dt: float) -> np.ndarray:
-    """Running trapezoidal integral of a*b (of a when b is None) with a
-    leading zero. The increments are formed BLOCK at a time in the array it
-    returns, the only full-length array it makes, and summed there by one
-    sequential cumsum. The sum starts at the first increment, not at the
-    leading 0.0, which would turn a first increment of -0.0 into 0.0."""
+def _cumtrapz(a: np.ndarray, b: np.ndarray | None, dt: float, start=None) -> np.ndarray:
+    """Running trapezoidal integral of a*b (of a when b is None) from a leading
+    0.0, or on from ``start`` in its place. The increments are formed BLOCK at
+    a time in the array it returns, the only full-length array it makes, and
+    summed there by one sequential cumsum from ``start`` or else from the
+    first increment: 0.0 + -0.0 would turn a first increment of -0.0 into 0.0."""
     out = np.empty(a.size)
-    out[0] = 0.0
+    out[0] = 0.0 if start is None else start
     for k in range(0, a.size - 1, BLOCK):
         p = a[k:k + BLOCK + 1] if b is None else a[k:k + BLOCK + 1] * b[k:k + BLOCK + 1]
         inc = out[k + 1:k + BLOCK + 1]
         np.add(p[1:], p[:-1], out=inc)
         inc *= 0.5 * dt
-    np.cumsum(out[1:], out=out[1:])
+    first = 1 if start is None else 0
+    np.cumsum(out[first:], out=out[first:])
     return out
 
 
@@ -263,11 +264,11 @@ def classify_taxonomy(
     if np.min(E[1:]) > 0.0:
         labels.add(TaxonomyLabel.WEAKLY_STRICTLY_PASSIVE)
 
-    u_sq = _cumtrapz(u.values[:n], u.values[:n], u.dt)  # int u^2
-    lows = []
-    for k in range(0, n, BLOCK):  # the ratio's temporaries stay one block
-        uu = u_sq[k:k + BLOCK]
-        live = uu > TAXONOMY_TOL
+    # int u^2 one block at a time, on from the block before: one cumsum's adds
+    a, lows, end = u.values[:n], [], None
+    for k in range(0, n, BLOCK):
+        uu = _cumtrapz(np.square(a[max(k - 1, 0):k + BLOCK]), None, u.dt, end)[1 if k else 0:]
+        end, live = uu[-1], uu > TAXONOMY_TOL
         if live.any():
             lows.append(np.min(E[k:k + BLOCK][live] / uu[live]))
     beta_s = float(np.min(lows)) if lows else None

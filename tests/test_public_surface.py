@@ -57,13 +57,16 @@ classify_pr(RationalFunction([1.0], [1.0, 1.0]))
 scenarios = [scenario_from_json_dict(json.loads(path.read_text()))
              for path in data.joinpath("scenarios").iterdir() if path.name.endswith(".json")]
 print(json.dumps({"entries": len(entries), "agree": agree, "scenarios": len(scenarios),
-                  "scipy": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+                  "scipy": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
+                  "polynomial": sorted(m for m in sys.modules if m == "numpy.polynomial"
+                                       or m.startswith("numpy.polynomial."))}))
 '''
 
 
 def test_grading_and_loading_leave_scipy_unloaded():
     # only running a loop needs ltisim and, through it, scipy; grading a plant
-    # and loading the inputs of a run must not pay for its import
+    # and loading the inputs of a run must not pay for its import, nor for
+    # numpy.polynomial's, which grading's plain-float polynomial helpers replace
     src = os.path.dirname(os.path.dirname(hyperstab.__file__))
     done = subprocess.run([sys.executable, "-c", STARTUP], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
@@ -72,3 +75,4 @@ def test_grading_and_loading_leave_scipy_unloaded():
     assert out["entries"] > 0 and out["agree"] == out["entries"]
     assert out["scenarios"] == 5
     assert out["scipy"] == []
+    assert out["polynomial"] == []

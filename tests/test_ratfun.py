@@ -1,11 +1,16 @@
 """Polynomial and rational-function construction, roots, residues."""
 
+import importlib.util
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npp
 
+from hyperstab import bundled_corpus_path, load_corpus, ratfun, realness
 from hyperstab.errors import (
     DegenerateInput,
     EvaluationAtPole,
@@ -20,6 +25,8 @@ from hyperstab.ratfun import (
     _horner,
     _mean,
     _polydiv,
+    _polymul,
+    _polysub,
     RationalFunction,
     StabilityClass,
     freq_response,
@@ -272,6 +279,32 @@ class TestNumpyEquivalence:
             assert np.array(quo).tobytes() == exp_quo.tobytes()
             assert np.array(rem).tobytes() == exp_rem.tobytes()
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_coeff, min_size=1, max_size=8), st.lists(_coeff, min_size=1, max_size=8))
+    def test_polymul_matches_npp(self, c1, c2):
+        # numpy sums each coefficient from 0.0 along the longer factor, in
+        # its own loop where the factors overlap fully and through BLAS ddot
+        # where they overlap in part; ddot may fuse each multiply-add.
+        # _polymul sums as numpy's own loop does, so the two agree bit for
+        # bit on the fully overlapping coefficients, and on all of them when
+        # a factor has at most two terms (no sum then adds a second rounded
+        # product); elsewhere they may differ by rounding.
+        for a, b in ((c1, c2), (c1 + [0.0], c2 + [-0.0, 0.0])):
+            got, exp = np.array(_polymul(a, b)), npp.polymul(a, b)
+            assert got.shape == exp.shape
+            short, long = sorted(len(npp.polyadd(c, [0.0])) for c in (a, b))
+            if short <= 2:
+                assert got.tobytes() == exp.tobytes()
+            assert got[short - 1:long].tobytes() == exp[short - 1:long].tobytes()
+            scale = npp.polymul(np.abs(a), np.abs(b))[:got.size]
+            assert np.all(np.abs(got - exp) <= 2 * short * np.finfo(float).eps * scale)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_coeff, min_size=1, max_size=8), st.lists(_coeff, min_size=1, max_size=8))
+    def test_polysub_matches_npp(self, c1, c2):
+        for a, b in ((c1, c2), (c1, c1), (c1 + [0.0], c2 + [-0.0, 0.0])):
+            assert np.array(_polysub(a, b)).tobytes() == npp.polysub(a, b).tobytes()
+
     def test_trim_errors(self):
         for bad in ([], (), np.array([]), [[1.0, 2.0]], np.ones((2, 2)),
                     [1.0, float("nan")], [float("inf")], np.array([1.0, -np.inf])):
@@ -286,6 +319,33 @@ class TestNumpyEquivalence:
         assert Polynomial(4).coeffs == (4.0,)
         assert Polynomial([0.0, -0.0]).coeffs == (0.0,)
         assert all(type(c) is float for c in Polynomial(np.array([1.0, 2.0])).coeffs)
+
+
+# roots a quarter apart, and conjugate pairs with them as real and
+# imaginary parts; the axis and the origin are on the grid
+_root = st.integers(min_value=-40, max_value=40).map(lambda k: k / 4.0)
+_omega = st.integers(min_value=1, max_value=40).map(lambda k: k / 4.0)
+_pair = st.tuples(_root, _omega).map(lambda p: complex(*p))
+
+
+def _from_roots(real, pairs, gain):
+    """gain times the monic polynomial with these real roots and pairs."""
+    c = [gain]
+    for r in real:
+        c = npp.polymul(c, [-r, 1.0])
+    for z in pairs:
+        c = npp.polymul(c, [abs(z) ** 2, -2.0 * z.real, 1.0])
+    return c
+
+
+def _built(fn, *args):
+    """The exact bytes of the rational function fn(*args) returns, or the type
+    and message of the error it raises."""
+    try:
+        g = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+    return np.array(g.num.coeffs).tobytes(), np.array(g.den.coeffs).tobytes()
 
 
 class TestFreqResponse:
@@ -391,3 +451,71 @@ class TestDerivedFunctions:
     def test_inverse_involution(self):
         g = ratfun_new([6, 5, 1], [2, 3, 1])
         assert inverse(inverse(g)).isclose(g)
+
+    # inverse, times_s and the axis-free part of a cancelled g are built
+    # without the common-root search; each must be, bit for bit and error
+    # for error, what the search-running constructor builds from the same
+    # coefficients
+
+    @staticmethod
+    def assert_derived_as_constructed(g):
+        if not g.num.is_zero:
+            assert _built(inverse, g) == _built(RationalFunction, g.den, g.num)
+        assert _built(times_s, g) == _built(RationalFunction, g.num.times_s(), g.den)
+        try:
+            axis = imaginary_axis_residues(g)
+        except RepeatedAxisPole:
+            return
+        if realness._real_part(g, axis) is None:
+            return  # a residue that is not real: grading takes no axis-free part
+        free = _built(realness._axis_free_part, g, axis)
+        with mock.patch.object(realness, "_coprime", RationalFunction):
+            assert free == _built(realness._axis_free_part, g, axis)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_root, max_size=2), st.lists(_pair, max_size=1),
+           st.lists(_root, max_size=3), st.lists(_pair, max_size=1),
+           st.lists(_root, max_size=3), st.lists(_pair, max_size=1),
+           st.integers(min_value=0, max_value=2), st.lists(_omega, max_size=2, unique=True),
+           st.floats(min_value=0.1, max_value=10.0), st.sampled_from([1.0, -1.0]))
+    def test_derived_functions_as_constructed(self, shared, shared_pairs, zeros, zero_pairs,
+                                              poles, pole_pairs, origin, omegas, gain, sign):
+        # a cancelled g from its roots, which lie 0.25 apart unless equal: the
+        # constructor divides out the common ones. Besides, den has `origin`
+        # poles at 0 (an exact-zero constant term; two make s*g improper when
+        # g has relative degree 0) and the pairs +-j*w.
+        poles = poles + [0.0] * origin
+        pole_pairs = pole_pairs + [1j * w for w in omegas]
+        while len(zeros) + 2 * len(zero_pairs) > len(poles) + 2 * len(pole_pairs):
+            (zeros or zero_pairs).pop()
+        g = RationalFunction(_from_roots(shared + zeros, shared_pairs + zero_pairs, sign * gain),
+                             _from_roots(shared + poles, shared_pairs + pole_pairs, 1.0))
+        # the constructor's search can leave a common root in g: its remainder
+        # test, relative to the largest coefficient, is too tight for some
+        # roots of modulus near 10. Such a g is not the cancelled g assumed.
+        assume(not any(ratfun._near(z, g.poles()) for z in g.zeros()))
+        self.assert_derived_as_constructed(g)
+
+    def test_grade_batch_and_corpus_plants_as_constructed(self):
+        spec = importlib.util.spec_from_file_location("gen", os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "gen.py"))
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        plants = [RationalFunction(case["num"], case["den"]) for case in gen.grade_batch(401)]
+        plants += [entry.plant for entry in load_corpus(bundled_corpus_path())]
+        assert sum(g.den.coeffs[0] == 0.0 for g in plants) >= 40
+        for g in plants:
+            self.assert_derived_as_constructed(g)
+
+    def test_origin_pole_cases(self):
+        exact = ratfun_new([0.5, 1.0], [0.0, 2.0, 1.0])
+        near = ratfun_new([0.5, 1.0], [1e-13, 2.0, 1.0])
+        double = ratfun_new([3.0, 2.0, 1.0], [0.0, 0.0, 1.0])
+        negative = ratfun_new([1.0, 0.0, 3.0], [0.0, -2.0, 0.0, -1.0])  # -0.0 coefficients
+        for g in (exact, near, double, negative):
+            self.assert_derived_as_constructed(g)
+        with mock.patch.object(ratfun, "_coprime", side_effect=AssertionError):
+            times_s(near)  # the generic path: this den has no exact root at 0
+        with pytest.raises(ImproperTransferFunction, match=r"deg num \(2\) exceeds deg den \(1\)"):
+            times_s(double)
+        assert times_s(exact).den.coeffs == (2.0, 1.0)

@@ -158,6 +158,9 @@ class TestEnergyTrace:
 
         verdict = classify_taxonomy(u, y)
         assert TaxonomyLabel.STRONGLY_STRICTLY_PASSIVE in verdict.labels
+        uu = one_cumsum(u.values * u.values)
+        live = uu > signals.TAXONOMY_TOL
+        assert verdict.beta_s == float(np.min(one_cumsum(u.values * y.values)[live] / uu[live]))
         monkeypatch.setattr(signals, "BLOCK", 1000)
         assert np.array_equal(energy_trace(u, y).E, one_cumsum(u.values * y.values))
         assert np.array_equal(input_integral(u).values, one_cumsum(u.values))
