@@ -147,7 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="grade a transfer function")
     p.add_argument("--tf", required=True,
-                   help="'num;den', comma-separated descending coefficients")
+                   help="'num;den', comma-separated descending coefficients; a value "
+                   "that starts with '-' goes after '=', as in --tf=-1;1,1")
     p.add_argument("--json", default=None, help="write the report here instead of stdout")
     p.set_defaults(func=cmd_classify)
 

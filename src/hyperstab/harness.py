@@ -59,7 +59,7 @@ import numpy as np
 from .devices import DevicePopovStatus, device_popov_audit
 from .errors import AlgebraicLoopNoConvergence, DimensionMismatch, GradeUnsupported
 from .ltisim import realize, van_loan, zero_states, zoh_hold
-from .ratfun import inverse
+from .ratfun import RationalFunction, inverse
 from .realness import (
     Grade,
     PRClassification,
@@ -383,16 +383,17 @@ def _step_loop(sc: Scenario, ss, ad: np.ndarray, bd: np.ndarray, e: np.ndarray,
     return y, v, evaluations
 
 
-def _hold(sc: Scenario):
-    """The plant's realization and its ``zoh_hold``: the loop steps with the
-    plant block of e^(F dt), so one expm serves the loop and the audit."""
-    ss = realize(sc.plant)
-    return (ss, *zoh_hold(ss, sc.dt))
+def _hold(plant: RationalFunction, dt: float):
+    """The plant's realization and its ``zoh_hold`` at step dt: the loop steps
+    with the plant block of e^(F dt), so one expm serves the loop and the
+    audit."""
+    ss = realize(plant)
+    return (ss, *zoh_hold(ss, dt))
 
 
 def _simulate(sc: Scenario, hold):
     """Step the loop; returns u, y, v, e, the divergence time, the kernel and
-    the solve effort. ``hold`` is ``_hold(sc)``.
+    the solve effort. ``hold`` is ``_hold(sc.plant, sc.dt)``.
 
     The time grid and the excitation e go to the step loop, which returns y
     and v up to the first sample past the overflow guard; a record cut short
@@ -439,7 +440,7 @@ def _simulate(sc: Scenario, hold):
 
 
 def _bound_chain_audit(
-    sc: Scenario,
+    plant: RationalFunction,
     classification: PRClassification,
     u: Signal,
     hold,
@@ -447,10 +448,10 @@ def _bound_chain_audit(
     """Audit the grade's energy bound chains on the zero-state plant leg.
 
     The loop holds u_j from t_j to t_(j+1), so on that hold the zero-state leg
-    is w' = F w from w_j = [z_j; xi_j; u_j] (``hold`` is ``_hold(sc)``), and
-    every chain integrates exactly: int u*y is u_j [C 0 D] int_0^dt e^(F s) ds
-    w_j, int y^2 and int xi^2 are forms w_j' M w_j, and delta = int u is
-    linear in t.
+    is w' = F w from w_j = [z_j; xi_j; u_j], with dt = u.dt and ``hold`` =
+    ``_hold(plant, u.dt)``, and every chain integrates exactly: int u*y is
+    u_j [C 0 D] int_0^dt e^(F s) ds w_j, int y^2 and int xi^2 are forms
+    w_j' M w_j, and delta = int u is linear in t.
 
     The holds go in blocks of BLOCK samples; each block writes its
     increments into the E_op and lower traces it returns, the only
@@ -461,7 +462,7 @@ def _bound_chain_audit(
     if grade is Grade.NOT_PR:
         raise GradeUnsupported("no bound chain is defined for a NotPR plant")
     ss, f, phi, psi = hold
-    n, dt, N = ss.order, sc.dt, len(u)
+    n, dt, N = ss.order, u.dt, len(u)
     # w is restricted to the states the chains read, z and for WSPR xi, and
     # the held input; nothing the chains read depends on the rest
     m = n + (grade is Grade.WSPR)
@@ -483,7 +484,7 @@ def _bound_chain_audit(
         form_y = form(h_y)
         chains = [
             ("E >= d*int(u^2)", classification.d, lambda w, held: dt * held * held),
-            ("E >= d_inv*int(y^2)", real_part_margin(inverse(sc.plant)),
+            ("E >= d_inv*int(y^2)", real_part_margin(inverse(plant)),
              lambda w, held: np.einsum("ij,ij->i", w @ form_y, w)),
         ]
     elif grade is Grade.WSPR:
@@ -501,7 +502,7 @@ def _bound_chain_audit(
 
         # the squared-frequency chain is not implied by WSPR; the c_w one is:
         # Re g(jw) >= c_w/(1 + w^2), and xi is u through 1/(s+1)
-        c_w = wspr_chain_constant(sc.plant)
+        c_w = wspr_chain_constant(plant)
         chains = [
             ("E >= d0*int(delta^2)", classification.d0, delta_squared),
             ("E >= c_w*int(xi^2)", c_w,
@@ -573,8 +574,8 @@ def verify_bound_chain(run: SimulationRun) -> BoundChainAudit:
     """Recompute the bound-chain audit for a completed run."""
     if run.verdict is Verdict.DIVERGED:
         raise GradeUnsupported("bound chains are not audited on diverged runs")
-    return _bound_chain_audit(run.scenario, run.classification, run.u,
-                              _hold(run.scenario))
+    plant = run.scenario.plant
+    return _bound_chain_audit(plant, run.classification, run.u, _hold(plant, run.u.dt))
 
 
 def convergence_verdict(run: SimulationRun) -> Verdict:
@@ -609,7 +610,7 @@ def _verdict(
 
 def run_closed_loop(sc: Scenario) -> SimulationRun:
     """Run the loop, audit both legs, and attach the evidence verdict."""
-    hold = _hold(sc)
+    hold = _hold(sc.plant, sc.dt)
     u_arr, y_arr, v_arr, e_arr, diverged_at, kernel, evaluations = _simulate(sc, hold)
     # the kernels' arrays are fresh and held nowhere else: the Signals keep them
     u, y, v, e = (Signal._adopt(sc.dt, a) for a in (u_arr, y_arr, v_arr, e_arr))
@@ -618,7 +619,7 @@ def run_closed_loop(sc: Scenario) -> SimulationRun:
     device_status = device_popov_audit(sc.device, v, y)
     audit = None
     if diverged_at is None and classification.grade is not Grade.NOT_PR:
-        audit = _bound_chain_audit(sc, classification, u, hold)
+        audit = _bound_chain_audit(sc.plant, classification, u, hold)
     verdict = _verdict(u, y, e, diverged_at, audit)
     return SimulationRun(
         scenario=sc,

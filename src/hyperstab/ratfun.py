@@ -1,12 +1,12 @@
 """Real polynomials and scalar rational transfer functions.
 
 Coefficients are stored in ascending powers of s, so ``[2, 1]`` is ``s + 2``.
-Rational functions are normalized at construction: common numerator/denominator
-factors are divided out, the denominator is made monic, and properness
-(``deg den >= deg num``) is enforced. Outside input always goes through the
-common-root search; ``inverse``, ``times_s`` at an origin pole and grading's
-axis-free part build functions coprime by construction, so they skip it. All
-values are immutable and all operations pure, so threads can share them.
+Rational functions are normalized at construction: the factors whose root
+passes one root test in both polynomials are divided out, the denominator is
+made monic, and properness (``deg den >= deg num``) is enforced. Outside
+input always goes through that search; ``inverse``, ``times_s`` at an origin
+pole and grading's axis-free part are coprime by construction and skip it.
+All values are immutable and all operations pure, so threads can share them.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from .errors import (
 # Tolerance for treating roots as one (repeated poles, a real root with a
 # rounding-level imaginary part), relative to root scale.
 ROOT_MATCH_TOL = 1e-8
-# Grouping of numerator roots into candidate multiple roots, relative to root
-# scale, and the largest remainder, relative to the largest coefficient, that
-# still counts as exact division by a candidate common factor.
+# Grouping of roots into candidate multiple roots, relative to root scale, and
+# the largest |p(r)|, relative to Horner's a-priori rounding bound
+# sum |p_i| |r|^i, at which r still counts as a root of p.
 CLUSTER_TOL = 1e-3
 FACTOR_REM_TOL = 1e-12
 # A pole is treated as lying on the imaginary axis when |Re| <= TOL_AXIS.
@@ -198,9 +198,9 @@ def _cluster_roots(rts: list[complex], tol: float = ROOT_MATCH_TOL) -> list[tupl
     return clusters
 
 
-def _near(r: complex, rts: list[complex]) -> int:
-    """How many of ``rts`` lie within CLUSTER_TOL of r, relative to its scale."""
-    return sum(abs(x - r) <= CLUSTER_TOL * (1.0 + abs(r)) for x in rts)
+def _near(r: complex, rts: list[complex]) -> bool:
+    """Whether a root of ``rts`` lies within CLUSTER_TOL of r, relative to its scale."""
+    return any(abs(x - r) <= CLUSTER_TOL * (1.0 + abs(r)) for x in rts)
 
 
 def _trimseq(c: list[float]) -> list[float]:
@@ -250,55 +250,71 @@ def _polysub(c1, c2) -> list[float]:
     return _trimseq([a - b for a, b in zip(c1, c2)] + c1[len(c2):] + [-b for b in c2[len(c1):]])
 
 
-def _quotient(p: Polynomial, factor: list[float]) -> list[float] | None:
-    """p / factor, or None when the remainder is not negligible."""
-    quo, rem = _polydiv(p.coeffs, factor)
-    return quo if max(map(abs, rem)) <= FACTOR_REM_TOL * max(map(abs, p.coeffs)) else None
+def _factor(r: complex) -> list[float] | None:
+    """s - r for a real r, s^2 - 2 Re(r) s + |r|^2 for r above the real axis,
+    None below it (its conjugate stands for the pair); no coefficient is -0.0."""
+    if abs(r.imag) <= ROOT_MATCH_TOL * (1.0 + abs(r)):
+        return [-r.real or 0.0, 1.0]
+    return [abs(r) ** 2, -2.0 * r.real or 0.0, 1.0] if r.imag > 0.0 else None
+
+
+def _is_root(p: Polynomial, r: complex) -> bool:
+    """|p(r)| <= FACTOR_REM_TOL * sum |p_i| |r|^i, Horner's rounding bound."""
+    bound = FACTOR_REM_TOL * _horner([abs(x) for x in p.coeffs], abs(r))
+    return abs(_horner(p.coeffs, r)) <= bound < math.inf
+
+
+def _quotient(p: Polynomial, factor: list[float]) -> Polynomial:
+    """p / factor, its remainder dropped, by composite deflation (Peters and
+    Wilkinson 1971): past p's exact roots at 0, the coefficients below the
+    largest term |p_k| (|r|/2)^k, r the factor's roots, come from the reversed
+    division, the rest from the top, so no recurrence scales rounding up."""
+    c = p.coeffs
+    low = next(i for i, x in enumerate(c) if x != 0.0) if factor[0] else 0
+    body, size = c[low:], 0.5 * abs(factor[0]) ** (1.0 / (len(factor) - 1))
+    k = max(range(len(body)), key=lambda i: abs(body[i]) * size ** i)
+    bottom = _polydiv(body[::-1], factor[::-1])[0][::-1]
+    return Polynomial([0.0] * low + bottom[:k] + _polydiv(body, factor)[0][k:])
+
+
+def _own_factor(p: Polynomial, near: list[complex], k: int, factor: list[float]):
+    """The factor of p's own copy of a candidate root, the mean of its roots
+    ``near`` the candidate, if they are k and p divides by it k times; else
+    ``factor``."""
+    own = _factor(_mean(near))
+    if len(near) != k or not own or len(own) != len(factor):
+        return factor
+    for _ in near:
+        if not _is_root(p, _mean(near)):
+            return factor
+        p = _quotient(p, own)
+    return own
 
 
 def _cancel_common_roots(num: Polynomial, den: Polynomial):
-    """Divide out the product of the factors (s - r)^m, or real quadratics of
-    pairs r, r*, that leave a negligible remainder in both num and den.
-
-    The candidates r are the means of the numerator roots grouped within
-    CLUSTER_TOL, then every root of either side, each only when a root of
-    the other side lies within CLUSTER_TOL. A root of multiplicity m comes
-    back from the eigenvalue solver split by about eps**(1/m), and the mean
-    of the split group is accurate to rounding; a simple root is accurate by
-    itself, also when a distinct root near it spoils the mean. m is at most
-    the number of roots of either side near r, and the division of both
-    sides by the product so far times (s - r)^m decides.
-    """
-    if num.is_zero or num.degree == 0 or den.degree == 0:
-        return num, den
-    num_roots, den_roots = roots(num), roots(den)
-    # a common root has a root of the other side near it
-    num_near = [r for r in num_roots if _near(r, den_roots)]
-    if not num_near:
-        return num, den
-    den_near = [r for r in den_roots if _near(r, num_near)]
-    means = [c for c, _ in _cluster_roots(num_near, CLUSTER_TOL)]
-    common, taken, quotients = [1.0], [], (num, den)
-    for center in means + num_near + den_near:
-        if abs(center.imag) <= ROOT_MATCH_TOL * (1.0 + abs(center)):
-            factor = [-center.real, 1.0]
-        elif center.imag > 0.0:
-            factor = [abs(center) ** 2, -2.0 * center.real, 1.0]
-        else:
-            continue
-        if _near(center, taken):
-            continue
-        trial, size = common, len(common)
-        for _ in range(min(_near(center, num_roots), _near(center, den_roots))):
-            trial = _polymul(trial, factor)
-            q_num = _quotient(num, trial)
-            q_den = None if q_num is None else _quotient(den, trial)
-            if q_den is None:
+    """Divide out the factors (s - r), or real quadratics of pairs r, r*, of
+    num and den one at a time, solving the quotients for roots again after
+    each. The candidates r are the means within CLUSTER_TOL (a split multiple
+    root has an accurate mean) of the numerator roots near a denominator root
+    and of the denominator roots near those, then each of those roots. The
+    first candidate that ``_is_root`` of both divides out; each side is
+    divided by its own copy, so the remainder it drops is its own rounding."""
+    while not (num.is_zero or num.degree == 0 or den.degree == 0):
+        num_roots, den_roots = roots(num), roots(den)
+        # a common root has a root of the other side near it
+        num_near = [r for r in num_roots if _near(r, den_roots)]
+        den_near = [r for r in den_roots if _near(r, num_near)]
+        means = [c for rts in (num_near, den_near) for c, _ in _cluster_roots(rts, CLUSTER_TOL)]
+        for center in means + num_near + den_near:
+            factor = _factor(center)
+            if factor and len(factor) <= len(num.coeffs) and _is_root(num, center) and _is_root(den, center):
+                near = [[r for r in rts if _near(center, [r])] or [center] for rts in (num_roots, den_roots)]
+                num, den = (_quotient(p, _own_factor(p, n, min(map(len, near)), factor))
+                            for p, n in zip((num, den), near))
                 break
-            common, quotients = trial, (Polynomial(q_num), Polynomial(q_den))
-        if len(common) > size:
-            taken.append(center)
-    return quotients
+        else:
+            break
+    return num, den
 
 
 class StabilityClass(str, enum.Enum):

@@ -37,6 +37,23 @@ class TestClassify:
         assert report["single_pole_at_origin"] is True
         assert report["g1_grade"] == "SSPR"
 
+    def test_origin_pole_with_a_far_zero(self, capsys):
+        # (1 + 5e5 s)/s: the numerator's root -2e-6 lies near the origin pole
+        # but is no common factor
+        code, out, _ = run_cli(capsys, "classify", "--tf", "5e5,1,0;1,0,0")
+        assert code == 0
+        assert json.loads(out)["grade"] == "PR"
+
+    def test_negative_leading_coefficient(self, capsys):
+        # argparse reads a separate "-1;1,1" as an option; after "=" it is the value
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--tf", "-1;1,1"])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+        code, out, _ = run_cli(capsys, "classify", "--tf=-1;1,1")
+        assert code == 0
+        assert json.loads(out)["grade"] == "NotPR"
+
     def test_zero_denominator_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--tf", "1;0")
         assert code == 2

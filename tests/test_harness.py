@@ -405,7 +405,7 @@ def recorded_outputs(sc, u):
     """c_k = C x_k of each step of a loop driven by its recorded input u, in
     the kernel's arithmetic: the output and state rows summed left to right
     from 0.0 and from b*u."""
-    ss, _, phi, _ = _hold(sc)
+    ss, _, phi, _ = _hold(sc.plant, sc.dt)
     C = ss.C.reshape(-1).tolist()
     ad, bd = phi[:-2, :-2].tolist(), phi[:-2, -1].tolist()
     x, c = list(sc.x0), []
@@ -661,7 +661,7 @@ class TestAffineKernel:
     def test_integrator_demo_matches_exact_powers(self):
         # 1/s under unit gain: y_k = (1 - dt)^k exactly, for the binary dt
         sc = demo_scenario("integrator_unit_gain")
-        u, y, v, e, diverged_at, kernel, _ = _simulate(sc, _hold(sc))
+        u, y, v, e, diverged_at, kernel, _ = _simulate(sc, _hold(sc.plant, sc.dt))
         assert kernel == "affine" and diverged_at is None and len(y) == 2_000_001
         with decimal.localcontext() as ctx:
             ctx.prec = 40
