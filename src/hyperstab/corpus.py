@@ -66,7 +66,7 @@ def load_corpus(path) -> list[CorpusEntry]:
     raw = read_json_file(path, "corpus")
     if not isinstance(raw, list):
         raise SchemaError("corpus file must hold a JSON array of entries")
-    entries = []
+    entries, ids = [], set()
     for i, item in enumerate(raw):
         if not isinstance(item, dict):
             raise SchemaError(f"entry {i}: must be an object")
@@ -74,6 +74,9 @@ def load_corpus(path) -> list[CorpusEntry]:
         for fld in ("id", "num", "den", "grade"):
             if fld not in item:
                 raise SchemaError(f"entry {entry_id}: missing field '{fld}'")
+        if str(entry_id) in ids:
+            raise SchemaError(f"entry {entry_id}: repeated id")
+        ids.add(str(entry_id))
         try:
             grade = Grade(item["grade"])
         except ValueError:

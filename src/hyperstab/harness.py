@@ -337,52 +337,6 @@ def _step_kernel(n: int, feedthrough: bool, affine: bool) -> Callable:
     return kernel
 
 
-def _step_loop(sc: Scenario, ss, ad: np.ndarray, bd: np.ndarray, e: np.ndarray,
-               affine: tuple[np.ndarray, np.ndarray] | None):
-    """y, v and solve effort of a loop stepped one sample at a time with
-    excitation e, up to the first sample past the overflow guard. ``affine``
-    is an affine device's (gain, offset) on the time grid, else None.
-
-    Its output ``c = 0.0 + c0*x0 + c1*x1 + ...`` and state rows
-    ``x_i' = b_i*u + a_i0*x0 + a_i1*x1 + ...`` add their terms left to right,
-    the summation order of the row sums ``sum(map(mul, row, x), start)`` of a
-    loop over lists of floats, so every record is bit for bit that loop's.
-    An affine v is ``gain*y + offset``, as ``apply_device`` forms it. A solved
-    step's device output is the one its solve computed, never evaluated
-    again; the effort is ``np.bincount`` of the residuals evaluated per step,
-    None but for "newton".
-    """
-    coefficients = (*ss.C.reshape(-1).tolist(), *bd.reshape(-1).tolist(),
-                    *ad.reshape(-1).tolist())
-    D = ss.D
-    y_buf, v_buf, calls_buf = array("d"), array("d"), array("H")
-    step = _step_kernel(ss.order, D != 0.0, affine is not None)
-    if affine is None:
-        samples = enumerate(memoryview(e))
-    else:
-        gain, offset = affine
-        samples = zip(memoryview(e - offset), memoryview(gain))
-    step(samples, sc.x0, coefficients, D, sc.device.law.f, _solve_output,
-         NEWTON_TOL, OVERFLOW_GUARD, y_buf.append, v_buf.append, calls_buf.append)
-    if v_buf and not math.isfinite(v_buf[-1]):
-        # the device output left the float range; only the last sample can
-        # hold it, since the state is not finite after it
-        del y_buf[-1], v_buf[-1]
-    y = np.frombuffer(y_buf)
-    k = len(y)
-    if affine is None:
-        v = np.frombuffer(v_buf)
-    else:
-        # v = F(y, t) sample by sample, in the buffer of the gains
-        v = gain[:k]
-        v *= y
-        v += offset[:k]
-    # a diverged step's solve is not one of the recorded samples
-    evaluations = (np.bincount(np.frombuffer(calls_buf, np.uint16)[:k])
-                   if D != 0.0 and affine is None else None)
-    return y, v, evaluations
-
-
 def _hold(plant: RationalFunction, dt: float):
     """The plant's realization and its ``zoh_hold`` at step dt: the loop steps
     with the plant block of e^(F dt), so one expm serves the loop and the
@@ -395,11 +349,19 @@ def _simulate(sc: Scenario, hold):
     """Step the loop; returns u, y, v, e, the divergence time, the kernel and
     the solve effort. ``hold`` is ``_hold(sc.plant, sc.dt)``.
 
-    The time grid and the excitation e go to the step loop, which returns y
+    The step kernel takes the excitation e one sample at a time and records y
     and v up to the first sample past the overflow guard; a record cut short
     sets the divergence time. Both refusals of a loop that is not well-posed
     come first: a time-invariant device through a plant with D < 0, and an
     affine one where 1 + D g vanishes at any sample.
+
+    The kernel's output ``c = 0.0 + c0*x0 + c1*x1 + ...`` and state rows
+    ``x_i' = b_i*u + a_i0*x0 + a_i1*x1 + ...`` add their terms left to right.
+    An affine device's (gain, offset) is sampled on the time grid, and its v
+    is ``gain*y + offset``, as ``apply_device`` forms it. A solved step's
+    device output is the one its solve computed, never evaluated again; the
+    solve effort is ``np.bincount`` of the residuals evaluated per step, None
+    but for "newton".
     """
     ss, _, phi, _ = hold
     if len(sc.x0) != ss.order:
@@ -411,7 +373,6 @@ def _simulate(sc: Scenario, hold):
         raise AlgebraicLoopNoConvergence(
             f"ill-posed loop: a {sc.device.kind.value} device through a plant with "
             f"D = {ss.D} < 0, where y = Cx + D(e - f(y)) may have several roots or none")
-    ad, bd = phi[:-2, :-2], phi[:-2, -1:]  # the plant block
     n_samples = int(round(sc.horizon / sc.dt)) + 1
     t = np.arange(n_samples) * sc.dt
     e = np.zeros(n_samples)
@@ -427,9 +388,34 @@ def _simulate(sc: Scenario, hold):
             k = degenerate[0]
             raise AlgebraicLoopNoConvergence(
                 f"degenerate affine loop at step {k}: 1 + D*k = {den[k]}")
-    y, v, evaluations = _step_loop(sc, ss, ad, bd, e, affine)
-    kernel = "affine" if affine is not None else ("loop" if ss.D == 0.0 else "newton")
+    ad, bd = phi[:-2, :-2], phi[:-2, -1]  # the plant block
+    coefficients = (*ss.C.ravel().tolist(), *bd.tolist(), *ad.ravel().tolist())
+    y_buf, v_buf, calls_buf = array("d"), array("d"), array("H")
+    step = _step_kernel(ss.order, ss.D != 0.0, affine is not None)
+    if affine is None:
+        samples = enumerate(memoryview(e))
+    else:
+        gain, offset = affine
+        samples = zip(memoryview(e - offset), memoryview(gain))
+    step(samples, sc.x0, coefficients, ss.D, law.f, _solve_output,
+         NEWTON_TOL, OVERFLOW_GUARD, y_buf.append, v_buf.append, calls_buf.append)
+    if v_buf and not math.isfinite(v_buf[-1]):
+        # the device output left the float range; only the last sample can
+        # hold it, since the state is not finite after it
+        del y_buf[-1], v_buf[-1]
+    y = np.frombuffer(y_buf)
     kept = len(y)
+    if affine is None:
+        v = np.frombuffer(v_buf)
+    else:
+        # v = F(y, t) sample by sample, in the buffer of the gains
+        v = gain[:kept]
+        v *= y
+        v += offset[:kept]
+    # a diverged step's solve is not one of the recorded samples
+    evaluations = (np.bincount(np.frombuffer(calls_buf, np.uint16)[:kept])
+                   if ss.D != 0.0 and affine is None else None)
+    kernel = "affine" if affine is not None else ("loop" if ss.D == 0.0 else "newton")
     if kept < 2:
         raise AlgebraicLoopNoConvergence(
             "trajectory left the overflow guard within the first step"

@@ -2,12 +2,12 @@
 
 Realizations use the controllable canonical form. Time stepping is the exact
 zero-order-hold discretization, built in one place, ``zoh_hold``: the loop,
-its audit and ``simulate_forced`` all step with the plant block of its one
-matrix exponential, so the only discretization error in a simulation comes
-from holding the input constant over each step, never from the integrator
-itself. The Dirac part of a relative-degree-zero impulse response
-is carried symbolically as ``direct_delta_weight`` - a sampled spike would
-corrupt every convolution.
+its audit, ``simulate_forced`` and ``impulse_response`` all step with the
+plant block of its one matrix exponential, so the only discretization error
+in a simulation comes from holding the input constant over each step, never
+from the integrator itself. The Dirac part of a relative-degree-zero impulse
+response is carried symbolically as ``direct_delta_weight`` - a sampled spike
+would corrupt every convolution.
 """
 
 from __future__ import annotations
@@ -154,13 +154,15 @@ def zero_states(step: np.ndarray, first: np.ndarray, u: np.ndarray, block: int):
 
 
 def impulse_response(g: RationalFunction, T: float, dt: float) -> ImpulseResponse:
-    """Sampled C exp(A t) B on [0, T] plus the Dirac weight D."""
+    """Sampled C exp(A t) B on [0, T], C Ad^k B with Ad the plant block of
+    ``zoh_hold``, plus the Dirac weight D."""
     # round(T/dt) > MAX_STEPS is tested before rounding, as a Scenario does
     if not 0 < dt <= T < np.inf or T / dt > MAX_STEPS + 0.5:
         raise ValueError(f"need dt > 0, a finite T >= dt and T/dt <= {MAX_STEPS}")
     ss = realize(g)
     n_samp = int(round(T / dt)) + 1
-    samples = power_record(expm(ss.A * dt), ss.B.ravel(), n_samp) @ ss.C.ravel()
+    ad = zoh_hold(ss, dt)[1][:ss.order, :ss.order]
+    samples = power_record(ad, ss.B.ravel(), n_samp) @ ss.C.ravel()
     return ImpulseResponse(g=Signal(dt, samples), direct_delta_weight=ss.D)
 
 

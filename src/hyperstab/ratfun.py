@@ -140,43 +140,38 @@ def _eigvals(a: np.ndarray) -> np.ndarray:
     return w if w.imag.any() else w.real
 
 
+def _companion_roots(c) -> list:
+    """The eigenvalues of the companion matrix that ``np.roots`` builds for
+    the ascending coefficients c, last one nonzero, past their zeros at the
+    low end: every root of c but those at zero, unsorted."""
+    low = 0
+    while c[low] == 0.0:
+        low += 1
+    n = len(c) - 1 - low
+    if not n:
+        return []
+    companion = np.eye(n, k=-1)
+    companion[0] = [-x / c[-1] for x in reversed(c[low:-1])]
+    return _eigvals(companion).tolist()
+
+
 def roots(p: Polynomial) -> list[complex]:
     """All roots of ``p`` (with multiplicity), sorted by real then imaginary
-    part: the eigenvalues of the companion matrix that ``np.roots`` builds,
-    after the roots at zero that its zero low-order coefficients give.
+    part: ``_companion_roots``, the eigenvalues of ``np.roots``' companion
+    matrix, then the roots at zero that its zero low-order coefficients give.
     """
     if p.is_zero:
         raise DegenerateInput("zero polynomial has no well-defined roots")
     if p.degree < 1:
         raise DegenerateInput("constant polynomial has no roots")
-    c = p.coeffs
-    low = 0
-    while c[low] == 0.0:
-        low += 1
-    n = p.degree - low
-    rts = [0.0] * low
-    if n:
-        companion = np.eye(n, k=-1)
-        companion[0] = [-x / c[-1] for x in reversed(c[low:-1])]
-        rts = _eigvals(companion).tolist() + rts
+    rts = _companion_roots(p.coeffs)
+    rts += [0.0] * (p.degree - len(rts))
     return sorted(map(complex, rts), key=lambda r: (r.real, r.imag))
 
 
 def _mean(group: list[complex]) -> complex:
-    """``np.mean`` of a list of complex numbers, with numpy's rounding.
-
-    numpy adds fewer than four complex values in order, from 0.0, and divides
-    by the count as a complex number: by multiplying with 1/count. Larger
-    groups, a root of multiplicity four or more, keep np.mean's pairwise sum.
-    """
-    if len(group) >= 4:
-        return complex(np.mean(group))
-    re = im = 0.0
-    for r in group:
-        re += r.real
-        im += r.imag
-    scl = 1.0 / len(group)
-    return complex((re + im * 0.0) * scl, (im - re * 0.0) * scl)
+    """The mean of a cluster of roots."""
+    return sum(group) / len(group)
 
 
 def _cluster_roots(rts: list[complex], tol: float = ROOT_MATCH_TOL) -> list[tuple[complex, int]]:

@@ -46,8 +46,8 @@ from .ratfun import (
     RationalFunction,
     StabilityClass,
     _axis_poles,
+    _companion_roots,
     _coprime,
-    _eigvals,
     _mul,
     _polydiv,
     _polymul,
@@ -214,17 +214,6 @@ def _real_part_polys(g: RationalFunction) -> tuple[list[int], list[int]]:
     return even(_mul(num, den_neg)), even(_mul(den, den_neg))
 
 
-def _polyroots(c: list[float]) -> np.ndarray:
-    """``P.polyroots(c)`` unsorted: the eigenvalues of the same companion
-    matrix, without converting the short list to numpy series first."""
-    c = _trimseq(c)
-    if len(c) < 3:
-        return np.array([-c[0] / c[1]] if len(c) == 2 else [])
-    companion = np.eye(len(c) - 1, k=-1)
-    companion[:, -1] = [0.0 - x / c[-1] for x in c[:-1]]
-    return _eigvals(companion)
-
-
 def _infimum(n: list[int], q: list[int], value) -> float:
     """inf over x >= 0 of n(x)/q(x), certified never to exceed the true value.
 
@@ -241,9 +230,9 @@ def _infimum(n: list[int], q: list[int], value) -> float:
         limit = n[-1] / q[-1] if len(n) == len(q) else 0.0
     crit = _lin(_mul(_deriv(n), q), 1, _mul(n, _deriv(q)), 1)
     top = max(abs(c) for c in crit)
-    xs = np.zeros(1)
+    xs = [0.0]
     if top:
-        xs = np.concatenate((xs, np.maximum(_polyroots([c / top for c in crit]).real, 0.0)))
+        xs += [max(r.real, 0.0) for r in _companion_roots(_trimseq([c / top for c in crit]))]
     with np.errstate(all="ignore"):
         vals = value(np.sqrt(xs))
     vals = vals[np.isfinite(vals)]

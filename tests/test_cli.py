@@ -452,7 +452,12 @@ class TestCorpus:
                             (json.dumps([{"id": "b", "num": [1], "den": [1, 1],
                                           "grade": "WSPR", "d1": True}]), "d1"),
                             (json.dumps([{"id": "n", "num": ["1"], "den": [1, 1],
-                                          "grade": "WSPR"}]), "entry n")):
+                                          "grade": "WSPR"}]), "entry n"),
+                            # a passing entry and a failing twin with its id
+                            (json.dumps([{"id": "unit", "num": [1], "den": [1],
+                                          "grade": "SSPR", "d": 1.0},
+                                         {"id": "unit", "num": [1], "den": [1],
+                                          "grade": "PR"}]), "entry unit: repeated id")):
             path.write_text(text)
             code, _, err = run_cli(capsys, "corpus", "--file", str(path))
             assert code == 2

@@ -5,13 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from scipy.linalg import expm
+
+from hyperstab.corpus import bundled_corpus_path, load_corpus
 from hyperstab.errors import DimensionMismatch
 from hyperstab.ltisim import (
     ImpulseResponse,
     convolve,
     impulse_response,
+    power_record,
     realize,
     simulate_forced,
+    zoh_hold,
 )
 from hyperstab.ratfun import ratfun_new
 from hyperstab.realness import Grade, classify_pr
@@ -94,6 +99,19 @@ class TestImpulseResponse:
         assert ir.direct_delta_weight == pytest.approx(1.0)
         t = ir.g.times()
         assert np.max(np.abs(ir.g.values - np.exp(-t))) < 1e-12
+
+
+    @pytest.mark.parametrize("T, dt", [(5.0, DT), (20.0, 1e-2)])
+    def test_samples_the_zoh_plant_block(self, T, dt):
+        for entry in load_corpus(bundled_corpus_path()):
+            ss = realize(entry.plant)
+            n, b, c = ss.order, ss.B.ravel(), ss.C.ravel()
+            samples = impulse_response(entry.plant, T, dt).g.values
+            ad = zoh_hold(ss, dt)[1][:n, :n]
+            assert samples.tobytes() == (power_record(ad, b, len(samples)) @ c).tobytes()
+            # e^(A dt) taken on its own agrees to rounding
+            alone = power_record(expm(ss.A * dt), b, len(samples)) @ c
+            assert np.max(np.abs(samples - alone)) <= 1e-14 * np.max(np.abs(alone)), entry.id
 
 
 class TestSimulateForced:

@@ -13,7 +13,6 @@ from hyperstab.realness import (
     _mul,
     _nonnegative,
     _odd_part,
-    _polyroots,
     _sign_changes,
     _sturm,
     _variations,
@@ -136,21 +135,6 @@ class TestClassify:
         c0, c1 = classify_pr(base), classify_pr(scaled)
         assert c0.grade is c1.grade
         assert c1.d == pytest.approx(alpha * c0.d, rel=1e-9)
-
-
-class TestPolyroots:
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0]),
-                              st.floats(min_value=-1e6, max_value=1e6,
-                                        allow_subnormal=False)),
-                    min_size=1, max_size=8),
-           st.floats(min_value=1e-3, max_value=1e3), st.booleans())
-    def test_matches_numpy_bit_for_bit(self, coeffs, lead, negative):
-        lead = -lead if negative else lead
-        # polyroots sorts its roots; _infimum takes only their minimum value
-        for c in (coeffs + [lead], coeffs + [lead, 0.0]):
-            assert (np.sort(_polyroots(c)).tobytes()
-                    == np.polynomial.polynomial.polyroots(c).tobytes())
 
 
 def _sturm_nonnegative(f: list[int]) -> bool:
