@@ -569,6 +569,11 @@ def convergence_verdict(run: SimulationRun) -> Verdict:
     return _verdict(run.u, run.y, run.e, run.diverged_at, run.bound_audit)
 
 
+def _peak(a: np.ndarray) -> float:
+    """max |a|, as the larger of max a and -min a: no |a| copy."""
+    return max(float(np.max(a)), -float(np.min(a)))
+
+
 def _verdict(
     u: Signal,
     y: Signal,
@@ -580,12 +585,9 @@ def _verdict(
     if diverged_at is not None:
         return Verdict.DIVERGED
     peak0 = max(abs(u.values[0]), abs(y.values[0]), abs(e.values[0]), 1e-300)
-    peak = max(float(np.max(np.abs(u.values))), float(np.max(np.abs(y.values))))
+    peak = max(_peak(u.values), _peak(y.values))
     tail_start = int(0.95 * len(u))
-    tail = max(
-        float(np.max(np.abs(u.values[tail_start:]))),
-        float(np.max(np.abs(y.values[tail_start:]))),
-    )
+    tail = max(_peak(u.values[tail_start:]), _peak(y.values[tail_start:]))
     chain_ok = audit is not None and audit.violation_count == 0
     if tail <= CONV_TOL * peak0 and chain_ok:
         return Verdict.ASYMPTOTIC

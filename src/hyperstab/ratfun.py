@@ -6,7 +6,11 @@ passes one root test in both polynomials are divided out, the denominator is
 made monic, and properness (``deg den >= deg num``) is enforced. Outside
 input always goes through that search; ``inverse``, ``times_s`` at an origin
 pole and grading's axis-free part are coprime by construction and skip it.
-All values are immutable and all operations pure, so threads can share them.
+A rational function's pole list is set at construction (the roots the search
+solved, or those ``times_s`` hands over) or once on first use, to
+``roots(den)`` either way, and ``poles()`` returns a copy. All values are
+otherwise immutable and all operations pure, so threads can share them: two
+threads that both fill the list write the same value.
 """
 
 from __future__ import annotations
@@ -293,7 +297,11 @@ def _cancel_common_roots(num: Polynomial, den: Polynomial):
     root has an accurate mean) of the numerator roots near a denominator root
     and of the denominator roots near those, then each of those roots. The
     first candidate that ``_is_root`` of both divides out; each side is
-    divided by its own copy, so the remainder it drops is its own rounding."""
+    divided by its own copy, so the remainder it drops is its own rounding.
+
+    Returns num, den and the roots of that den when the last pass solved
+    them, else None."""
+    den_roots = None
     while not (num.is_zero or num.degree == 0 or den.degree == 0):
         num_roots, den_roots = roots(num), roots(den)
         # a common root has a root of the other side near it
@@ -306,10 +314,11 @@ def _cancel_common_roots(num: Polynomial, den: Polynomial):
                 near = [[r for r in rts if _near(center, [r])] or [center] for rts in (num_roots, den_roots)]
                 num, den = (_quotient(p, _own_factor(p, n, min(map(len, near)), factor))
                             for p, n in zip((num, den), near))
+                den_roots = None
                 break
         else:
             break
-    return num, den
+    return num, den, den_roots
 
 
 class StabilityClass(str, enum.Enum):
@@ -339,8 +348,9 @@ class RationalFunction:
         den = den if isinstance(den, Polynomial) else Polynomial(den)
         if den.is_zero:
             raise ZeroDenominator("denominator is the zero polynomial")
+        poles = None
         if _search and not num.is_zero:
-            num, den = _cancel_common_roots(num, den)
+            num, den, poles = _cancel_common_roots(num, den)
         if num.degree > den.degree and not num.is_zero:
             raise ImproperTransferFunction(
                 f"deg num ({num.degree}) exceeds deg den ({den.degree})"
@@ -348,15 +358,22 @@ class RationalFunction:
         lead = den.leading
         object.__setattr__(self, "num", num.scaled(1.0 / lead))
         object.__setattr__(self, "den", den.scaled(1.0 / lead))
+        # a den made monic by 1.0 keeps every bit, so the roots the search
+        # solved are the poles; else they are solved on first use
+        object.__setattr__(self, "_poles", poles if lead == 1.0 else None)
 
     @property
     def relative_degree(self) -> int:
         return self.den.degree - self.num.degree
 
     def poles(self) -> list[complex]:
+        """``roots(den)``: kept from the common-root search or handed over by
+        ``times_s``, else solved on first use and kept."""
         if self.den.degree < 1:
             return []
-        return roots(self.den)
+        if self._poles is None:
+            object.__setattr__(self, "_poles", roots(self.den))
+        return list(self._poles)
 
     def zeros(self) -> list[complex]:
         if self.num.is_zero or self.num.degree < 1:
@@ -443,7 +460,17 @@ def times_s(g: RationalFunction) -> RationalFunction:
     an origin pole it is num/(den/s), coprime, built without the search."""
     if g.den.coeffs[0] == 0.0 and not g.num.is_zero:
         num, den = (_polydiv(c, [0.0, 1.0])[0] for c in (g.num.times_s().coeffs, g.den.coeffs))
-        return _coprime(num, den)
+        sg = _coprime(num, den)
+        # s*g's den is g's past its zero constant term, unless the division
+        # flips a zero's sign or g's lead is not exactly 1. When it is, bit
+        # for bit, both have one companion matrix, and s*g's poles are g's
+        # less one of the zeros ``roots`` appends after the eigenvalues,
+        # which its stable sort leaves last among the poles equal to 0
+        if list(map(float.hex, sg.den.coeffs)) == list(map(float.hex, g.den.coeffs[1:])):
+            poles = g.poles()
+            del poles[max(k for k, p in enumerate(poles) if p == 0.0)]
+            object.__setattr__(sg, "_poles", poles)
+        return sg
     return RationalFunction(g.num.times_s(), g.den)
 
 

@@ -214,8 +214,9 @@ def _real_part_polys(g: RationalFunction) -> tuple[list[int], list[int]]:
     return even(_mul(num, den_neg)), even(_mul(den, den_neg))
 
 
-def _infimum(n: list[int], q: list[int], value) -> float:
-    """inf over x >= 0 of n(x)/q(x), certified never to exceed the true value.
+def _infimum(n: list[int], q: list[int], value) -> tuple[float, list[float]]:
+    """inf over x >= 0 of n(x)/q(x), certified never to exceed the true value,
+    and the points x its estimate looked at.
 
     The estimate is the smallest of the x -> inf limit and ``value(w)``, the
     function evaluated directly at w = sqrt(x) for x = 0 and every critical
@@ -240,26 +241,35 @@ def _infimum(n: list[int], q: list[int], value) -> float:
     if est == math.inf:
         est = 0.0
     if est == -math.inf:
-        return est
+        return est, xs
 
     def holds(t: float) -> bool:
         num, den = t.as_integer_ratio()
         return _nonnegative(_lin(n, den, q, num))
 
     if holds(est):
-        return est
+        return est, xs
     tol = CERT_REL * max(1.0, abs(est))
     hi, lo, step = est, est - tol, tol
     while not holds(lo):
         if step > 1e300:
-            return -math.inf
+            return -math.inf, xs
         hi, step = lo, step * 16.0
         lo = est - step
     # the width is relative to lo, so a bracket far below est still closes
     while hi - lo > 2.0 * CERT_REL * max(1.0, abs(lo)):
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if holds(mid) else (lo, mid)
-    return lo
+    return lo, xs
+
+
+def _negative_at(f: list[int], xs: list[float]) -> bool:
+    """Whether f(x) < 0 at one of the points xs, each taken as the exact
+    dyadic rational a/b it is (b > 0): f(a/b) has the sign of
+    sum f_i a^i b^(deg f - i)."""
+    n = len(f) - 1
+    return any(sum(c * a ** i * b ** (n - i) for i, c in enumerate(f)) < 0
+               for a, b in map(float.as_integer_ratio, xs))
 
 
 def _axis_free_part(g: RationalFunction, axis) -> RationalFunction:
@@ -327,7 +337,7 @@ def real_part_margin(g: RationalFunction) -> float:
     if part is None:
         return -math.inf
     g_free, r, q = part
-    return _infimum(r, q, _re_value(g_free))
+    return _infimum(r, q, _re_value(g_free))[0]
 
 
 def wspr_chain_constant(g: RationalFunction) -> float:
@@ -339,7 +349,7 @@ def wspr_chain_constant(g: RationalFunction) -> float:
     c_w > 0 there. Its x -> inf limit is d0.
     """
     r, q = _real_part_polys(g)
-    return _infimum(_mul([1, 1], r), q, lambda w: (1.0 + w * w) * _re_value(g)(w))
+    return _infimum(_mul([1, 1], r), q, lambda w: (1.0 + w * w) * _re_value(g)(w))[0]
 
 
 def _pole_free_omegas(g: RationalFunction) -> np.ndarray:
@@ -391,7 +401,10 @@ def classify_pr(g: RationalFunction) -> PRClassification:
     ``quadrant_ok`` is the exact test that decides PR, Re g(jw) >= -TOL_MARGIN
     at every w: True for PR, WSPR and SSPR, False when it fails, and None when
     the grade is decided before it runs (an unstable plant, or an axis pole
-    whose residue is not real and nonnegative).
+    whose residue is not real and nonnegative). At relative degree zero the
+    certified margin, then the points its estimate looked at, can settle it
+    before the Sturm chain of R + TOL_MARGIN*Q; the meaning and the values
+    stay those of that chain.
     """
     diagnostics: list[str] = []
     quad: bool | None = None
@@ -422,18 +435,30 @@ def classify_pr(g: RationalFunction) -> PRClassification:
     # Re g(jw) = R/Q off the axis poles; PR allows Re g >= -TOL_MARGIN
     g_free, r, q = _real_part(g, axis)
     tol_num, tol_den = TOL_MARGIN.as_integer_ratio()
-    quad = _nonnegative(_lin(r, tol_den, q, -tol_num))
+    widened = _lin(r, tol_den, q, -tol_num)
+    infimum = None
+    if g.relative_degree == 0:
+        # R + TOL_MARGIN*Q = (R - d*Q) + (d + TOL_MARGIN)*Q with R - d*Q >= 0
+        # for the certified d and Q >= 0, so d >= -TOL_MARGIN proves the
+        # test; else a point of the estimate where it is negative disproves
+        # it, and only when neither holds does the Sturm chain decide
+        infimum, xs = _infimum(r, q, _re_value(g_free))
+        quad = infimum >= -TOL_MARGIN or (
+            not _negative_at(widened, xs) and _nonnegative(widened))
+    else:
+        quad = _nonnegative(widened)
     if not quad:
+        if infimum is None:
+            infimum = _infimum(r, q, _re_value(g_free))[0]
         diagnostics.append(
             "Re g(jw) < 0 at some w: R(w^2) + TOL_MARGIN*Q(w^2) changes sign "
-            "at w^2 > 0 or is negative at infinity; "
-            f"inf Re g(jw) = {_infimum(r, q, _re_value(g_free)):.6g}"
+            f"at w^2 > 0 or is negative at infinity; inf Re g(jw) = {infimum:.6g}"
         )
         return graded(Grade.NOT_PR)
 
     strictly_stable = stability is StabilityClass.STRICTLY_STABLE
     # Re g >= -TOL_MARGIN, and for relative degree >= 1 it tends to 0: d = 0
-    margin = _infimum(r, q, _re_value(g_free)) if g.relative_degree == 0 else 0.0
+    margin = 0.0 if infimum is None else infimum
     if strictly_stable and g.relative_degree == 0 and margin > TOL_MARGIN:
         return graded(Grade.SSPR, d=margin)
     if strictly_stable and g.relative_degree == 1:

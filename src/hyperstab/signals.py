@@ -89,7 +89,10 @@ class Signal:
         return self.dt * (self.values.size - 1)
 
     def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.values.size)
+        # k * dt for each k, as a float array scaled in place: no int64 copy
+        t = np.arange(self.values.size, dtype=float)
+        t *= self.dt
+        return t
 
     def index_of(self, t: float) -> int:
         """Grid index of time t (snapped to the nearest sample)."""

@@ -396,6 +396,30 @@ def _from_roots(real, pairs, gain):
     return c
 
 
+def _recipe_plant(shared, shared_pairs, zeros, zero_pairs, poles, pole_pairs, origin, omegas,
+                  gain, sign, lead=1.0):
+    """g from its roots, which lie 0.25 apart unless equal: the constructor
+    divides out the common ones. Besides, den has `origin` poles at 0 (an
+    exact-zero constant term; two make s*g improper when g has relative
+    degree 0) and the pairs +-j*w; `lead` is its leading coefficient."""
+    poles = poles + [0.0] * origin
+    pole_pairs = pole_pairs + [1j * w for w in omegas]
+    while len(zeros) + 2 * len(zero_pairs) > len(poles) + 2 * len(pole_pairs):
+        (zeros or zero_pairs).pop()
+    return RationalFunction(_from_roots(shared + zeros, shared_pairs + zero_pairs, sign * gain),
+                            _from_roots(shared + poles, shared_pairs + pole_pairs, lead))
+
+
+_RECIPE_ARGS = (
+    st.lists(_root, max_size=2), st.lists(_pair, max_size=1),
+    st.lists(_root, max_size=3), st.lists(_pair, max_size=1),
+    st.lists(_root, max_size=3), st.lists(_pair, max_size=1),
+    st.integers(min_value=0, max_value=2), st.lists(_omega, max_size=2, unique=True),
+    st.floats(min_value=0.1, max_value=10.0), st.sampled_from([1.0, -1.0]),
+)
+_recipe = st.builds(_recipe_plant, *_RECIPE_ARGS)
+
+
 def _built(fn, *args):
     """The exact bytes of the rational function fn(*args) returns, or the type
     and message of the error it raises."""
@@ -531,23 +555,8 @@ class TestDerivedFunctions:
             assert free == _built(realness._axis_free_part, g, axis)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(_root, max_size=2), st.lists(_pair, max_size=1),
-           st.lists(_root, max_size=3), st.lists(_pair, max_size=1),
-           st.lists(_root, max_size=3), st.lists(_pair, max_size=1),
-           st.integers(min_value=0, max_value=2), st.lists(_omega, max_size=2, unique=True),
-           st.floats(min_value=0.1, max_value=10.0), st.sampled_from([1.0, -1.0]))
-    def test_derived_functions_as_constructed(self, shared, shared_pairs, zeros, zero_pairs,
-                                              poles, pole_pairs, origin, omegas, gain, sign):
-        # a cancelled g from its roots, which lie 0.25 apart unless equal: the
-        # constructor divides out the common ones. Besides, den has `origin`
-        # poles at 0 (an exact-zero constant term; two make s*g improper when
-        # g has relative degree 0) and the pairs +-j*w.
-        poles = poles + [0.0] * origin
-        pole_pairs = pole_pairs + [1j * w for w in omegas]
-        while len(zeros) + 2 * len(zero_pairs) > len(poles) + 2 * len(pole_pairs):
-            (zeros or zero_pairs).pop()
-        g = RationalFunction(_from_roots(shared + zeros, shared_pairs + zero_pairs, sign * gain),
-                             _from_roots(shared + poles, shared_pairs + pole_pairs, 1.0))
+    @given(_recipe)
+    def test_derived_functions_as_constructed(self, g):
         # the constructor's search can leave a common root in g when the
         # rounding of one side's coefficients moves its copy further than
         # the root test allows: shared [-8.25, -8.5], pair -9 +- 0.75j, zero
@@ -555,6 +564,33 @@ class TestDerivedFunctions:
         # off by 3e-9. Such a g is not the cancelled g assumed.
         assume(not any(ratfun._near(z, g.poles()) for z in g.zeros()))
         self.assert_derived_as_constructed(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.builds(_recipe_plant, *_RECIPE_ARGS,
+                     lead=st.sampled_from([1.0, 3.0, 49.0, -0.7]) | st.floats(0.01, 100.0)))
+    def test_kept_poles_are_solved_poles(self, g):
+        # the poles g and the functions derived from it hand out, kept from
+        # the search or from g or solved on first use, are roots(den) bit for
+        # bit, and a caller's changes to the list reach no later call
+        derived = [g]
+        for fn in (inverse, times_s):
+            try:
+                derived.append(fn(g))
+            except (ImproperTransferFunction, ZeroNumerator):
+                pass
+        try:
+            axis = imaginary_axis_residues(g)
+        except RepeatedAxisPole:
+            axis = None
+        if axis is not None and realness._real_part(g, axis) is not None:
+            derived.append(realness._axis_free_part(g, axis))
+        for h in derived:
+            expected = _bits(roots(h.den) if h.den.degree >= 1 else [])
+            poles = h.poles()
+            assert _bits(poles) == expected
+            poles.append(1j)
+            poles[:1] = [7.0]
+            assert _bits(h.poles()) == expected
 
     def test_grade_batch_and_corpus_plants_as_constructed(self):
         spec = importlib.util.spec_from_file_location("gen", os.path.join(

@@ -6,12 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperstab.errors import PoleOnGrid
-from hyperstab.ratfun import _trimseq, inverse, ratfun_new
+from fractions import Fraction
+from unittest import mock
+
+from hyperstab import realness
+from hyperstab.ratfun import _trimseq, imaginary_axis_residues, inverse, ratfun_new
 from hyperstab.realness import (
     TOL_MARGIN,
     Grade,
+    _lin,
     _mul,
     _nonnegative,
+    _real_part,
     _odd_part,
     _sign_changes,
     _sturm,
@@ -135,6 +141,31 @@ class TestClassify:
         c0, c1 = classify_pr(base), classify_pr(scaled)
         assert c0.grade is c1.grade
         assert c1.d == pytest.approx(alpha * c0.d, rel=1e-9)
+
+    # (s + a)/(s + 3) with fl(a/3) above a/3: Re g(jw) = (3a + w^2)/(9 + w^2)
+    # has its infimum a/3 = -5e-10 >= -TOL_MARGIN at w = 0, the estimate
+    # fl(a/3) fails its exact test, and the margin certified one step below
+    # is under -TOL_MARGIN; no point of the estimate is negative either
+    BACKED_OFF = -1.4999999999999996e-09
+
+    @pytest.mark.parametrize("num, den, grade, widened_tests", [
+        ([2, 1], [1, 1], Grade.SSPR, 0),  # d = 1: the certified margin decides
+        ([-1, 1], [1, 1], Grade.NOT_PR, 0),  # Re g(j0) = -1: a point of the estimate decides
+        ([BACKED_OFF, 1], [3, 1], Grade.PR, 1),  # neither: the Sturm chain decides
+    ])
+    def test_quadrant_decision_at_relative_degree_zero(self, num, den, grade, widened_tests):
+        assert Fraction(self.BACKED_OFF / 3) > Fraction(self.BACKED_OFF) / 3
+        g = ratfun_new(num, den)
+        _, r, q = _real_part(g, [])
+        tol_num, tol_den = TOL_MARGIN.as_integer_ratio()
+        widened = _lin(r, tol_den, q, -tol_num)
+        with mock.patch.object(realness, "_nonnegative", side_effect=_nonnegative) as spy:
+            c = classify_pr(g)
+        assert c.grade is grade
+        assert c.quadrant_ok is (grade is not Grade.NOT_PR)
+        assert [call.args[0] for call in spy.call_args_list].count(widened) == widened_tests
+        if grade is Grade.PR:
+            assert real_part_margin(g) < -TOL_MARGIN <= self.BACKED_OFF / 3
 
 
 def _sturm_nonnegative(f: list[int]) -> bool:
@@ -554,6 +585,11 @@ class TestExactAgainstDenseSweep:
         d, c_w = real_part_margin(g), wspr_chain_constant(g)
         assert d <= sweep_d + 1e-12 * max(1.0, abs(sweep_d))
         assert c_w <= sweep_cw + 1e-12 * max(1.0, abs(sweep_cw))
+        # however the grading decided it, quadrant_ok is the Sturm-chain test
+        # of R + TOL_MARGIN*Q >= 0
+        _, r, q = _real_part(g, imaginary_axis_residues(g))
+        tol_num, tol_den = TOL_MARGIN.as_integer_ratio()
+        assert classify_pr(g).quadrant_ok == _nonnegative(_lin(r, tol_den, q, -tol_num))
         if classify_pr(g).quadrant_ok:
             assert sweep_d >= -TOL_MARGIN - 1e-12 * max(1.0, abs(sweep_d))
         if self._damping(g) >= 0.3:
