@@ -112,9 +112,6 @@ class Polynomial:
             return Polynomial([0.0])
         return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
 
-    def scaled(self, factor: float) -> "Polynomial":
-        return Polynomial([c * factor for c in self.coeffs])
-
     def times_s(self) -> "Polynomial":
         return Polynomial((0.0,) + self.coeffs)
 
@@ -355,10 +352,12 @@ class RationalFunction:
             raise ImproperTransferFunction(
                 f"deg num ({num.degree}) exceeds deg den ({den.degree})"
             )
+        # each coefficient divided by the lead, so the stored lead is exactly
+        # 1 (a product with fl(1/lead) can leave 1 - 2^-53)
         lead = den.leading
-        object.__setattr__(self, "num", num.scaled(1.0 / lead))
-        object.__setattr__(self, "den", den.scaled(1.0 / lead))
-        # a den made monic by 1.0 keeps every bit, so the roots the search
+        object.__setattr__(self, "num", Polynomial([c / lead for c in num.coeffs]))
+        object.__setattr__(self, "den", Polynomial([c / lead for c in den.coeffs]))
+        # a den divided by 1.0 keeps every bit, so the roots the search
         # solved are the poles; else they are solved on first use
         object.__setattr__(self, "_poles", poles if lead == 1.0 else None)
 
@@ -462,10 +461,10 @@ def times_s(g: RationalFunction) -> RationalFunction:
         num, den = (_polydiv(c, [0.0, 1.0])[0] for c in (g.num.times_s().coeffs, g.den.coeffs))
         sg = _coprime(num, den)
         # s*g's den is g's past its zero constant term, unless the division
-        # flips a zero's sign or g's lead is not exactly 1. When it is, bit
-        # for bit, both have one companion matrix, and s*g's poles are g's
-        # less one of the zeros ``roots`` appends after the eigenvalues,
-        # which its stable sort leaves last among the poles equal to 0
+        # flips a zero's sign. When it is, bit for bit, both have one
+        # companion matrix, and s*g's poles are g's less one of the zeros
+        # ``roots`` appends after the eigenvalues, which its stable sort
+        # leaves last among the poles equal to 0
         if list(map(float.hex, sg.den.coeffs)) == list(map(float.hex, g.den.coeffs[1:])):
             poles = g.poles()
             del poles[max(k for k, p in enumerate(poles) if p == 0.0)]

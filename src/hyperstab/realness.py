@@ -12,6 +12,11 @@ and Vongpanitlerd). It decides ``Re g >= -TOL_MARGIN``, with R and Q taken
 from g minus its axis-pole partial fractions, and the strict positivity
 behind WSPR, and certifies the margins d, d1 and c_w as lower bounds on the
 true infima; d0 is the exact ratio of the leading coefficients of R and Q.
+Where ``Re g >= -TOL_MARGIN`` fails, one point proves it: a negative leading
+coefficient of ``R + TOL_MARGIN*Q``, or a point that the margin estimate
+looked at where that polynomial is exactly negative. Such a NotPR grade needs
+neither a Sturm chain nor a certified margin; certification is spent only on
+the margins that are reported.
 For rational functions, nonnegativity of the real part on the imaginary axis
 together with stability is equivalent (maximum principle) to nonnegativity
 of Re g on the whole closed right half-plane.
@@ -214,16 +219,13 @@ def _real_part_polys(g: RationalFunction) -> tuple[list[int], list[int]]:
     return even(_mul(num, den_neg)), even(_mul(den, den_neg))
 
 
-def _infimum(n: list[int], q: list[int], value) -> tuple[float, list[float]]:
-    """inf over x >= 0 of n(x)/q(x), certified never to exceed the true value,
-    and the points x its estimate looked at.
+def _estimate(n: list[int], q: list[int], value) -> tuple[float, list[float], np.ndarray]:
+    """An estimate of inf over x >= 0 of n(x)/q(x), not certified, and the
+    points x it looked at with their values.
 
     The estimate is the smallest of the x -> inf limit and ``value(w)``, the
     function evaluated directly at w = sqrt(x) for x = 0 and every critical
-    point (the real part of each root of n'q - nq', clipped at zero). It is
-    certified by the exact test ``n - t*q >= 0`` at t = est, then at
-    est - CERT_REL*max(1, |est|); when both fail (a feature the float roots
-    missed), t backs off geometrically and bisects with the same test.
+    point (the real part of each root of n'q - nq', clipped at zero).
     """
     if len(n) > len(q):
         limit = math.inf if n[-1] > 0 else -math.inf
@@ -236,40 +238,68 @@ def _infimum(n: list[int], q: list[int], value) -> tuple[float, list[float]]:
         xs += [max(r.real, 0.0) for r in _companion_roots(_trimseq([c / top for c in crit]))]
     with np.errstate(all="ignore"):
         vals = value(np.sqrt(xs))
-    vals = vals[np.isfinite(vals)]
-    est = min(limit, float(np.min(vals))) if vals.size else limit
-    if est == math.inf:
-        est = 0.0
+    finite = vals[np.isfinite(vals)]
+    est = min(limit, float(np.min(finite))) if finite.size else limit
+    return (0.0 if est == math.inf else est), xs, vals
+
+
+def _certify(n: list[int], q: list[int], est: float) -> float:
+    """A lower bound on inf over x >= 0 of n(x)/q(x) from its estimate.
+
+    The exact test ``n - t*q >= 0`` runs at t = est, then at
+    est - CERT_REL*max(1, |est|); when both fail (a feature the float roots
+    missed), t backs off geometrically and bisects with the same test.
+    """
     if est == -math.inf:
-        return est, xs
+        return est
 
     def holds(t: float) -> bool:
         num, den = t.as_integer_ratio()
         return _nonnegative(_lin(n, den, q, num))
 
     if holds(est):
-        return est, xs
+        return est
     tol = CERT_REL * max(1.0, abs(est))
     hi, lo, step = est, est - tol, tol
     while not holds(lo):
         if step > 1e300:
-            return -math.inf, xs
+            return -math.inf
         hi, step = lo, step * 16.0
         lo = est - step
     # the width is relative to lo, so a bracket far below est still closes
     while hi - lo > 2.0 * CERT_REL * max(1.0, abs(lo)):
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if holds(mid) else (lo, mid)
-    return lo, xs
+    return lo
 
 
-def _negative_at(f: list[int], xs: list[float]) -> bool:
-    """Whether f(x) < 0 at one of the points xs, each taken as the exact
-    dyadic rational a/b it is (b > 0): f(a/b) has the sign of
-    sum f_i a^i b^(deg f - i)."""
-    n = len(f) - 1
-    return any(sum(c * a ** i * b ** (n - i) for i, c in enumerate(f)) < 0
-               for a, b in map(float.as_integer_ratio, xs))
+def _infimum(n: list[int], q: list[int], value) -> float:
+    """inf over x >= 0 of n(x)/q(x), certified never to exceed the true value:
+    ``_certify`` of the ``_estimate`` that ``value`` gives. ``classify_pr``
+    runs the two halves apart, so that a witness of a negative real part
+    ends the grading before any certification."""
+    return _certify(n, q, _estimate(n, q, value)[0])
+
+
+def _negative_at(f: list[int], xs: list[float]) -> float | None:
+    """A point x >= 0 where f(x) < 0 exactly, or None if none is found.
+
+    math.inf when the leading coefficient is negative, else the first of xs
+    where f is negative, each taken as the exact dyadic rational a/b it is
+    (b > 0): f(a/b) has the sign of sum f_i a^i b^(deg f - i), summed by
+    Horner's rule in integers.
+    """
+    if f[-1] < 0:
+        return math.inf
+    for x in xs:
+        a, b = x.as_integer_ratio()
+        v, b_k = f[-1], 1
+        for c in reversed(f[:-1]):
+            b_k *= b
+            v = v * a + c * b_k
+        if v < 0:
+            return x
+    return None
 
 
 def _axis_free_part(g: RationalFunction, axis) -> RationalFunction:
@@ -337,7 +367,7 @@ def real_part_margin(g: RationalFunction) -> float:
     if part is None:
         return -math.inf
     g_free, r, q = part
-    return _infimum(r, q, _re_value(g_free))[0]
+    return _infimum(r, q, _re_value(g_free))
 
 
 def wspr_chain_constant(g: RationalFunction) -> float:
@@ -349,7 +379,7 @@ def wspr_chain_constant(g: RationalFunction) -> float:
     c_w > 0 there. Its x -> inf limit is d0.
     """
     r, q = _real_part_polys(g)
-    return _infimum(_mul([1, 1], r), q, lambda w: (1.0 + w * w) * _re_value(g)(w))[0]
+    return _infimum(_mul([1, 1], r), q, lambda w: (1.0 + w * w) * _re_value(g)(w))
 
 
 def _pole_free_omegas(g: RationalFunction) -> np.ndarray:
@@ -398,13 +428,16 @@ def hodograph_quadrant_check(g: RationalFunction) -> QuadrantReport:
 def classify_pr(g: RationalFunction) -> PRClassification:
     """Grade a transfer function and compute the margins d, d0, d1.
 
-    ``quadrant_ok`` is the exact test that decides PR, Re g(jw) >= -TOL_MARGIN
-    at every w: True for PR, WSPR and SSPR, False when it fails, and None when
-    the grade is decided before it runs (an unstable plant, or an axis pole
-    whose residue is not real and nonnegative). At relative degree zero the
-    certified margin, then the points its estimate looked at, can settle it
-    before the Sturm chain of R + TOL_MARGIN*Q; the meaning and the values
-    stay those of that chain.
+    ``quadrant_ok`` is the exact test that decides PR, W = R + TOL_MARGIN*Q
+    >= 0 on [0, inf), that is Re g(jw) >= -TOL_MARGIN at every w: True for
+    PR, WSPR and SSPR, False when it fails, and None when the grade is
+    decided before it runs (an unstable plant, or an axis pole whose residue
+    is not real and nonnegative). Descartes' rule, an exact witness of W < 0
+    (its leading coefficient, or a point of the margin estimate, lowest Re g
+    first, sought when the estimate falls below -TOL_MARGIN; the diagnostic
+    names it) and, at relative degree zero, the certified margin settle it
+    before W's Sturm chain where they can; the answer stays that of the
+    chain.
     """
     diagnostics: list[str] = []
     quad: bool | None = None
@@ -432,33 +465,52 @@ def classify_pr(g: RationalFunction) -> PRClassification:
             )
             return graded(Grade.NOT_PR)
 
-    # Re g(jw) = R/Q off the axis poles; PR allows Re g >= -TOL_MARGIN
+    # Re g(jw) = R/Q off the axis poles; PR allows Re g >= -TOL_MARGIN, which
+    # is W = R + TOL_MARGIN*Q >= 0 on [0, inf)
     g_free, r, q = _real_part(g, axis)
     tol_num, tol_den = TOL_MARGIN.as_integer_ratio()
     widened = _lin(r, tol_den, q, -tol_num)
-    infimum = None
-    if g.relative_degree == 0:
-        # R + TOL_MARGIN*Q = (R - d*Q) + (d + TOL_MARGIN)*Q with R - d*Q >= 0
-        # for the certified d and Q >= 0, so d >= -TOL_MARGIN proves the
-        # test; else a point of the estimate where it is negative disproves
-        # it, and only when neither holds does the Sturm chain decide
-        infimum, xs = _infimum(r, q, _re_value(g_free))
-        quad = infimum >= -TOL_MARGIN or (
-            not _negative_at(widened, xs) and _nonnegative(widened))
+    margin = 0.0  # Re g -> 0 at relative degree >= 1, so d = 0 there
+    if g.relative_degree > 0 and _variations(widened) == 0:
+        # W's lead, TOL_MARGIN times Q's, is positive, and coefficients of
+        # one sign leave W no root in (0, inf) (Descartes' rule)
+        quad = True
     else:
-        quad = _nonnegative(widened)
-    if not quad:
-        if infimum is None:
-            infimum = _infimum(r, q, _re_value(g_free))[0]
-        diagnostics.append(
-            "Re g(jw) < 0 at some w: R(w^2) + TOL_MARGIN*Q(w^2) changes sign "
-            f"at w^2 > 0 or is negative at infinity; inf Re g(jw) = {infimum:.6g}"
-        )
-        return graded(Grade.NOT_PR)
+        est, xs, vals = _estimate(r, q, _re_value(g_free))
+        witness = None
+        if est < -TOL_MARGIN:
+            # the estimate dips below -TOL_MARGIN: look for a witness, lowest
+            # Re g first (sorted in Python, NaN last, as a first np.argsort
+            # maps 0.4 MB of numpy's sort code)
+            order = sorted(range(len(xs)), key=lambda k: (math.isnan(vals[k]), vals[k]))
+            witness = _negative_at(widened, [xs[k] for k in order])
+        if witness is not None:
+            quad = False
+            diagnostics.append(
+                f"Re g(jw) -> {r[-1] / q[-1]:.6g} as w -> inf: "
+                "R(w^2) + TOL_MARGIN*Q(w^2) is negative at infinity"
+                if witness == math.inf else
+                f"Re g(jw) = {vals[xs.index(witness)]:.6g} at w = {math.sqrt(witness):.6g}: "
+                "R(w^2) + TOL_MARGIN*Q(w^2) is exactly negative there and "
+                "changes sign at w^2 > 0")
+            return graded(Grade.NOT_PR)
+        if g.relative_degree == 0:
+            # W = (R - d*Q) + (d + TOL_MARGIN)*Q with R - d*Q >= 0 for the
+            # certified d and Q >= 0, so d >= -TOL_MARGIN proves W >= 0
+            margin = _certify(r, q, est)
+            quad = margin >= -TOL_MARGIN or _nonnegative(widened)
+        else:
+            quad = _nonnegative(widened)
+        if not quad:
+            # a sign change that no witness showed
+            infimum = margin if g.relative_degree == 0 else _certify(r, q, est)
+            diagnostics.append(
+                "Re g(jw) < 0 at some w: R(w^2) + TOL_MARGIN*Q(w^2) changes sign "
+                f"at w^2 > 0 or is negative at infinity; inf Re g(jw) = {infimum:.6g}"
+            )
+            return graded(Grade.NOT_PR)
 
     strictly_stable = stability is StabilityClass.STRICTLY_STABLE
-    # Re g >= -TOL_MARGIN, and for relative degree >= 1 it tends to 0: d = 0
-    margin = 0.0 if infimum is None else infimum
     if strictly_stable and g.relative_degree == 0 and margin > TOL_MARGIN:
         return graded(Grade.SSPR, d=margin)
     if strictly_stable and g.relative_degree == 1:

@@ -163,6 +163,14 @@ class TestConstruction:
         g = ratfun_new([4], [2, 2])
         assert g.den.coeffs == (1.0, 1.0)
         assert g.num.coeffs == (2.0,)
+        # a product with fl(1/49) would leave the lead at 1 - 2^-53
+        assert ratfun_new([1], [1, 49]).den.coeffs == (1 / 49, 1.0)
+        rng = np.random.default_rng(7)
+        leads = rng.uniform(0.01, 100.0, 10_000) * rng.choice([-1.0, 1.0], 10_000)
+        for lead, c in zip(leads, rng.uniform(-5.0, 5.0, 10_000)):
+            g = ratfun_new([1.0, c], [c, 2.0, lead])
+            assert g.den.leading == 1.0
+            assert g.num.coeffs == (1.0 / lead, c / lead)
 
     def test_trailing_zeros_trimmed(self):
         p = Polynomial([1.0, 2.0, 0.0, 0.0])

@@ -14,8 +14,11 @@ from hyperstab.ratfun import _trimseq, imaginary_axis_residues, inverse, ratfun_
 from hyperstab.realness import (
     TOL_MARGIN,
     Grade,
+    _certify,
+    _estimate,
     _lin,
     _mul,
+    _negative_at,
     _nonnegative,
     _real_part,
     _odd_part,
@@ -148,10 +151,15 @@ class TestClassify:
     # is under -TOL_MARGIN; no point of the estimate is negative either
     BACKED_OFF = -1.4999999999999996e-09
 
+    # 1/((s + 1)(s + 2)) has R = 2 - x (times 4^k): Descartes' rule does not
+    # settle R + TOL_MARGIN*Q, and the estimate's minimum is a witness. No
+    # case builds the Sturm chain of R + TOL_MARGIN*Q: Descartes' rule
+    # settles it for BACKED_OFF, whose coefficients are all positive
     @pytest.mark.parametrize("num, den, grade, widened_tests", [
         ([2, 1], [1, 1], Grade.SSPR, 0),  # d = 1: the certified margin decides
         ([-1, 1], [1, 1], Grade.NOT_PR, 0),  # Re g(j0) = -1: a point of the estimate decides
-        ([BACKED_OFF, 1], [3, 1], Grade.PR, 1),  # neither: the Sturm chain decides
+        ([BACKED_OFF, 1], [3, 1], Grade.PR, 1),  # neither: the exact test decides
+        ([1], [2, 3, 1], Grade.NOT_PR, 0),  # relative degree 2: a witness decides
     ])
     def test_quadrant_decision_at_relative_degree_zero(self, num, den, grade, widened_tests):
         assert Fraction(self.BACKED_OFF / 3) > Fraction(self.BACKED_OFF) / 3
@@ -159,11 +167,15 @@ class TestClassify:
         _, r, q = _real_part(g, [])
         tol_num, tol_den = TOL_MARGIN.as_integer_ratio()
         widened = _lin(r, tol_den, q, -tol_num)
-        with mock.patch.object(realness, "_nonnegative", side_effect=_nonnegative) as spy:
+        with mock.patch.object(realness, "_nonnegative", side_effect=_nonnegative) as spy, \
+                mock.patch.object(realness, "_sturm", side_effect=_sturm) as chains:
             c = classify_pr(g)
         assert c.grade is grade
         assert c.quadrant_ok is (grade is not Grade.NOT_PR)
         assert [call.args[0] for call in spy.call_args_list].count(widened) == widened_tests
+        assert widened not in [call.args[0] for call in chains.call_args_list]
+        if grade is Grade.NOT_PR:
+            assert any("is exactly negative there and changes sign" in m for m in c.diagnostics)
         if grade is Grade.PR:
             assert real_part_margin(g) < -TOL_MARGIN <= self.BACKED_OFF / 3
 
@@ -595,3 +607,78 @@ class TestExactAgainstDenseSweep:
         if self._damping(g) >= 0.3:
             assert d == pytest.approx(sweep_d, abs=1e-6 * max(1.0, abs(sweep_d)))
             assert c_w == pytest.approx(sweep_cw, abs=1e-6 * max(1.0, abs(sweep_cw)))
+
+
+class TestWitness:
+    """A NotPR grade of the real-part test is proven by an exact witness of
+    R + TOL_MARGIN*Q < 0, with no Sturm chain and no certification, and
+    grades exactly as the Sturm chain alone would."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_plants)
+    def test_witness_decides_as_sturm(self, g):
+        _, r, q = _real_part(g, imaginary_axis_residues(g))
+        tol_num, tol_den = TOL_MARGIN.as_integer_ratio()
+        widened = _lin(r, tol_den, q, -tol_num)
+        witnesses = []
+
+        def spy_negative_at(f, xs):
+            witnesses.append(_negative_at(f, xs))
+            return witnesses[-1]
+
+        with mock.patch.object(realness, "_negative_at", side_effect=spy_negative_at), \
+                mock.patch.object(realness, "_certify", side_effect=_certify) as certify, \
+                mock.patch.object(realness, "_sturm", side_effect=_sturm) as chains:
+            c = classify_pr(g)
+        # the plants are strictly stable, so only R + TOL_MARGIN*Q decides NotPR
+        reference = _sturm_nonnegative(widened)
+        assert c.quadrant_ok is reference
+        assert (c.grade is Grade.NOT_PR) is (not reference)
+        witness = witnesses[-1] if witnesses else None
+        if witness is not None:
+            assert c.grade is Grade.NOT_PR
+            assert certify.call_count == 0 and chains.call_count == 0
+            if witness == np.inf:
+                assert widened[-1] < 0
+            else:
+                x = Fraction(witness)
+                assert sum(c_i * x ** i for i, c_i in enumerate(widened)) < 0
+                assert any(f"at w = {np.sqrt(witness):.6g}:" in m for m in c.diagnostics)
+        # without the witness search, the grade and every margin are the same
+        with mock.patch.object(realness, "_negative_at", return_value=None):
+            unwitnessed = classify_pr(g)
+        assert unwitnessed.quadrant_ok is c.quadrant_ok
+        assert {k: v for k, v in unwitnessed.to_report().items() if k != "diagnostics"} \
+            == {k: v for k, v in c.to_report().items() if k != "diagnostics"}
+        if c.grade is Grade.NOT_PR:
+            # the certified infimum, as real_part_margin reports it
+            assert any(f"inf Re g(jw) = {real_part_margin(g):.6g}" in m
+                       for m in unwitnessed.diagnostics)
+
+    @pytest.mark.parametrize("num, den", [
+        ([1], [2, 3, 1]),  # relative degree 2
+        ([-1, 1], [1, 1]),  # relative degree 0
+    ])
+    def test_fallback_without_estimate_points(self, num, den):
+        # with the estimate's points taken away no witness is found, and the
+        # Sturm chain decides with the certified infimum in the diagnostic
+        g = ratfun_new(num, den)
+
+        def pointless(n, q, value):
+            est, _, _ = _estimate(n, q, value)
+            return est, [], np.array([])
+
+        with mock.patch.object(realness, "_estimate", side_effect=pointless):
+            c = classify_pr(g)
+        assert c.grade is Grade.NOT_PR and c.quadrant_ok is False
+        assert c.diagnostics == (
+            "Re g(jw) < 0 at some w: R(w^2) + TOL_MARGIN*Q(w^2) changes sign at w^2 > 0 "
+            f"or is negative at infinity; inf Re g(jw) = {real_part_margin(g):.6g}",)
+
+    def test_negative_at_infinity(self):
+        # (1 - 2s)/(1 + s): Re g(jw) -> -2, so the leading coefficient is the witness
+        with mock.patch.object(realness, "_certify", side_effect=AssertionError):
+            c = classify_pr(ratfun_new([1, -2], [1, 1]))
+        assert c.grade is Grade.NOT_PR
+        assert c.diagnostics == ("Re g(jw) -> -2 as w -> inf: "
+                                 "R(w^2) + TOL_MARGIN*Q(w^2) is negative at infinity",)
