@@ -6,11 +6,9 @@ passes one root test in both polynomials are divided out, the denominator is
 made monic, and properness (``deg den >= deg num``) is enforced. Outside
 input always goes through that search; ``inverse``, ``times_s`` at an origin
 pole and grading's axis-free part are coprime by construction and skip it.
-A rational function's pole list is set at construction (the roots the search
-solved, or those ``times_s`` hands over) or once on first use, to
-``roots(den)`` either way, and ``poles()`` returns a copy. All values are
-otherwise immutable and all operations pure, so threads can share them: two
-threads that both fill the list write the same value.
+A pole list is ``roots(den)``, solved on first use or handed over by
+``times_s``; ``poles()`` returns a copy. Values are otherwise immutable, so
+threads can share them: two threads that fill one list write the same value.
 """
 
 from __future__ import annotations
@@ -261,11 +259,14 @@ def _is_root(p: Polynomial, r: complex) -> bool:
 
 
 def _quotient(p: Polynomial, factor: list[float]) -> Polynomial:
-    """p / factor, its remainder dropped, by composite deflation (Peters and
-    Wilkinson 1971): past p's exact roots at 0, the coefficients below the
-    largest term |p_k| (|r|/2)^k, r the factor's roots, come from the reversed
-    division, the rest from the top, so no recurrence scales rounding up."""
+    """p / factor, its remainder dropped: for the factor s, p past its zero
+    constant term; else by composite deflation (Peters and Wilkinson 1971):
+    past p's exact roots at 0, the coefficients below the largest term |p_k|
+    (|r|/2)^k, r the factor's roots, come from the reversed division, the rest
+    from the top, so no recurrence scales rounding up."""
     c = p.coeffs
+    if factor == [0.0, 1.0]:
+        return Polynomial(c[1:])
     low = next(i for i, x in enumerate(c) if x != 0.0) if factor[0] else 0
     body, size = c[low:], 0.5 * abs(factor[0]) ** (1.0 / (len(factor) - 1))
     k = max(range(len(body)), key=lambda i: abs(body[i]) * size ** i)
@@ -294,11 +295,8 @@ def _cancel_common_roots(num: Polynomial, den: Polynomial):
     root has an accurate mean) of the numerator roots near a denominator root
     and of the denominator roots near those, then each of those roots. The
     first candidate that ``_is_root`` of both divides out; each side is
-    divided by its own copy, so the remainder it drops is its own rounding.
-
-    Returns num, den and the roots of that den when the last pass solved
-    them, else None."""
-    den_roots = None
+    divided by its own copy, so the remainder it drops is its own rounding;
+    the quotients are returned."""
     while not (num.is_zero or num.degree == 0 or den.degree == 0):
         num_roots, den_roots = roots(num), roots(den)
         # a common root has a root of the other side near it
@@ -311,11 +309,10 @@ def _cancel_common_roots(num: Polynomial, den: Polynomial):
                 near = [[r for r in rts if _near(center, [r])] or [center] for rts in (num_roots, den_roots)]
                 num, den = (_quotient(p, _own_factor(p, n, min(map(len, near)), factor))
                             for p, n in zip((num, den), near))
-                den_roots = None
                 break
         else:
             break
-    return num, den, den_roots
+    return num, den
 
 
 class StabilityClass(str, enum.Enum):
@@ -345,9 +342,8 @@ class RationalFunction:
         den = den if isinstance(den, Polynomial) else Polynomial(den)
         if den.is_zero:
             raise ZeroDenominator("denominator is the zero polynomial")
-        poles = None
         if _search and not num.is_zero:
-            num, den, poles = _cancel_common_roots(num, den)
+            num, den = _cancel_common_roots(num, den)
         if num.degree > den.degree and not num.is_zero:
             raise ImproperTransferFunction(
                 f"deg num ({num.degree}) exceeds deg den ({den.degree})"
@@ -357,17 +353,15 @@ class RationalFunction:
         lead = den.leading
         object.__setattr__(self, "num", Polynomial([c / lead for c in num.coeffs]))
         object.__setattr__(self, "den", Polynomial([c / lead for c in den.coeffs]))
-        # a den divided by 1.0 keeps every bit, so the roots the search
-        # solved are the poles; else they are solved on first use
-        object.__setattr__(self, "_poles", poles if lead == 1.0 else None)
+        object.__setattr__(self, "_poles", None)
 
     @property
     def relative_degree(self) -> int:
         return self.den.degree - self.num.degree
 
     def poles(self) -> list[complex]:
-        """``roots(den)``: kept from the common-root search or handed over by
-        ``times_s``, else solved on first use and kept."""
+        """``roots(den)``, solved on first use and kept, or handed over by
+        ``times_s``."""
         if self.den.degree < 1:
             return []
         if self._poles is None:
@@ -456,19 +450,14 @@ def imaginary_axis_residues(g: RationalFunction) -> list[PoleInfo]:
 
 def times_s(g: RationalFunction) -> RationalFunction:
     """Return s*g(s) in cancelled form; errors if the product is improper. At
-    an origin pole it is num/(den/s), coprime, built without the search."""
+    an origin pole it is num/(den/s), built without the search: den past its
+    zero constant term, whose ``roots`` are g's less the last zero appended
+    after the same companion matrix's eigenvalues, last under a stable sort."""
     if g.den.coeffs[0] == 0.0 and not g.num.is_zero:
-        num, den = (_polydiv(c, [0.0, 1.0])[0] for c in (g.num.times_s().coeffs, g.den.coeffs))
-        sg = _coprime(num, den)
-        # s*g's den is g's past its zero constant term, unless the division
-        # flips a zero's sign. When it is, bit for bit, both have one
-        # companion matrix, and s*g's poles are g's less one of the zeros
-        # ``roots`` appends after the eigenvalues, which its stable sort
-        # leaves last among the poles equal to 0
-        if list(map(float.hex, sg.den.coeffs)) == list(map(float.hex, g.den.coeffs[1:])):
-            poles = g.poles()
-            del poles[max(k for k, p in enumerate(poles) if p == 0.0)]
-            object.__setattr__(sg, "_poles", poles)
+        sg = _coprime(g.num.coeffs, g.den.coeffs[1:])
+        poles = g.poles()
+        del poles[max(k for k, p in enumerate(poles) if p == 0.0)]
+        object.__setattr__(sg, "_poles", poles)
         return sg
     return RationalFunction(g.num.times_s(), g.den)
 
