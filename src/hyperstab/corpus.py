@@ -8,6 +8,7 @@ sketch lives in each entry's notes), so regression checks are never circular.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -89,9 +90,10 @@ def load_corpus(path) -> list[CorpusEntry]:
             raise SchemaError(f"entry {entry_id}: bad coefficients ({exc})") from None
         margins = {fld: item[fld] for fld in _MARGIN_FIELDS if fld in item}
         for fld, value in margins.items():
-            if not is_number(value):
-                raise SchemaError(f"entry {entry_id}: margin {fld} must be a number, "
-                                  f"got {value!r}")
+            # a NaN or infinite margin would pass any tolerance check
+            if not (is_number(value) and math.isfinite(value)):
+                raise SchemaError(f"entry {entry_id}: margin {fld} must be a finite "
+                                  f"number, got {value!r}")
             margins[fld] = float(value)
         entries.append(
             CorpusEntry(

@@ -137,11 +137,8 @@ def _cubic_odd_power(params: dict) -> DeviceLaw:
 
 def _time_varying_gain(params: dict) -> DeviceLaw:
     samples = params.get("samples", ())
-    if isinstance(samples, np.ndarray):
-        samples = samples.tolist()
     if not isinstance(samples, (list, tuple)) or not all(map(is_number, samples)):
         raise InvalidParams("gain samples must be a list of numbers")
-    # a copy, so the law holds whatever happens to the given array
     arr = np.array(samples, dtype=float)
     sdt = _number(params, "sample_dt", 0.0)
     if arr.size < 1 or sdt <= 0:
@@ -206,8 +203,12 @@ class DeviceSpec:
         object.__setattr__(self, "kind", DeviceKind(self.kind))
         if not isinstance(self.params, Mapping):
             raise InvalidParams("device params must be a mapping of names to values")
-        # a read-only copy with lists as tuples, so it always describes the law
-        frozen = {k: tuple(v) if isinstance(v, list) else v for k, v in self.params.items()}
+        # a read-only copy with lists and arrays as tuples, so it always
+        # describes the law
+        frozen = {}
+        for k, v in self.params.items():
+            v = v.tolist() if isinstance(v, np.ndarray) else v
+            frozen[k] = tuple(v) if isinstance(v, list) else v
         object.__setattr__(self, "params", MappingProxyType(frozen))
         object.__setattr__(self, "law", _LAWS[self.kind](self.params))
 

@@ -253,9 +253,11 @@ def _factor(r: complex) -> list[float] | None:
 
 
 def _is_root(p: Polynomial, r: complex) -> bool:
-    """|p(r)| <= FACTOR_REM_TOL * sum |p_i| |r|^i, Horner's rounding bound."""
-    bound = FACTOR_REM_TOL * _horner([abs(x) for x in p.coeffs], abs(r))
-    return abs(_horner(p.coeffs, r)) <= bound < math.inf
+    """|p(r)| <= FACTOR_REM_TOL * sum |p_i| |r|^i, Horner's rounding bound; for
+    r != 0 both past p's exact roots at 0, so that neither underflows to 0."""
+    c = p.coeffs[next(i for i, x in enumerate(p.coeffs) if x != 0.0) if r else 0:]
+    bound = FACTOR_REM_TOL * _horner([abs(x) for x in c], abs(r))
+    return abs(_horner(c, r)) <= bound < math.inf
 
 
 def _quotient(p: Polynomial, factor: list[float]) -> Polynomial:
@@ -295,8 +297,7 @@ def _cancel_common_roots(num: Polynomial, den: Polynomial):
     root has an accurate mean) of the numerator roots near a denominator root
     and of the denominator roots near those, then each of those roots. The
     first candidate that ``_is_root`` of both divides out; each side is
-    divided by its own copy, so the remainder it drops is its own rounding;
-    the quotients are returned."""
+    divided by its own copy, so the remainder it drops is its own rounding."""
     while not (num.is_zero or num.degree == 0 or den.degree == 0):
         num_roots, den_roots = roots(num), roots(den)
         # a common root has a root of the other side near it
@@ -449,10 +450,9 @@ def imaginary_axis_residues(g: RationalFunction) -> list[PoleInfo]:
 
 
 def times_s(g: RationalFunction) -> RationalFunction:
-    """Return s*g(s) in cancelled form; errors if the product is improper. At
-    an origin pole it is num/(den/s), built without the search: den past its
-    zero constant term, whose ``roots`` are g's less the last zero appended
-    after the same companion matrix's eigenvalues, last under a stable sort."""
+    """s*g(s) in cancelled form; errors if the product is improper. At an
+    origin pole, num/(den past its zero constant term), unsearched: the same
+    companion matrix, so its poles are g's less the last zero ``roots`` adds."""
     if g.den.coeffs[0] == 0.0 and not g.num.is_zero:
         sg = _coprime(g.num.coeffs, g.den.coeffs[1:])
         poles = g.poles()

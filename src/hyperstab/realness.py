@@ -67,8 +67,8 @@ from .ratfun import (
 
 # Margins below this are indistinguishable from zero.
 TOL_MARGIN = 1e-9
-# A margin estimate is certified at est - CERT_REL * max(1, |est|) when the
-# estimate itself fails; bisection on t stops at twice that width.
+# A margin estimate that fails its exact test backs off from one ulp below
+# it; bisection on t for a missed feature stops at 2 * CERT_REL * max(1, |t|).
 CERT_REL = 1e-9
 # Frequencies sampled by phase_deviation and hodograph_quadrant_check.
 DIAGNOSTIC_OMEGAS = np.geomspace(1e-4, 1e6, 4096)
@@ -246,9 +246,9 @@ def _estimate(n: list[int], q: list[int], value) -> tuple[float, list[float], np
 def _certify(n: list[int], q: list[int], est: float) -> float:
     """A lower bound on inf over x >= 0 of n(x)/q(x) from its estimate.
 
-    The exact test ``n - t*q >= 0`` runs at t = est, then at
-    est - CERT_REL*max(1, |est|); when both fail (a feature the float roots
-    missed), t backs off geometrically and bisects with the same test.
+    The exact test ``n - t*q >= 0`` runs at t = est, then one ulp below it
+    (an ulp of 1 below est = 0), 16 times further each step until it passes;
+    a bracket wider than 2*CERT_REL relative (a missed feature) is bisected.
     """
     if est == -math.inf:
         return est
@@ -259,7 +259,7 @@ def _certify(n: list[int], q: list[int], est: float) -> float:
 
     if holds(est):
         return est
-    tol = CERT_REL * max(1.0, abs(est))
+    tol = math.ulp(est) if est else math.ulp(1.0)
     hi, lo, step = est, est - tol, tol
     while not holds(lo):
         if step > 1e300:

@@ -182,6 +182,7 @@ class TestSimulate:
         # dt = 1e-9 asks for 1e9 steps: refused before anything is allocated
         for data in ({"plant": {"num": [1]}},
                      {**base, "excitation": {"amplitude": "abc", "duration": 1}},
+                     {**base, "excitation": 5},
                      {**base, "device": "Relay"},
                      {**base, "dt": float("nan")},
                      {**base, "horizon": float("inf")},
@@ -451,6 +452,11 @@ class TestCorpus:
                                           "grade": "WSPR", "d0": "1"}]), "d0"),
                             (json.dumps([{"id": "b", "num": [1], "den": [1, 1],
                                           "grade": "WSPR", "d1": True}]), "d1"),
+                            # a NaN or infinite margin passes every tolerance check
+                            (json.dumps([{"id": "nan", "num": [1], "den": [1, 1],
+                                          "grade": "WSPR", "d": math.nan}]), "entry nan: margin d"),
+                            (json.dumps([{"id": "inf", "num": [1], "den": [1, 1],
+                                          "grade": "WSPR", "d0": math.inf}]), "entry inf: margin d0"),
                             (json.dumps([{"id": "n", "num": ["1"], "den": [1, 1],
                                           "grade": "WSPR"}]), "entry n"),
                             # a passing entry and a failing twin with its id

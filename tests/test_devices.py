@@ -152,6 +152,16 @@ class TestFrozenParams:
         assert apply_device(spec, 1.0, 0.0) == 1.0
         assert spec.to_json_dict()["params"] == {"samples": [1.0, 1.0], "sample_dt": 0.5}
 
+    def test_array_params_are_frozen_too(self):
+        samples = np.array([1.0, 2.0])
+        spec = DeviceSpec(kind="TimeVaryingGain",
+                          params={"samples": samples, "sample_dt": 0.5})
+        samples[:] = 9.0  # the caller's array was copied
+        assert spec.params["samples"] == (1.0, 2.0)
+        assert [apply_device(spec, 1.0, t) for t in (0.0, 0.5)] == [1.0, 2.0]
+        assert json.loads(json.dumps(spec.to_json_dict()))["params"] == {
+            "samples": [1.0, 2.0], "sample_dt": 0.5}
+
     def test_spec_rebuilt_from_its_params(self):
         spec = DeviceSpec(kind="Relay", params={"amplitude": 2.0})
         again = DeviceSpec(kind=spec.kind, params=spec.params)

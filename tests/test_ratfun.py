@@ -50,6 +50,16 @@ class TestConstruction:
         assert g.relative_degree == 0
         assert g.num.coeffs == (2.0, 1.0)
 
+    def test_tiny_root_is_no_root_of_a_power_of_s(self):
+        # s^2 at r = -1e-203: r^2 and its rounding bound both underflow to 0,
+        # so the root test is taken past the exact zeros at 0; s + 1e-203 is
+        # no common factor, where it divided s^2 down to the zero polynomial
+        g = ratfun_new([1e-203, 1], [0, 0, 1])
+        assert (g.num.coeffs, g.den.coeffs) == ((1e-203, 1.0), (0.0, 0.0, 1.0))
+        # s(s + 1e-203) has the root exactly: it cancels
+        g = ratfun_new([1e-203, 1], [0, 1e-203, 1])
+        assert (g.num.coeffs, g.den.coeffs) == ((1.0,), (0.0, 1.0))
+
     def test_common_factor_cancellation(self):
         # (s+a) / (s+a)^2 with (s+a)^2 = s^2 + 2as + a^2 expanded by hand; at
         # a = 0.375 the double pole's computed roots split off the real axis
@@ -577,9 +587,9 @@ class TestDerivedFunctions:
     @given(st.builds(_recipe_plant, *_RECIPE_ARGS,
                      lead=st.sampled_from([1.0, 3.0, 49.0, -0.7]) | st.floats(0.01, 100.0)))
     def test_kept_poles_are_solved_poles(self, g):
-        # the poles g and the functions derived from it hand out, kept from
-        # the search or from g or solved on first use, are roots(den) bit for
-        # bit, and a caller's changes to the list reach no later call
+        # the poles g and the functions derived from it hand out, solved on
+        # first use or handed over by times_s, are roots(den) bit for bit,
+        # and a caller's changes to the list reach no later call
         derived = [g]
         for fn in (inverse, times_s):
             try:
@@ -623,3 +633,29 @@ class TestDerivedFunctions:
         with pytest.raises(ImproperTransferFunction, match=r"deg num \(2\) exceeds deg den \(1\)"):
             times_s(double)
         assert times_s(exact).den.coeffs == (2.0, 1.0)
+        # num/(den past its constant term), every bit kept: -0.0 included
+        assert -0.0 in negative.den.coeffs[1:]
+        assert _built(times_s, negative) == (np.array(negative.num.coeffs).tobytes(),
+                                             np.array(negative.den.coeffs[1:]).tobytes())
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_coeff, min_size=1, max_size=6), st.lists(_coeff, min_size=1, max_size=6),
+           st.sampled_from([0.0, -0.0]))
+    def test_times_s_at_origin_pole_as_constructed(self, num, den, zero):
+        # raw coefficients, signed zeros among them, over a den whose
+        # constant term is a signed zero: the sliced s*g is what the search
+        # builds, and the poles it is handed are roots(den)
+        try:
+            g = RationalFunction(num, [zero] + den)
+        except (DegenerateInput, ZeroDenominator, ImproperTransferFunction):
+            assume(False)  # a lead so small that dividing by it overflows, or no g
+        assume(g.den.coeffs[0] == 0.0 and not g.num.is_zero)
+        # as in test_derived_functions_as_constructed: a g whose search kept a
+        # common root (a subnormal one misses the root test) is not cancelled
+        assume(not any(ratfun._near(z, g.poles()) for z in g.zeros()))
+        assert _built(times_s, g) == _built(RationalFunction, g.num.times_s(), g.den)
+        try:
+            sg = times_s(g)
+        except ImproperTransferFunction:
+            return
+        assert _bits(sg.poles()) == _bits(roots(sg.den) if sg.den.degree >= 1 else [])

@@ -1,5 +1,7 @@
 """Realness grading, margins and the ancillary frequency-domain checks."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +46,18 @@ class TestMargin:
     def test_minimum_at_zero(self):
         # Re = (w^2-1)/(w^2+1): minimum -1 at w = 0
         assert real_part_margin(ratfun_new([-1, 1], [1, 1])) == pytest.approx(-1.0)
+
+    def test_certified_to_the_ulp(self):
+        # fl(-1/3) lies above -1/3: its exact test fails, and the margin is
+        # certified one ulp below it
+        third = -1 / 3
+        assert Fraction(third) > Fraction(-1, 3)
+        assert _certify([-1], [3], third) == math.nextafter(third, -math.inf)
+        # an estimate of 0 backs off from one ulp of 1, not of 0
+        assert _certify([-1], [2 ** 60], 0.0) == -math.ulp(1.0)
+        # a missed feature: the back-off passes -1/3, then bisection closes in
+        t = _certify([-1], [3], 1.0)
+        assert Fraction(-1, 3) - 2 * realness.CERT_REL <= Fraction(t) <= Fraction(-1, 3)
 
     def test_interior_minimum_refined(self):
         # inverse of the biquad: minimum 2/3 at w = sqrt(2), found by calculus
@@ -147,8 +161,9 @@ class TestClassify:
 
     # (s + a)/(s + 3) with fl(a/3) above a/3: Re g(jw) = (3a + w^2)/(9 + w^2)
     # has its infimum a/3 = -5e-10 >= -TOL_MARGIN at w = 0, the estimate
-    # fl(a/3) fails its exact test, and the margin certified one step below
-    # is under -TOL_MARGIN; no point of the estimate is negative either
+    # fl(a/3) fails its exact test and no point of the estimate is negative.
+    # Its margin certifies one ulp below fl(a/3); in the PR row it is
+    # loosened to a lower bound under -TOL_MARGIN, so W's exact test decides
     BACKED_OFF = -1.4999999999999996e-09
 
     # 1/((s + 1)(s + 2)) has R = 2 - x (times 4^k): Descartes' rule does not
@@ -167,8 +182,13 @@ class TestClassify:
         _, r, q = _real_part(g, [])
         tol_num, tol_den = TOL_MARGIN.as_integer_ratio()
         widened = _lin(r, tol_den, q, -tol_num)
+        certify = _certify
+        if grade is Grade.PR:
+            def certify(n, q, est):
+                return _certify(n, q, est) - TOL_MARGIN
         with mock.patch.object(realness, "_nonnegative", side_effect=_nonnegative) as spy, \
-                mock.patch.object(realness, "_sturm", side_effect=_sturm) as chains:
+                mock.patch.object(realness, "_sturm", side_effect=_sturm) as chains, \
+                mock.patch.object(realness, "_certify", side_effect=certify):
             c = classify_pr(g)
         assert c.grade is grade
         assert c.quadrant_ok is (grade is not Grade.NOT_PR)
@@ -177,7 +197,8 @@ class TestClassify:
         if grade is Grade.NOT_PR:
             assert any("is exactly negative there and changes sign" in m for m in c.diagnostics)
         if grade is Grade.PR:
-            assert real_part_margin(g) < -TOL_MARGIN <= self.BACKED_OFF / 3
+            est = self.BACKED_OFF / 3
+            assert -TOL_MARGIN <= real_part_margin(g) == est - math.ulp(est)
 
 
 def _sturm_nonnegative(f: list[int]) -> bool:
