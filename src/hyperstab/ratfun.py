@@ -9,6 +9,10 @@ pole and grading's axis-free part are coprime by construction and skip it.
 A pole list is ``roots(den)``, solved on first use or handed over by
 ``times_s``; ``poles()`` returns a copy. Values are otherwise immutable, so
 threads can share them: two threads that fill one list write the same value.
+``freq_response_array`` evaluates g(jw) on a numpy array of frequencies;
+``freq_response`` and the margin estimate's ``_response_jw`` evaluate one
+frequency in Python floats, numpy's operations written out, with the
+array's value bit for bit.
 """
 
 from __future__ import annotations
@@ -352,8 +356,14 @@ class RationalFunction:
         # each coefficient divided by the lead, so the stored lead is exactly
         # 1 (a product with fl(1/lead) can leave 1 - 2^-53)
         lead = den.leading
-        object.__setattr__(self, "num", Polynomial([c / lead for c in num.coeffs]))
-        object.__setattr__(self, "den", Polynomial([c / lead for c in den.coeffs]))
+        try:
+            object.__setattr__(self, "num", Polynomial([c / lead for c in num.coeffs]))
+            object.__setattr__(self, "den", Polynomial([c / lead for c in den.coeffs]))
+        except DegenerateInput:
+            # every coefficient is finite, so a quotient overflowed
+            raise DegenerateInput(
+                f"making the denominator monic overflows: a coefficient divided by "
+                f"the leading coefficient {lead!r} is not finite") from None
         object.__setattr__(self, "_poles", None)
 
     @property
@@ -392,14 +402,56 @@ def ratfun_new(num, den) -> RationalFunction:
     return RationalFunction(num, den)
 
 
+def _horner_jw(coeffs, w: float) -> tuple[float, float]:
+    """``_horner(coeffs, 1j*np.asarray(w))``, real and imaginary part, at one
+    float w: numpy's complex operations written out in floats, its complex
+    promotions included (``1j*w`` is (0, 1)(w, 0), a float c is (c, 0))."""
+    sr, si = 0.0 * w - 0.0, 0.0 + w
+    vr, vi = coeffs[-1] + (sr * 0.0 - si * 0.0), 0.0 + (sr * 0.0 + si * 0.0)
+    for c in coeffs[-2::-1]:
+        vr, vi = c + (vr * sr - vi * si), 0.0 + (vr * si + vi * sr)
+    return vr, vi
+
+
+def _over_zero(a: float) -> float:
+    """a / 0.0 as IEEE division gives it, where Python raises."""
+    return math.copysign(math.inf, a) if a == a and a != 0.0 else math.nan
+
+
+def _divide(ar: float, ai: float, br: float, bi: float) -> tuple[float, float]:
+    """(ar + j ai) / (br + j bi) by numpy's complex division, Smith's rule
+    with the reciprocal taken once (CPython divides by the denominator, and
+    differs in the last bit); a zero denominator, or a NaN real part over a
+    zero imaginary part, gives numpy's inf or NaN, not ZeroDivisionError."""
+    if abs(br) >= abs(bi):
+        if br == 0.0:
+            return _over_zero(ar), _over_zero(ai)
+        rat = bi / br
+        scl = 1.0 / (br + bi * rat)
+        return (ar + ai * rat) * scl, (ai - ar * rat) * scl
+    if bi == 0.0:
+        return math.nan, math.nan
+    rat = br / bi
+    scl = 1.0 / (bi + br * rat)
+    return (ar * rat + ai) * scl, (ai * rat - ar) * scl
+
+
+def _response_jw(num, den, w: float) -> tuple[float, float]:
+    """``freq_response_array`` of the coefficient tuples num/den at one float
+    w, bit for bit, as (real, imaginary) floats, without the pole guard."""
+    return _divide(*_horner_jw(num, w), *_horner_jw(den, w))
+
+
 def freq_response(g: RationalFunction, omega: float) -> complex:
-    """Evaluate g at s = j*omega; conjugate symmetry holds for real omega."""
-    s = 1j * float(omega)
-    dval = complex(g.den(s))
+    """Evaluate g at s = j*omega; conjugate symmetry holds for real omega.
+    The value is ``freq_response_array``'s bit for bit; EvaluationAtPole when
+    |den(j omega)| <= 1e-12 * max|den_k| * max(1, |omega|)^deg den."""
+    w = float(omega)
+    br, bi = _horner_jw(g.den.coeffs, w)
     scale = max(abs(c) for c in g.den.coeffs) * max(1.0, abs(omega)) ** g.den.degree
-    if abs(dval) <= 1e-12 * scale:
+    if math.hypot(br, bi) <= 1e-12 * scale:
         raise EvaluationAtPole(f"omega={omega!r} lies on a pole of the function")
-    return complex(g.num(s)) / dval
+    return complex(*_divide(*_horner_jw(g.num.coeffs, w), br, bi))
 
 
 def freq_response_array(g: RationalFunction, omegas: np.ndarray) -> np.ndarray:

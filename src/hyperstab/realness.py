@@ -58,6 +58,7 @@ from .ratfun import (
     _polymul,
     _polysub,
     _residues,
+    _response_jw,
     _stability,
     _trimseq,
     freq_response_array,
@@ -219,13 +220,15 @@ def _real_part_polys(g: RationalFunction) -> tuple[list[int], list[int]]:
     return even(_mul(num, den_neg)), even(_mul(den, den_neg))
 
 
-def _estimate(n: list[int], q: list[int], value) -> tuple[float, list[float], np.ndarray]:
+def _estimate(n: list[int], q: list[int], value) -> tuple[float, list[float], list[float]]:
     """An estimate of inf over x >= 0 of n(x)/q(x), not certified, and the
     points x it looked at with their values.
 
     The estimate is the smallest of the x -> inf limit and ``value(w)``, the
     function evaluated directly at w = sqrt(x) for x = 0 and every critical
-    point (the real part of each root of n'q - nq', clipped at zero).
+    point (the real part of each root of n'q - nq', clipped at zero). The
+    few values are Python floats, ``freq_response_array``'s bit for bit;
+    where their finite minimum is a zero, numpy's ``min`` picks its sign.
     """
     if len(n) > len(q):
         limit = math.inf if n[-1] > 0 else -math.inf
@@ -236,10 +239,13 @@ def _estimate(n: list[int], q: list[int], value) -> tuple[float, list[float], np
     xs = [0.0]
     if top:
         xs += [max(r.real, 0.0) for r in _companion_roots(_trimseq([c / top for c in crit]))]
-    with np.errstate(all="ignore"):
-        vals = value(np.sqrt(xs))
-    finite = vals[np.isfinite(vals)]
-    est = min(limit, float(np.min(finite))) if finite.size else limit
+    vals = [value(math.sqrt(x)) for x in xs]
+    finite = [v for v in vals if math.isfinite(v)]
+    least = min(finite, default=math.inf)
+    if least == 0.0:
+        # +0.0 and -0.0 tie; which one numpy returns depends on its layout
+        least = float(np.min(finite))
+    est = min(limit, least)
     return (0.0 if est == math.inf else est), xs, vals
 
 
@@ -335,7 +341,10 @@ def _axis_free_part(g: RationalFunction, axis) -> RationalFunction:
 
 
 def _re_value(g: RationalFunction):
-    return lambda w: freq_response_array(g, w).real
+    """w -> Re g(jw) at one float w, ``freq_response_array(g, w).real`` bit
+    for bit (``_response_jw``)."""
+    num, den = g.num.coeffs, g.den.coeffs
+    return lambda w: _response_jw(num, den, w)[0]
 
 
 def _real_part(g: RationalFunction, axis) -> tuple[RationalFunction, list[int], list[int]] | None:
@@ -379,7 +388,8 @@ def wspr_chain_constant(g: RationalFunction) -> float:
     c_w > 0 there. Its x -> inf limit is d0.
     """
     r, q = _real_part_polys(g)
-    return _infimum(_mul([1, 1], r), q, lambda w: (1.0 + w * w) * _re_value(g)(w))
+    re = _re_value(g)
+    return _infimum(_mul([1, 1], r), q, lambda w: (1.0 + w * w) * re(w))
 
 
 def _pole_free_omegas(g: RationalFunction) -> np.ndarray:

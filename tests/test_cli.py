@@ -59,6 +59,11 @@ class TestClassify:
         assert code == 2
         assert "error" in err
 
+    def test_monic_overflow_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "classify", "--tf", "8;0,3.982215350736441e-308")
+        assert code == 2
+        assert "making the denominator monic overflows" in err
+
     def test_improper_exit_3(self, capsys):
         code, _, _ = run_cli(capsys, "classify", "--tf", "1,0,0;1,1")
         assert code == 3

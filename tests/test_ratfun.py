@@ -1,7 +1,9 @@
 """Polynomial and rational-function construction, roots, residues."""
 
 import importlib.util
+import math
 import os
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -21,14 +23,17 @@ from hyperstab.errors import (
 )
 from hyperstab.ratfun import (
     Polynomial,
+    _divide,
     _eigvals,
     _horner,
     _polydiv,
     _polymul,
     _polysub,
+    _response_jw,
     RationalFunction,
     StabilityClass,
     freq_response,
+    freq_response_array,
     imaginary_axis_residues,
     inverse,
     ratfun_new,
@@ -181,6 +186,13 @@ class TestConstruction:
             g = ratfun_new([1.0, c], [c, 2.0, lead])
             assert g.den.leading == 1.0
             assert g.num.coeffs == (1.0 / lead, c / lead)
+
+    def test_monic_overflow_named(self):
+        # the given coefficients are finite; 8 / 3.98e-308 overflows
+        with pytest.raises(DegenerateInput, match="making the denominator monic overflows"):
+            RationalFunction([8.0], [0.0, 3.982215350736441e-308])
+        with pytest.raises(DegenerateInput, match="leading coefficient 1e-10 "):
+            RationalFunction([1e300], [1e-10])
 
     def test_trailing_zeros_trimmed(self):
         p = Polynomial([1.0, 2.0, 0.0, 0.0])
@@ -473,6 +485,66 @@ class TestFreqResponse:
         assert freq_response(g, -omega) == pytest.approx(
             np.conj(freq_response(g, omega)), rel=1e-12
         )
+
+
+_part = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]), _entry)
+
+
+def _hex(z) -> tuple[str, str]:
+    """The exact bits of a complex value's two parts, every NaN one value
+    (neither numpy nor Python fixes a NaN's sign or payload)."""
+    return float(z.real).hex(), float(z.imag).hex()
+
+
+def _raw(num, den):
+    """A stand-in for a rational function with these coefficient tuples as
+    given: not monic, not trimmed, its denominator possibly zero."""
+    return SimpleNamespace(num=SimpleNamespace(coeffs=tuple(num)),
+                           den=SimpleNamespace(coeffs=tuple(den)))
+
+
+class TestScalarResponse:
+    """The scalar evaluator ``_response_jw`` and ``freq_response`` are
+    ``freq_response_array`` bit for bit, real and imaginary part: signed
+    zeros, Horner overflow to inf or NaN and zero denominators included, and
+    no ZeroDivisionError escapes."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(_entry, min_size=1, max_size=6), st.lists(_entry, min_size=1, max_size=6),
+           _part)
+    @example([1.0], [0.0, 1.0], 0.0)  # 1/0 at a pole
+    @example([0.0, -1.0], [-0.0, 0.0], -0.0)  # 0/0 over a zero polynomial
+    @example([1.0], [1e300, 1e300, 1e300], 1e300)  # Horner overflows to inf
+    @example([2.0, 1.0], [1.0, 3.0, 0.0, 1.0], 1e200)  # and to NaN
+    def test_matches_the_array_evaluator(self, num, den, w):
+        g = _raw(num, den)
+        with np.errstate(all="ignore"):
+            expected = freq_response_array(g, [w])[0]
+        assert tuple(map(float.hex, _response_jw(g.num.coeffs, g.den.coeffs, w))) == _hex(expected)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(_part, _part, _part, _part)
+    @example(1.0, 2.0, math.nan, 0.0)  # a NaN real part over a zero imaginary part
+    @example(-3.0, 0.0, 0.0, -0.0)  # a zero denominator: -inf and NaN
+    @example(math.nan, 5.0, -0.0, 0.0)
+    def test_division_matches_numpy(self, ar, ai, br, bi):
+        with np.errstate(all="ignore"):
+            expected = (np.array([complex(ar, ai)]) / np.array([complex(br, bi)]))[0]
+        assert tuple(map(float.hex, _divide(ar, ai, br, bi))) == _hex(expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_coeff, min_size=1, max_size=4), st.lists(_coeff, min_size=1, max_size=4),
+           st.one_of(st.sampled_from([0.0, -0.0]), st.floats(min_value=-1e6, max_value=1e6)))
+    def test_freq_response_matches_the_array_evaluator(self, num, den, w):
+        try:
+            g = RationalFunction(num, [1.0] + den)
+        except (ImproperTransferFunction, DegenerateInput):
+            assume(False)
+        try:
+            value = freq_response(g, w)
+        except EvaluationAtPole:
+            return
+        assert _hex(value) == _hex(freq_response_array(g, [w])[0])
 
 
 class TestStability:

@@ -1,6 +1,8 @@
 """Realness grading, margins and the ancillary frequency-domain checks."""
 
+import importlib.util
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hyperstab.errors import PoleOnGrid
 from fractions import Fraction
 from unittest import mock
 
-from hyperstab import realness
+from hyperstab import bundled_corpus_path, load_corpus, ratfun, realness
 from hyperstab.ratfun import _trimseq, imaginary_axis_residues, inverse, ratfun_new
 from hyperstab.realness import (
     TOL_MARGIN,
@@ -279,6 +281,24 @@ class TestWSPRChainConstant:
         assert classify_pr(g).grade is Grade.WSPR
         assert expected < 2.25  # below the x = 0 value 2.25 and d0 = 4.5
         assert wspr_chain_constant(g) == pytest.approx(expected, rel=1e-9)
+
+
+class TestScalarEstimate:
+    def test_grading_builds_no_array_response(self):
+        # the margin estimate evaluates its few points as floats: grading the
+        # seed-401 benchmark plants and the corpus never calls the array evaluator
+        spec = importlib.util.spec_from_file_location("gen", os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "gen.py"))
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        plants = [ratfun_new(case["num"], case["den"]) for case in gen.grade_batch(401)]
+        plants += [entry.plant for entry in load_corpus(bundled_corpus_path())]
+        with mock.patch.object(realness, "freq_response_array", side_effect=AssertionError), \
+                mock.patch.object(ratfun, "freq_response_array", side_effect=AssertionError):
+            for g in plants:
+                classify_pr(g)
+                real_part_margin(g)
+                wspr_chain_constant(g)
 
 
 class TestInverseClosure:
@@ -687,7 +707,7 @@ class TestWitness:
 
         def pointless(n, q, value):
             est, _, _ = _estimate(n, q, value)
-            return est, [], np.array([])
+            return est, [], []
 
         with mock.patch.object(realness, "_estimate", side_effect=pointless):
             c = classify_pr(g)
