@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
 """Record the benchmark: the four perfbench workloads at seed 1001, 8 s each.
 
-    python3 scripts/bench.py --n 8 [--runs 3] [--root DIR]
+    python3 scripts/bench.py --n 8 [--root DIR]
 
 Runs ``perfbench/run.py`` of the checkout at --root (default: this
-repository) --runs times per workload, untraced and interleaved: each
+repository) RUNS times per workload, untraced and interleaved: each
 workload once, then each once again, so that a slow spell of the machine
 falls on every workload alike. It writes ``BENCH_<n>.json`` into that
 checkout, a map from each workload to its record:
 
 * ``correct``: whether every run agreed with its oracles;
-* ``runs``, and ``attempted`` and ``failed``: operations summed over the runs;
+* ``runs``, and ``attempted`` and ``failed``: operations summed over the runs,
+  so divide them by ``runs`` to compare with a one-run record;
 * ``metrics``: for each metric its ``unit``, the median of the runs as
   ``value``, the quartiles ``q1`` and ``q3`` (inclusive method) and the
   ``samples`` in run order.
@@ -18,8 +19,8 @@ checkout, a map from each workload to its record:
 Records written one run per workload (``BENCH_8.json`` to ``BENCH_31.json``)
 are the last JSON line of that run: the same keys without ``runs``, ``q1``,
 ``q3`` and ``samples``, so ``metrics[name]["value"]`` reads both shapes. The
-seed and run length are fixed, so every record is made the same way and any
-two can be compared. Standard library only.
+seed, run length and run count are fixed, so every record is made the same
+way and any two can be compared. Standard library only.
 """
 
 import argparse
@@ -32,12 +33,11 @@ import sys
 WORKLOADS = ("grade_batch", "affine_loops", "nonlinear_loops", "cli_roundtrip")
 SEED = 1001
 SECONDS = 8
+RUNS = 3
 
 
 def quartiles(samples: list[float]) -> tuple[float, float, float]:
-    """(q1, median, q3) of the samples, inclusive method; one sample is all three."""
-    if len(samples) == 1:
-        return samples[0], samples[0], samples[0]
+    """(q1, median, q3) of the samples, inclusive method."""
     q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
     return q1, median, q3
 
@@ -63,15 +63,12 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--n", type=int, required=True, help="number in BENCH_<n>.json")
-    parser.add_argument("--runs", type=int, default=3, help="runs per workload (default 3)")
     parser.add_argument("--root", default=os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))))
     args = parser.parse_args()
-    if args.runs < 1:
-        parser.error("--runs must be at least 1")
 
     results = {workload: [] for workload in WORKLOADS}
-    for k in range(args.runs):
+    for k in range(RUNS):
         for workload in WORKLOADS:
             proc = subprocess.run(
                 [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -85,7 +82,7 @@ def main() -> int:
                 return 1
             results[workload].append(json.loads(lines[-1]))
             values = {name: m["value"] for name, m in results[workload][-1]["metrics"].items()}
-            print(f"run {k + 1}/{args.runs} {workload}: {json.dumps(values)}")
+            print(f"run {k + 1}/{RUNS} {workload}: {json.dumps(values)}")
     record = {workload: aggregate(runs) for workload, runs in results.items()}
     path = os.path.join(args.root, f"BENCH_{args.n}.json")
     with open(path, "w") as fh:

@@ -227,8 +227,7 @@ def _estimate(n: list[int], q: list[int], value) -> tuple[float, list[float], li
     The estimate is the smallest of the x -> inf limit and ``value(w)``, the
     function evaluated directly at w = sqrt(x) for x = 0 and every critical
     point (the real part of each root of n'q - nq', clipped at zero). The
-    few values are Python floats, ``freq_response_array``'s bit for bit;
-    where their finite minimum is a zero, numpy's ``min`` picks its sign.
+    few values are Python floats, ``freq_response_array``'s bit for bit.
     """
     if len(n) > len(q):
         limit = math.inf if n[-1] > 0 else -math.inf
@@ -241,11 +240,7 @@ def _estimate(n: list[int], q: list[int], value) -> tuple[float, list[float], li
         xs += [max(r.real, 0.0) for r in _companion_roots(_trimseq([c / top for c in crit]))]
     vals = [value(math.sqrt(x)) for x in xs]
     finite = [v for v in vals if math.isfinite(v)]
-    least = min(finite, default=math.inf)
-    if least == 0.0:
-        # +0.0 and -0.0 tie; which one numpy returns depends on its layout
-        least = float(np.min(finite))
-    est = min(limit, least)
+    est = min(limit, min(finite, default=math.inf))
     return (0.0 if est == math.inf else est), xs, vals
 
 

@@ -46,13 +46,6 @@ class TestAggregate:
         throughput = record["metrics"]["throughput_per_s"]
         assert (throughput["q1"], throughput["value"], throughput["q3"]) == (1.75, 2.5, 3.25)
 
-    def test_one_run_keeps_the_one_run_value(self):
-        record = _bench().aggregate([_run(5.0, 100.0, failed=1)])
-        assert record["metrics"]["throughput_per_s"]["value"] == 5.0
-        assert record["metrics"]["throughput_per_s"]["q1"] == 5.0
-        assert record["metrics"]["throughput_per_s"]["q3"] == 5.0
-        assert (record["attempted"], record["failed"], record["correct"]) == (16, 1, True)
-
     def test_operations_summed_and_every_run_correct(self):
         record = _bench().aggregate([_run(1.0, 1.0, failed=1),
                                      _run(1.0, 1.0, failed=1, correct=False)])
