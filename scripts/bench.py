@@ -6,21 +6,27 @@
 Runs ``perfbench/run.py`` of the checkout at --root (default: this
 repository) RUNS times per workload, untraced and interleaved: each
 workload once, then each once again, so that a slow spell of the machine
-falls on every workload alike. It writes ``BENCH_<n>.json`` into that
-checkout, a map from each workload to its record:
+falls on every workload alike. Then it runs each workload once more with
+``--trace 1``. It writes ``BENCH_<n>.json`` into that checkout, a map from
+each workload to its record:
 
-* ``correct``: whether every run agreed with its oracles;
-* ``runs``, and ``attempted`` and ``failed``: operations summed over the runs,
-  so divide them by ``runs`` to compare with a one-run record;
-* ``metrics``: for each metric its ``unit``, the median of the runs as
-  ``value``, the quartiles ``q1`` and ``q3`` (inclusive method) and the
-  ``samples`` in run order.
+* ``correct``: whether every run, the traced one included, agreed with its
+  oracles;
+* ``runs``, and ``attempted`` and ``failed``: operations of the untraced runs
+  summed, so divide them by ``runs`` to compare with a one-run record;
+* ``metrics``: for each end-to-end metric its ``unit``, the median of the
+  untraced runs as ``value``, the quartiles ``q1`` and ``q3`` (inclusive
+  method) and the ``samples`` in run order;
+* ``per_layer``: each per-layer metric of BENCHMARK.json as the traced run
+  printed it, ``value`` and ``unit`` (a layer the workload does not reach
+  reads 0).
 
 Records written one run per workload (``BENCH_8.json`` to ``BENCH_31.json``)
 are the last JSON line of that run: the same keys without ``runs``, ``q1``,
-``q3`` and ``samples``, so ``metrics[name]["value"]`` reads both shapes. The
-seed, run length and run count are fixed, so every record is made the same
-way and any two can be compared. Standard library only.
+``q3``, ``samples`` and ``per_layer``, so ``metrics[name]["value"]`` reads
+every shape; ``BENCH_32.json`` has no ``per_layer``. The seed, run length
+and run count are fixed, so every record is made the same way and any two
+can be compared. Standard library only.
 """
 
 import argparse
@@ -42,8 +48,9 @@ def quartiles(samples: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def aggregate(results: list[dict]) -> dict:
-    """One workload's record from the last JSON lines of its runs, in run order."""
+def aggregate(results: list[dict], traced: dict) -> dict:
+    """One workload's record from the last JSON lines of its untraced runs,
+    in run order, and of its traced run."""
     metrics = {}
     for name, first in results[0]["metrics"].items():
         samples = [r["metrics"][name]["value"] for r in results]
@@ -51,12 +58,28 @@ def aggregate(results: list[dict]) -> dict:
         metrics[name] = {"value": median, "unit": first["unit"], "q1": q1, "q3": q3,
                          "samples": samples}
     return {
-        "correct": all(r["correct"] for r in results),
+        "correct": all(r["correct"] for r in results) and traced["correct"],
         "runs": len(results),
         "attempted": sum(r["attempted"] for r in results),
         "failed": sum(r["failed"] for r in results),
         "metrics": metrics,
+        "per_layer": traced["metrics"],
     }
+
+
+def last_line(root: str, workload: str, trace: bool) -> dict | None:
+    """The last JSON line of one perfbench run, or None if it failed."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+         "--seconds", str(SECONDS), "--trace", "1" if trace else "0"],
+        cwd=root, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.stderr.write(proc.stderr)
+        print(f"{workload}: perfbench exited with {proc.returncode}", file=sys.stderr)
+        return None
+    return json.loads(lines[-1])
 
 
 def main() -> int:
@@ -70,20 +93,20 @@ def main() -> int:
     results = {workload: [] for workload in WORKLOADS}
     for k in range(RUNS):
         for workload in WORKLOADS:
-            proc = subprocess.run(
-                [sys.executable, "perfbench/run.py", "--workload", workload,
-                 "--seed", str(SEED), "--seconds", str(SECONDS)],
-                cwd=args.root, capture_output=True, text=True,
-            )
-            lines = proc.stdout.strip().splitlines()
-            if proc.returncode != 0 or not lines:
-                sys.stderr.write(proc.stderr)
-                print(f"{workload}: perfbench exited with {proc.returncode}", file=sys.stderr)
+            result = last_line(args.root, workload, trace=False)
+            if result is None:
                 return 1
-            results[workload].append(json.loads(lines[-1]))
-            values = {name: m["value"] for name, m in results[workload][-1]["metrics"].items()}
+            results[workload].append(result)
+            values = {name: m["value"] for name, m in result["metrics"].items()}
             print(f"run {k + 1}/{RUNS} {workload}: {json.dumps(values)}")
-    record = {workload: aggregate(runs) for workload, runs in results.items()}
+    record = {}
+    for workload, runs in results.items():
+        traced = last_line(args.root, workload, trace=True)
+        if traced is None:
+            return 1
+        print(f"traced {workload}: {sum(m['value'] != 0 for m in traced['metrics'].values())} "
+              "nonzero per-layer metrics")
+        record[workload] = aggregate(runs, traced)
     path = os.path.join(args.root, f"BENCH_{args.n}.json")
     with open(path, "w") as fh:
         json.dump(record, fh, indent=2)

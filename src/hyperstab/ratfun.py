@@ -109,11 +109,6 @@ class Polynomial:
     def __call__(self, s):
         return _horner(self.coeffs, s)
 
-    def derivative(self) -> "Polynomial":
-        if self.degree == 0:
-            return Polynomial([0.0])
-        return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
-
     def times_s(self) -> "Polynomial":
         return Polynomial((0.0,) + self.coeffs)
 
@@ -446,10 +441,12 @@ def freq_response(g: RationalFunction, omega: float) -> complex:
     """Evaluate g at s = j*omega; conjugate symmetry holds for real omega.
     The value is ``freq_response_array``'s bit for bit; EvaluationAtPole when
     |den(j omega)| <= 1e-12 * max|den_k| * max(1, |omega|)^deg den."""
-    w = float(omega)
+    w, n = float(omega), g.den.degree
     br, bi = _horner_jw(g.den.coeffs, w)
-    scale = max(abs(c) for c in g.den.coeffs) * max(1.0, abs(omega)) ** g.den.degree
-    if math.hypot(br, bi) <= 1e-12 * scale:
+    # both sides over 2^(k*n), max(1, |omega|) = m*2^k, so neither overflows
+    m, k = math.frexp(max(1.0, abs(w)))
+    bound = 1e-12 * (max(abs(c) for c in g.den.coeffs) * m ** n)
+    if math.ldexp(math.hypot(br, bi), -k * n) <= bound:
         raise EvaluationAtPole(f"omega={omega!r} lies on a pole of the function")
     return complex(*_divide(*_horner_jw(g.num.coeffs, w), br, bi))
 
@@ -477,15 +474,16 @@ def _stability(poles: list[complex], axis_poles) -> StabilityClass:
     return StabilityClass.CRITICALLY_STABLE
 
 
-def _residues(g: RationalFunction, axis_poles) -> list[PoleInfo]:
-    """Residues of g at its ``axis_poles``; a repeated one is an error."""
+def _residues(num, den, axis_poles) -> list[PoleInfo]:
+    """Residues of num/den (coefficient tuples) at ``axis_poles``; a repeated one is an error."""
     out = []
     for location, mult in axis_poles:
         if mult > 1:
             raise RepeatedAxisPole(
                 f"axis pole at {location} has multiplicity {mult}"
             )
-        res = complex(g.num(location)) / complex(g.den.derivative()(location))
+        slope = Polynomial([k * c for k, c in enumerate(den)][1:])
+        res = complex(_horner(num, location)) / complex(slope(location))
         out.append(PoleInfo(location=location, multiplicity=1, residue=res))
     return out
 
@@ -498,7 +496,7 @@ def stability_class(g: RationalFunction) -> StabilityClass:
 
 def imaginary_axis_residues(g: RationalFunction) -> list[PoleInfo]:
     """Residues at all imaginary-axis poles; repeated axis poles are an error."""
-    return _residues(g, _axis_poles(g.poles()))
+    return _residues(g.num.coeffs, g.den.coeffs, _axis_poles(g.poles()))
 
 
 def times_s(g: RationalFunction) -> RationalFunction:

@@ -9,7 +9,8 @@ once (Descartes' rule of signs); otherwise a Sturm sequence of the
 polynomial's odd-multiplicity part, evaluated only at 0 and infinity, counts
 the points where it changes sign (the nonnegativity test in w^2 of Anderson
 and Vongpanitlerd). It decides ``Re g >= -TOL_MARGIN``, with R and Q taken
-from g minus its axis-pole partial fractions, and the strict positivity
+from g minus its axis-pole partial fractions (at an exact origin pole, g's
+only one, from Re g = Im(s*g)/w, s*g's own product), and the strict positivity
 behind WSPR, and certifies the margins d, d1 and c_w as lower bounds on the
 true infima; d0 is the exact ratio of the leading coefficients of R and Q.
 Where ``Re g >= -TOL_MARGIN`` fails, one point proves it: a negative leading
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ImproperTransferFunction, PoleOnGrid, RepeatedAxisPole
+from .errors import PoleOnGrid, RepeatedAxisPole
 from .ratfun import (
     TOL_AXIS,
     RationalFunction,
@@ -63,7 +64,6 @@ from .ratfun import (
     _trimseq,
     freq_response_array,
     imaginary_axis_residues,
-    times_s,
 )
 
 # Margins below this are indistinguishable from zero.
@@ -202,22 +202,26 @@ def _nonnegative(f: list[int]) -> bool:
     return _sign_changes(chain) == 0
 
 
-def _real_part_polys(g: RationalFunction) -> tuple[list[int], list[int]]:
-    """Exact R and Q of Re g(jw) = R(x)/Q(x), x = w^2, scaled by one 4^k > 0.
-
-    With P(s) = num(s) * den(-s), Re P(jw) keeps the even powers of s with
-    alternating signs, and Q is the same rule applied to den(s) * den(-s).
-    """
-    ratios = [c.as_integer_ratio() for c in g.num.coeffs + g.den.coeffs]
+def _products(num, den) -> tuple[list[int], list[int]]:
+    """P(s) = num(s)*den(-s) and D(s) = den(s)*den(-s) exactly, in integers
+    scaled by one 4^k > 0: g = num/den = P/D, and D(jw) = |den(jw)|^2."""
+    ratios = [c.as_integer_ratio() for c in num + den]
     scale = max(d for _, d in ratios)
     ints = [n * (scale // d) for n, d in ratios]
-    num, den = ints[:len(g.num.coeffs)], ints[len(g.num.coeffs):]
+    num, den = ints[:len(num)], ints[len(num):]
     den_neg = [c if k % 2 == 0 else -c for k, c in enumerate(den)]
+    return _mul(num, den_neg), _mul(den, den_neg)
 
-    def even(p):
-        return _trimseq([c if i % 2 == 0 else -c for i, c in enumerate(p[::2])])
 
-    return even(_mul(num, den_neg)), even(_mul(den, den_neg))
+def _alternating(p: list[int], start: int) -> list[int]:
+    """Re p(jw) (start 0) or Im p(jw)/w (start 1) as a polynomial in x = w^2."""
+    return _trimseq([c if m % 2 == 0 else -c for m, c in enumerate(p[start::2])] or [0])
+
+
+def _real_part_polys(num, den) -> tuple[list[int], list[int]]:
+    """Exact R and Q of Re g(jw) = R(x)/Q(x), x = w^2, for g = num/den."""
+    p, d = _products(num, den)
+    return _alternating(p, 0), _alternating(d, 0)
 
 
 def _estimate(n: list[int], q: list[int], value) -> tuple[float, list[float], list[float]]:
@@ -303,8 +307,9 @@ def _negative_at(f: list[int], xs: list[float]) -> float | None:
     return None
 
 
-def _axis_free_part(g: RationalFunction, axis) -> RationalFunction:
-    """g minus the partial fractions of its axis poles, with real residues.
+def _axis_free_part(num, den, axis) -> RationalFunction:
+    """g = num/den minus the partial fractions of its axis poles, with real
+    residues.
 
     A real residue r contributes r/s at the origin and 2r*s/(s^2 + w0^2) for
     the pair at +/-j*w0, both purely imaginary on the axis, so the difference
@@ -321,13 +326,10 @@ def _axis_free_part(g: RationalFunction, axis) -> RationalFunction:
         elif p.imag > 0.0:
             factors.append([abs(p) ** 2, 0.0, 1.0])
             fracs.append([0.0, 2.0 * r])
-    if not factors:
-        return g
     axis_poly = [1.0]
     for f in factors:
         axis_poly = _polymul(axis_poly, f)
-    rest = _polydiv(g.den.coeffs, axis_poly)[0]
-    num = g.num.coeffs
+    rest = _polydiv(den, axis_poly)[0]
     for k, frac in enumerate(fracs):
         others = _polydiv(axis_poly, factors[k])[0]
         num = _polysub(num, _polymul(frac, _polymul(others, rest)))
@@ -335,23 +337,40 @@ def _axis_free_part(g: RationalFunction, axis) -> RationalFunction:
     return _coprime(_polydiv(num, axis_poly)[0], rest)
 
 
-def _re_value(g: RationalFunction):
-    """w -> Re g(jw) at one float w, ``freq_response_array(g, w).real`` bit
-    for bit (``_response_jw``)."""
-    num, den = g.num.coeffs, g.den.coeffs
+def _re_value(num, den):
+    """w -> Re g(jw) of g = num/den at one float w,
+    ``freq_response_array(g, w).real`` bit for bit (``_response_jw``)."""
     return lambda w: _response_jw(num, den, w)[0]
 
 
-def _real_part(g: RationalFunction, axis) -> tuple[RationalFunction, list[int], list[int]] | None:
-    """(g_free, R, Q) with Re g(jw) = R(w^2)/Q(w^2) off the axis poles, g_free
-    being g without the axis poles in ``axis`` (``_axis_free_part``); None
-    when one of their residues is not real, so that Re g is unbounded below
-    next to that pole.
+def _real_part(num, den, axis):
+    """(R, Q, free, sg) with Re g(jw) = R(w^2)/Q(w^2), g = num/den, off its
+    axis poles in ``axis``; ``free()`` gives the coefficients of g without
+    them (``_axis_free_part``), whose Re g the margin estimate evaluates. None
+    when one of their residues is not real: Re g is unbounded below there.
+
+    If the only one is an exact origin pole (den[0] == 0), P = num(s)*den1(-s),
+    den1 = den[1:], gives Re(s*g)(jw) = E(x)/Q from its even part and Re g(jw)
+    = Im(s*g)(jw)/w = R(x)/Q from its odd part; ``sg`` is then this tuple for
+    s*g = num/den1, and only ``free()`` builds g less its pole. Else sg is None.
     """
     if any(abs(p.residue.imag) > TOL_MARGIN * (1.0 + abs(p.residue)) for p in axis):
         return None
-    g_free = _axis_free_part(g, axis)
-    return (g_free, *_real_part_polys(g_free))
+    if not axis:
+        return (*_real_part_polys(num, den), lambda: (num, den), None)
+    if den[0] == 0.0 and len(axis) == 1 and abs(axis[0].location) <= TOL_AXIS:
+        p, d = _products(num, den[1:])
+        q = _alternating(d, 0)
+        sg = (_alternating(p, 0), q, lambda: (num, den[1:]), None)
+        return _alternating(p, 1), q, lambda: _free_coeffs(num, den, axis), sg
+    coeffs = _free_coeffs(num, den, axis)
+    return (*_real_part_polys(*coeffs), lambda: coeffs, None)
+
+
+def _free_coeffs(num, den, axis):
+    """The coefficient tuples of ``_axis_free_part``."""
+    g_free = _axis_free_part(num, den, axis)
+    return g_free.num.coeffs, g_free.den.coeffs
 
 
 def real_part_margin(g: RationalFunction) -> float:
@@ -359,7 +378,8 @@ def real_part_margin(g: RationalFunction) -> float:
     w -> inf limit included.
 
     Axis poles with real residues leave Re g unchanged away from them, so they
-    are removed first, as in ``classify_pr`` (a repeated axis pole stays).
+    are removed first, as in ``classify_pr`` (a repeated axis pole stays; an
+    exact origin pole alone is divided out of g's own R and Q).
     Never above the true infimum; -inf when Re g is unbounded below (an axis
     pole with a residue that is not real).
     """
@@ -367,11 +387,11 @@ def real_part_margin(g: RationalFunction) -> float:
         axis = imaginary_axis_residues(g)
     except RepeatedAxisPole:
         axis = []
-    part = _real_part(g, axis)
+    part = _real_part(g.num.coeffs, g.den.coeffs, axis)
     if part is None:
         return -math.inf
-    g_free, r, q = part
-    return _infimum(r, q, _re_value(g_free))
+    r, q, free, _ = part
+    return _infimum(r, q, _re_value(*free()))
 
 
 def wspr_chain_constant(g: RationalFunction) -> float:
@@ -382,8 +402,8 @@ def wspr_chain_constant(g: RationalFunction) -> float:
     1/(s + 1): the supplied-energy chain that every WSPR plant satisfies, with
     c_w > 0 there. Its x -> inf limit is d0.
     """
-    r, q = _real_part_polys(g)
-    re = _re_value(g)
+    r, q = _real_part_polys(g.num.coeffs, g.den.coeffs)
+    re = _re_value(g.num.coeffs, g.den.coeffs)
     return _infimum(_mul([1, 1], r), q, lambda w: (1.0 + w * w) * re(w))
 
 
@@ -443,7 +463,18 @@ def classify_pr(g: RationalFunction) -> PRClassification:
     names it) and, at relative degree zero, the certified margin settle it
     before W's Sturm chain where they can; the answer stays that of the
     chain.
+
+    A PR g with one pole at the origin also grades s*g for ``g1_grade`` and
+    d1 (its d when SSPR): at an exact origin pole, g's only axis pole, from
+    the R and Q of one integer product (``_real_part``), with no second
+    function built. The zero function, 0/s too, has no pole.
     """
+    return _classify(g.num.coeffs, g.den.coeffs, g.poles())
+
+
+def _classify(num, den, poles, real_part=None) -> PRClassification:
+    """``classify_pr`` of the stored coefficients num/den with the pole list
+    ``poles``; ``real_part`` is their ``_real_part`` if the caller has it."""
     diagnostics: list[str] = []
     quad: bool | None = None
 
@@ -451,15 +482,13 @@ def classify_pr(g: RationalFunction) -> PRClassification:
         return PRClassification(grade, quadrant_ok=quad,
                                 diagnostics=tuple(diagnostics), **margins)
 
-    # the poles are found once; every pole test below reads them
-    poles = g.poles()
     axis_poles = _axis_poles(poles)
     stability = _stability(poles, axis_poles)
     if stability is StabilityClass.UNSTABLE:
         diagnostics.append("denominator has a pole with positive real part "
                            "or a repeated axis pole")
         return graded(Grade.NOT_PR)
-    axis = _residues(g, axis_poles)
+    axis = _residues(num, den, axis_poles)
     for info in axis:
         res = info.residue
         scale = 1.0 + abs(res)
@@ -472,16 +501,17 @@ def classify_pr(g: RationalFunction) -> PRClassification:
 
     # Re g(jw) = R/Q off the axis poles; PR allows Re g >= -TOL_MARGIN, which
     # is W = R + TOL_MARGIN*Q >= 0 on [0, inf)
-    g_free, r, q = _real_part(g, axis)
+    r, q, free, sg_part = real_part or _real_part(num, den, axis)
+    relative_degree = len(den) - len(num)
     tol_num, tol_den = TOL_MARGIN.as_integer_ratio()
     widened = _lin(r, tol_den, q, -tol_num)
     margin = 0.0  # Re g -> 0 at relative degree >= 1, so d = 0 there
-    if g.relative_degree > 0 and _variations(widened) == 0:
+    if relative_degree > 0 and _variations(widened) == 0:
         # W's lead, TOL_MARGIN times Q's, is positive, and coefficients of
         # one sign leave W no root in (0, inf) (Descartes' rule)
         quad = True
     else:
-        est, xs, vals = _estimate(r, q, _re_value(g_free))
+        est, xs, vals = _estimate(r, q, _re_value(*free()))
         witness = None
         if est < -TOL_MARGIN:
             # the estimate dips below -TOL_MARGIN: look for a witness, lowest
@@ -499,7 +529,7 @@ def classify_pr(g: RationalFunction) -> PRClassification:
                 "R(w^2) + TOL_MARGIN*Q(w^2) is exactly negative there and "
                 "changes sign at w^2 > 0")
             return graded(Grade.NOT_PR)
-        if g.relative_degree == 0:
+        if relative_degree == 0:
             # W = (R - d*Q) + (d + TOL_MARGIN)*Q with R - d*Q >= 0 for the
             # certified d and Q >= 0, so d >= -TOL_MARGIN proves W >= 0
             margin = _certify(r, q, est)
@@ -508,7 +538,7 @@ def classify_pr(g: RationalFunction) -> PRClassification:
             quad = _nonnegative(widened)
         if not quad:
             # a sign change that no witness showed
-            infimum = margin if g.relative_degree == 0 else _certify(r, q, est)
+            infimum = margin if relative_degree == 0 else _certify(r, q, est)
             diagnostics.append(
                 "Re g(jw) < 0 at some w: R(w^2) + TOL_MARGIN*Q(w^2) changes sign "
                 f"at w^2 > 0 or is negative at infinity; inf Re g(jw) = {infimum:.6g}"
@@ -516,25 +546,27 @@ def classify_pr(g: RationalFunction) -> PRClassification:
             return graded(Grade.NOT_PR)
 
     strictly_stable = stability is StabilityClass.STRICTLY_STABLE
-    if strictly_stable and g.relative_degree == 0 and margin > TOL_MARGIN:
+    if strictly_stable and relative_degree == 0 and margin > TOL_MARGIN:
         return graded(Grade.SSPR, d=margin)
-    if strictly_stable and g.relative_degree == 1:
+    if strictly_stable and relative_degree == 1:
         # w^2 Re g -> d0, the ratio of the x^(n-1) and x^n coefficients
         d0 = r[-1] / q[-1] if len(r) + 1 == len(q) else 0.0
         if d0 > TOL_MARGIN and r[0] > 0 and (
                 _variations(r) == 0 or _sign_changes(_sturm(r)) == 0):
             return graded(Grade.WSPR, d0=d0)
 
-    single = sum(1 for p in poles if abs(p) <= TOL_AXIS) == 1
-    g1_grade: Grade | None = None
-    d1 = 0.0
-    if single:
-        try:
-            sub = classify_pr(times_s(g))
-            g1_grade = sub.grade
-            if sub.grade is Grade.SSPR:
-                d1 = sub.d
-        except ImproperTransferFunction:
-            diagnostics.append("s*g(s) is improper; no derived-function margin")
+    # a zero numerator leaves g no pole, and its s*g is g again
+    single = num != (0.0,) and sum(1 for p in poles if abs(p) <= TOL_AXIS) == 1
+    sub = None
+    if single and len(num) >= len(den):
+        diagnostics.append("s*g(s) is improper; no derived-function margin")
+    elif single and den[0] == 0.0:
+        # s*g = num/(den past its zero constant term), with g's poles less
+        # the last zero that roots() appends, as times_s builds it
+        zero = max(k for k, p in enumerate(poles) if p == 0.0)
+        sub = _classify(num, den[1:], poles[:zero] + poles[zero + 1:], sg_part)
+    elif single:
+        sub = classify_pr(RationalFunction((0.0,) + num, den))
     return graded(Grade.PR, d=max(0.0, margin), single_pole_at_origin=single,
-                  g1_grade=g1_grade, d1=d1)
+                  g1_grade=sub and sub.grade,
+                  d1=sub.d if sub and sub.grade is Grade.SSPR else 0.0)

@@ -44,6 +44,14 @@ class TestClassify:
         assert code == 0
         assert json.loads(out)["grade"] == "PR"
 
+    def test_zero_function_over_an_origin_pole(self, capsys):
+        # 0/s is the zero function: PR, with no origin pole to grade s*g for
+        code, out, _ = run_cli(capsys, "classify", "--tf", "0;1,0")
+        assert code == 0
+        report = json.loads(out)
+        assert (report["grade"], report["quadrant_ok"]) == ("PR", True)
+        assert (report["single_pole_at_origin"], report["g1_grade"]) == (False, None)
+
     def test_negative_leading_coefficient(self, capsys):
         # argparse reads a separate "-1;1,1" as an option; after "=" it is the value
         with pytest.raises(SystemExit) as exc:
@@ -119,6 +127,18 @@ class TestSimulate:
         report = json.loads((tmp_path / "run" / "report.json").read_text())
         assert report["verdict"] == "AsymptoticallyHyperstableEvidence"
         assert (tmp_path / "run" / "traces.csv").exists()
+
+    def test_zero_plant_over_an_origin_pole(self, capsys, tmp_path):
+        path = self._write_scenario(tmp_path, {
+            "plant": {"num": [0], "den": [0, 1]},
+            "device": {"kind": "StaticSector", "params": {"k1": 1.0, "k2": 1.0}},
+            "x0": [1.0], "excitation": None, "dt": 1e-3, "horizon": 1.0,
+        })
+        code, _, _ = run_cli(capsys, "simulate", "--scenario", str(path),
+                             "--out-dir", str(tmp_path / "run"))
+        assert code == 0
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["classification"]["grade"] == "PR"
 
     def test_unstable_demo_exit_4_with_artifacts(self, capsys, tmp_path):
         path = self._write_scenario(tmp_path, {

@@ -546,6 +546,21 @@ class TestScalarResponse:
             return
         assert _hex(value) == _hex(freq_response_array(g, [w])[0])
 
+    @pytest.mark.parametrize("num, den, w", [
+        ([1.0], [1.0, 1.0, 1.0], 1e200),  # max(1, w)^2 overflows a float
+        ([1.0], [1.0, 1.0], -1e300),
+        ([2.0, 1.0], [3.0, 0.0, 0.0, 0.0, 1.0], 1e100),
+    ])
+    def test_large_frequency(self, num, den, w):
+        g = ratfun_new(num, den)
+        with np.errstate(all="ignore"):
+            expected = freq_response_array(g, [w])[0]
+        assert _hex(freq_response(g, w)) == _hex(expected)
+
+    def test_large_frequency_value(self):
+        # den(j 1e200) = -inf + 1e200j, and the value is -0.0 - 0.0j
+        assert _hex(freq_response(ratfun_new([1], [1, 1, 1]), 1e200)) == _hex(complex(-0.0, -0.0))
+
 
 class TestStability:
     @pytest.mark.parametrize(
@@ -638,11 +653,12 @@ class TestDerivedFunctions:
             axis = imaginary_axis_residues(g)
         except RepeatedAxisPole:
             return
-        if realness._real_part(g, axis) is None:
+        coeffs = g.num.coeffs, g.den.coeffs
+        if realness._real_part(*coeffs, axis) is None:
             return  # a residue that is not real: grading takes no axis-free part
-        free = _built(realness._axis_free_part, g, axis)
+        free = _built(realness._axis_free_part, *coeffs, axis)
         with mock.patch.object(realness, "_coprime", RationalFunction):
-            assert free == _built(realness._axis_free_part, g, axis)
+            assert free == _built(realness._axis_free_part, *coeffs, axis)
 
     @settings(max_examples=300, deadline=None)
     @given(_recipe)
@@ -672,8 +688,9 @@ class TestDerivedFunctions:
             axis = imaginary_axis_residues(g)
         except RepeatedAxisPole:
             axis = None
-        if axis is not None and realness._real_part(g, axis) is not None:
-            derived.append(realness._axis_free_part(g, axis))
+        coeffs = g.num.coeffs, g.den.coeffs
+        if axis is not None and realness._real_part(*coeffs, axis) is not None:
+            derived.append(realness._axis_free_part(*coeffs, axis))
         for h in derived:
             expected = _bits(roots(h.den) if h.den.degree >= 1 else [])
             poles = h.poles()

@@ -6,15 +6,17 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hyperstab.errors import PoleOnGrid
+from hyperstab.errors import (DegenerateInput, ImproperTransferFunction, PoleOnGrid,
+                              RepeatedAxisPole, ZeroDenominator)
 from fractions import Fraction
 from unittest import mock
 
 from hyperstab import bundled_corpus_path, load_corpus, ratfun, realness
-from hyperstab.ratfun import _trimseq, imaginary_axis_residues, inverse, ratfun_new
+from hyperstab.ratfun import (RationalFunction, _trimseq, imaginary_axis_residues, inverse,
+                              ratfun_new, times_s)
 from hyperstab.realness import (
     TOL_MARGIN,
     Grade,
@@ -25,6 +27,7 @@ from hyperstab.realness import (
     _negative_at,
     _nonnegative,
     _real_part,
+    _real_part_polys,
     _odd_part,
     _sign_changes,
     _sturm,
@@ -181,7 +184,7 @@ class TestClassify:
     def test_quadrant_decision_at_relative_degree_zero(self, num, den, grade, widened_tests):
         assert Fraction(self.BACKED_OFF / 3) > Fraction(self.BACKED_OFF) / 3
         g = ratfun_new(num, den)
-        _, r, q = _real_part(g, [])
+        r, q, _, _ = _real_part(g.num.coeffs, g.den.coeffs, [])
         tol_num, tol_den = TOL_MARGIN.as_integer_ratio()
         widened = _lin(r, tol_den, q, -tol_num)
         certify = _certify
@@ -640,7 +643,7 @@ class TestExactAgainstDenseSweep:
         assert c_w <= sweep_cw + 1e-12 * max(1.0, abs(sweep_cw))
         # however the grading decided it, quadrant_ok is the Sturm-chain test
         # of R + TOL_MARGIN*Q >= 0
-        _, r, q = _real_part(g, imaginary_axis_residues(g))
+        r, q, _, _ = _real_part(g.num.coeffs, g.den.coeffs, imaginary_axis_residues(g))
         tol_num, tol_den = TOL_MARGIN.as_integer_ratio()
         assert classify_pr(g).quadrant_ok == _nonnegative(_lin(r, tol_den, q, -tol_num))
         if classify_pr(g).quadrant_ok:
@@ -658,7 +661,7 @@ class TestWitness:
     @settings(max_examples=100, deadline=None)
     @given(_plants)
     def test_witness_decides_as_sturm(self, g):
-        _, r, q = _real_part(g, imaginary_axis_residues(g))
+        r, q, _, _ = _real_part(g.num.coeffs, g.den.coeffs, imaginary_axis_residues(g))
         tol_num, tol_den = TOL_MARGIN.as_integer_ratio()
         widened = _lin(r, tol_den, q, -tol_num)
         witnesses = []
@@ -723,3 +726,125 @@ class TestWitness:
         assert c.grade is Grade.NOT_PR
         assert c.diagnostics == ("Re g(jw) -> -2 as w -> inf: "
                                  "R(w^2) + TOL_MARGIN*Q(w^2) is negative at infinity",)
+
+
+def _axis_free_real_part(num, den, axis):
+    """``_real_part`` as it is for any other axis pole, forced at an exact
+    origin pole: R and Q of g less r0/s, built in floats."""
+    g_free = realness._axis_free_part(num, den, axis)
+    coeffs = g_free.num.coeffs, g_free.den.coeffs
+    return (*_real_part_polys(*coeffs), lambda: coeffs, None)
+
+
+_origin_coeff = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                          st.floats(min_value=-1e6, max_value=1e6, allow_subnormal=False))
+# positive coefficients of degree <= 2 are Hurwitz, so that many draws are PR
+_origin_side = (st.lists(_origin_coeff, min_size=1, max_size=6)
+                | st.lists(st.floats(min_value=0.01, max_value=100.0), min_size=1, max_size=3))
+
+
+class TestOriginPole:
+    """An exact origin pole, g's only axis pole: g's R and Q and those of s*g
+    come from one integer product, and s*g is graded without a second
+    function."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_origin_side, _origin_side, st.sampled_from([0.0, -0.0]))
+    def test_one_product_grades_as_two_passes(self, num, den, zero):
+        # raw coefficients over a den whose constant term is a signed zero,
+        # drawn as for times_s at an origin pole
+        try:
+            g = RationalFunction(num, [zero] + den)
+        except (DegenerateInput, ZeroDenominator, ImproperTransferFunction):
+            assume(False)
+        assume(g.den.coeffs[0] == 0.0 and not g.num.is_zero)
+        assume(not any(ratfun._near(z, g.poles()) for z in g.zeros()))
+        c = classify_pr(g)
+        # g1_grade and d1 are the grade and SSPR margin of s*g graded alone
+        if c.grade is Grade.PR and c.single_pole_at_origin:
+            try:
+                sub = classify_pr(times_s(g))
+            except ImproperTransferFunction:
+                sub = None
+            assert c.g1_grade is (sub and sub.grade)
+            assert c.d1 == (sub.d if sub and sub.grade is Grade.SSPR else 0.0)
+        else:
+            assert (c.g1_grade, c.d1) == (None, 0.0)
+        # the grade, quadrant_ok and d of the axis-free part in floats
+        with mock.patch.object(realness, "_real_part", side_effect=_axis_free_real_part):
+            forced = classify_pr(g)
+        assert (c.grade, c.quadrant_ok) == (forced.grade, forced.quadrant_ok)
+        try:
+            axis = imaginary_axis_residues(g)
+        except RepeatedAxisPole:
+            return
+        part = _real_part(g.num.coeffs, g.den.coeffs, axis)
+        if part is None or part[3] is None:
+            return
+        r, q, _, _ = part
+        # g's own R and Q are x*R and x*Q of the product, exactly
+        x_r, x_q = _trimseq([0] + r), _trimseq([0] + q)
+        assert _real_part_polys(g.num.coeffs, g.den.coeffs) == (x_r, x_q)
+        # d is certified on g's own R and Q, where the float axis-free part
+        # can round across the infimum (and its d exceed it) by an ulp or so
+        t_num, t_den = c.d.as_integer_ratio()
+        assert c.d == 0.0 or _nonnegative(_lin(r, t_den, q, t_num))
+        assert c.d == pytest.approx(forced.d, rel=2 * realness.CERT_REL, abs=0.0)
+
+    def test_integrator(self):
+        # 1/s: Re g = 0 off the pole, decided by Descartes' rule with no
+        # axis-free part built; s*g = 1 is SSPR with d1 = 1
+        g = ratfun_new([1], [0, 1])
+        with mock.patch.object(realness, "_axis_free_part", side_effect=AssertionError):
+            c = classify_pr(g)
+        assert (c.grade, c.quadrant_ok, c.single_pole_at_origin) == (Grade.PR, True, True)
+        assert (c.g1_grade, c.d1) == (Grade.SSPR, 1.0)
+        r, q, _, sg = _real_part(g.num.coeffs, g.den.coeffs, imaginary_axis_residues(g))
+        assert (r, q, sg[:2]) == ([0], [1], ([1], [1]))
+
+    @pytest.mark.parametrize("a, b, grade, g1_grade, d1", [
+        # Re g = (b - a)/(w^2 + b^2) and s*g = (s + a)/(s + b), SSPR with
+        # d1 = min(a/b, 1)
+        (1.0, 2.0, Grade.PR, Grade.SSPR, 0.5),
+        (0.25, 4.0, Grade.PR, Grade.SSPR, 0.0625),
+        (4.0, 0.5, Grade.NOT_PR, None, 0.0),  # a > b: Re g < 0 at every w
+    ])
+    def test_lead_lag_over_an_integrator(self, a, b, grade, g1_grade, d1):
+        # (s + a)/(s (s + b))
+        g = ratfun_new([a, 1.0], [0.0, b, 1.0])
+        c = classify_pr(g)
+        assert (c.grade, c.g1_grade) == (grade, g1_grade)
+        assert c.single_pole_at_origin is (grade is Grade.PR)
+        assert c.d1 == pytest.approx(d1, rel=1e-9)
+        if g1_grade is not None:
+            assert c.d1 == classify_pr(times_s(g)).d
+
+    def test_improper_s_times_g(self):
+        # (1 + 5e5 s)/s = 5e5 + 1/s: PR with d = 5e5, and s*g is improper
+        c = classify_pr(ratfun_new([1.0, 5e5], [0.0, 1.0]))
+        assert (c.grade, c.single_pole_at_origin, c.g1_grade, c.d1) == (Grade.PR, True, None, 0.0)
+        assert c.d == pytest.approx(5e5, rel=1e-9)
+        assert c.diagnostics == ("s*g(s) is improper; no derived-function margin",)
+
+    def test_origin_pole_beside_an_axis_pair(self):
+        # 1/s + s/(s^2 + 1): the origin is not the only axis pole, so g takes
+        # the axis-free path and s*g = (2 s^2 + 1)/(s^2 + 1) is graded on its
+        # own, NotPR by its residue j/2 at j
+        g = ratfun_new([1.0, 0.0, 2.0], [0.0, 1.0, 0.0, 1.0])
+        with mock.patch.object(realness, "_products", side_effect=realness._products) as products:
+            c = classify_pr(g)
+        # R and Q of g less its three axis poles, over a constant den; s*g's
+        # residue decides before its real part is taken
+        assert [len(call.args[1]) for call in products.call_args_list] == [1]
+        assert (c.grade, c.quadrant_ok, c.single_pole_at_origin) == (Grade.PR, True, True)
+        assert (c.g1_grade, c.d1) == (Grade.NOT_PR, 0.0)
+        assert classify_pr(times_s(g)).grade is Grade.NOT_PR
+
+    @pytest.mark.parametrize("den", [[0.0, 1.0], [1e-12, 1.0], [0.0, 2.0, 1.0]])
+    def test_zero_numerator_over_an_origin_pole(self, den):
+        # 0/s is the zero function: PR, with no pole at the origin to grade
+        # s*g for (s*0/s is 0/s again, which graded itself without end)
+        c = classify_pr(RationalFunction([0.0], den))
+        assert (c.grade, c.quadrant_ok, c.d) == (Grade.PR, True, 0.0)
+        assert (c.single_pole_at_origin, c.g1_grade, c.d1) == (False, None, 0.0)
+        assert real_part_margin(RationalFunction([0.0], den)) == 0.0
