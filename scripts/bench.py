@@ -2,6 +2,7 @@
 """Record the benchmark: the four perfbench workloads at seed 1001, 8 s each.
 
     python3 scripts/bench.py --n 8 [--root DIR]
+    python3 scripts/bench.py --n 8 --against REV [--root DIR]
 
 Runs ``perfbench/run.py`` of the checkout at --root (default: this
 repository) RUNS times per workload, untraced and interleaved: each
@@ -21,6 +22,16 @@ each workload to its record:
   printed it, ``value`` and ``unit`` (a layer the workload does not reach
   reads 0).
 
+With ``--against REV`` it compares the checkout with git revision REV of
+its repository, extracted with ``git archive`` into a temporary directory
+(nothing is added to the repository's own git state). It runs PAIRS pairs
+per workload, untraced and interleaved as above, each pair one run of each
+side, the side that goes first alternating from pair to pair; then one traced
+run of each side. Each workload's record is then the checkout's, as above,
+plus ``against``: the ``rev``, the ``parent`` record of REV made the same
+way, and ``wins``, for each end-to-end metric the number of pairs in which
+the checkout did better than REV, in the direction BENCHMARK.json gives.
+
 Records written one run per workload (``BENCH_8.json`` to ``BENCH_31.json``)
 are the last JSON line of that run: the same keys without ``runs``, ``q1``,
 ``q3``, ``samples`` and ``per_layer``, so ``metrics[name]["value"]`` reads
@@ -35,11 +46,13 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 
 WORKLOADS = ("grade_batch", "affine_loops", "nonlinear_loops", "cli_roundtrip")
 SEED = 1001
 SECONDS = 8
 RUNS = 3
+PAIRS = 10
 
 
 def quartiles(samples: list[float]) -> tuple[float, float, float]:
@@ -67,6 +80,18 @@ def aggregate(results: list[dict], traced: dict) -> dict:
     }
 
 
+def wins(parent: list[dict], change: list[dict], better: dict[str, str]) -> dict[str, int]:
+    """For each metric, the number of pairs (parent[k], change[k]) of last
+    JSON lines in which the change is strictly better; ``better`` maps each
+    metric to "lower" or "higher"."""
+    out = {}
+    for name, direction in better.items():
+        sign = 1.0 if direction == "higher" else -1.0
+        out[name] = sum(sign * (c["metrics"][name]["value"] - p["metrics"][name]["value"]) > 0
+                        for p, c in zip(parent, change))
+    return out
+
+
 def last_line(root: str, workload: str, trace: bool) -> dict | None:
     """The last JSON line of one perfbench run, or None if it failed."""
     proc = subprocess.run(
@@ -88,12 +113,64 @@ def main() -> int:
     parser.add_argument("--n", type=int, required=True, help="number in BENCH_<n>.json")
     parser.add_argument("--root", default=os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))))
+    parser.add_argument("--against", metavar="REV", help="git revision to compare with")
     args = parser.parse_args()
+    if args.against:
+        with tempfile.TemporaryDirectory() as parent:
+            archive = subprocess.run(["git", "archive", args.against], cwd=args.root,
+                                     capture_output=True, check=True).stdout
+            subprocess.run(["tar", "-x", "-C", parent], input=archive, check=True)
+            return compare(args.root, parent, args.against, args.n)
+    return record_only(args.root, args.n)
 
+
+def compare(root: str, parent: str, rev: str, n: int) -> int:
+    """The --against record of the checkout at root and REV extracted at parent."""
+    with open(os.path.join(root, "BENCHMARK.json")) as fh:
+        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    sides = {"change": root, "parent": parent}
+    results = {side: {workload: [] for workload in WORKLOADS} for side in sides}
+    for k in range(PAIRS):
+        for workload in WORKLOADS:
+            for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
+                result = last_line(sides[side], workload, trace=False)
+                if result is None:
+                    return 1
+                results[side][workload].append(result)
+            print(f"pair {k + 1}/{PAIRS} {workload}: " + json.dumps(
+                {name: [results[side][workload][-1]["metrics"][name]["value"]
+                        for side in ("parent", "change")] for name in better}))
+    record = {}
+    for workload in WORKLOADS:
+        traced = {side: last_line(sides[side], workload, trace=True) for side in sides}
+        if None in traced.values():
+            return 1
+        runs = {side: results[side][workload] for side in sides}
+        record[workload] = aggregate(runs["change"], traced["change"])
+        record[workload]["against"] = {
+            "rev": rev,
+            "parent": aggregate(runs["parent"], traced["parent"]),
+            "wins": wins(runs["parent"], runs["change"], better),
+        }
+        print(f"{workload} wins of {PAIRS}: {json.dumps(record[workload]['against']['wins'])}")
+    return write(root, n, record)
+
+
+def write(root: str, n: int, record: dict) -> int:
+    path = os.path.join(root, f"BENCH_{n}.json")
+    with open(path, "w") as fh:
+        json.dump(record, fh, indent=2)
+        fh.write("\n")
+    print(f"wrote {path}")
+    return 0
+
+
+def record_only(root: str, n: int) -> int:
+    """The record of the checkout at root alone."""
     results = {workload: [] for workload in WORKLOADS}
     for k in range(RUNS):
         for workload in WORKLOADS:
-            result = last_line(args.root, workload, trace=False)
+            result = last_line(root, workload, trace=False)
             if result is None:
                 return 1
             results[workload].append(result)
@@ -101,18 +178,13 @@ def main() -> int:
             print(f"run {k + 1}/{RUNS} {workload}: {json.dumps(values)}")
     record = {}
     for workload, runs in results.items():
-        traced = last_line(args.root, workload, trace=True)
+        traced = last_line(root, workload, trace=True)
         if traced is None:
             return 1
         print(f"traced {workload}: {sum(m['value'] != 0 for m in traced['metrics'].values())} "
               "nonzero per-layer metrics")
         record[workload] = aggregate(runs, traced)
-    path = os.path.join(args.root, f"BENCH_{args.n}.json")
-    with open(path, "w") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {path}")
-    return 0
+    return write(root, n, record)
 
 
 if __name__ == "__main__":

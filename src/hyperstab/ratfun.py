@@ -4,15 +4,15 @@ Coefficients are stored in ascending powers of s, so ``[2, 1]`` is ``s + 2``.
 Rational functions are normalized at construction: the factors whose root
 passes one root test in both polynomials are divided out, the denominator is
 made monic, and properness (``deg den >= deg num``) is enforced. Outside
-input always goes through that search; ``inverse``, ``times_s`` at an origin
-pole and grading's axis-free part are coprime by construction and skip it.
-A pole list is ``roots(den)``, solved on first use or handed over by
-``times_s``; ``poles()`` returns a copy. Values are otherwise immutable, so
-threads can share them: two threads that fill one list write the same value.
+input always goes through that search; ``inverse`` and grading's axis-free
+part are coprime by construction and skip it. A pole list is ``roots(den)``,
+solved on first use by ``poles()``, the one place that fills it, which
+returns a copy. Values are otherwise immutable, so threads can share them:
+two threads that fill one list write the same value.
 ``freq_response_array`` evaluates g(jw) on a numpy array of frequencies;
-``freq_response`` and the margin estimate's ``_response_jw`` evaluate one
-frequency in Python floats, numpy's operations written out, with the
-array's value bit for bit.
+``freq_response`` (and the margin estimate's evaluator in ``realness``)
+evaluate one frequency in Python floats, numpy's operations written out,
+with the array's value bit for bit.
 """
 
 from __future__ import annotations
@@ -148,9 +148,10 @@ def _companion_roots(c) -> list:
     n = len(c) - 1 - low
     if not n:
         return []
-    companion = np.eye(n, k=-1)
-    companion[0] = [-x / c[-1] for x in reversed(c[low:-1])]
-    return _eigvals(companion).tolist()
+    companion = np.zeros(n * n)  # filled flat: cheaper than np.eye at these sizes
+    companion[n::n + 1] = 1.0
+    companion[:n] = [-x / c[-1] for x in reversed(c[low:-1])]
+    return _eigvals(companion.reshape(n, n)).tolist()
 
 
 def roots(p: Polynomial) -> list[complex]:
@@ -366,8 +367,7 @@ class RationalFunction:
         return self.den.degree - self.num.degree
 
     def poles(self) -> list[complex]:
-        """``roots(den)``, solved on first use and kept, or handed over by
-        ``times_s``."""
+        """``roots(den)``, solved on first use and kept."""
         if self.den.degree < 1:
             return []
         if self._poles is None:
@@ -431,17 +431,15 @@ def _divide(ar: float, ai: float, br: float, bi: float) -> tuple[float, float]:
     return (ar * rat + ai) * scl, (ai * rat - ar) * scl
 
 
-def _response_jw(num, den, w: float) -> tuple[float, float]:
-    """``freq_response_array`` of the coefficient tuples num/den at one float
-    w, bit for bit, as (real, imaginary) floats, without the pole guard."""
-    return _divide(*_horner_jw(num, w), *_horner_jw(den, w))
-
-
 def freq_response(g: RationalFunction, omega: float) -> complex:
     """Evaluate g at s = j*omega; conjugate symmetry holds for real omega.
     The value is ``freq_response_array``'s bit for bit; EvaluationAtPole when
-    |den(j omega)| <= 1e-12 * max|den_k| * max(1, |omega|)^deg den."""
-    w, n = float(omega), g.den.degree
+    |den(j omega)| <= 1e-12 * max|den_k| * max(1, |omega|)^deg den, and
+    DegenerateInput when omega does not fit a float."""
+    try:
+        w, n = float(omega), g.den.degree
+    except OverflowError:  # no repr: an int past 4300 digits has none
+        raise DegenerateInput(f"omega, a {type(omega).__name__}, overflows a float") from None
     br, bi = _horner_jw(g.den.coeffs, w)
     # both sides over 2^(k*n), max(1, |omega|) = m*2^k, so neither overflows
     m, k = math.frexp(max(1.0, abs(w)))
@@ -458,8 +456,11 @@ def freq_response_array(g: RationalFunction, omegas: np.ndarray) -> np.ndarray:
 
 
 def _axis_poles(poles: list[complex]) -> list[tuple[complex, int]]:
-    """The clusters of ``poles`` on the imaginary axis, as (location,
-    multiplicity) pairs."""
+    """The clusters of ``poles``, sorted by real part as ``roots`` gives them,
+    on the imaginary axis, as (location, multiplicity) pairs."""
+    # a mean of k real parts below -2*TOL_AXIS rounds below -2*TOL_AXIS*(1 - k*2^-53)
+    if not poles or poles[-1].real < -2.0 * TOL_AXIS:
+        return []
     return [(p, m) for p, m in _cluster_roots(poles) if abs(p.real) <= TOL_AXIS]
 
 
@@ -500,15 +501,7 @@ def imaginary_axis_residues(g: RationalFunction) -> list[PoleInfo]:
 
 
 def times_s(g: RationalFunction) -> RationalFunction:
-    """s*g(s) in cancelled form; errors if the product is improper. At an
-    origin pole, num/(den past its zero constant term), unsearched: the same
-    companion matrix, so its poles are g's less the last zero ``roots`` adds."""
-    if g.den.coeffs[0] == 0.0 and not g.num.is_zero:
-        sg = _coprime(g.num.coeffs, g.den.coeffs[1:])
-        poles = g.poles()
-        del poles[max(k for k, p in enumerate(poles) if p == 0.0)]
-        object.__setattr__(sg, "_poles", poles)
-        return sg
+    """s*g(s) in cancelled form; errors if the product is improper."""
     return RationalFunction(g.num.times_s(), g.den)
 
 

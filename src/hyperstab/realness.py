@@ -12,7 +12,8 @@ and Vongpanitlerd). It decides ``Re g >= -TOL_MARGIN``, with R and Q taken
 from g minus its axis-pole partial fractions (at an exact origin pole, g's
 only one, from Re g = Im(s*g)/w, s*g's own product), and the strict positivity
 behind WSPR, and certifies the margins d, d1 and c_w as lower bounds on the
-true infima; d0 is the exact ratio of the leading coefficients of R and Q.
+true infima (one attained at w = 0 or w -> inf by R - t*Q having no negative
+coefficient, before any estimate); d0 is the exact ratio of R's and Q's leads.
 Where ``Re g >= -TOL_MARGIN`` fails, one point proves it: a negative leading
 coefficient of ``R + TOL_MARGIN*Q``, or a point that the margin estimate
 looked at where that polynomial is exactly negative. Such a NotPR grade needs
@@ -54,12 +55,12 @@ from .ratfun import (
     _axis_poles,
     _companion_roots,
     _coprime,
+    _divide,
     _mul,
     _polydiv,
     _polymul,
     _polysub,
     _residues,
-    _response_jw,
     _stability,
     _trimseq,
     freq_response_array,
@@ -224,27 +225,51 @@ def _real_part_polys(num, den) -> tuple[list[int], list[int]]:
     return _alternating(p, 0), _alternating(d, 0)
 
 
-def _estimate(n: list[int], q: list[int], value) -> tuple[float, list[float], list[float]]:
+def _limit(n: list[int], q: list[int]) -> float:
+    """n(x)/q(x) as x -> inf, for q with a positive leading coefficient."""
+    if len(n) > len(q):
+        return math.inf if n[-1] > 0 else -math.inf
+    return n[-1] / q[-1] if len(n) == len(q) else 0.0
+
+
+def _endpoint(n: list[int], q: list[int], v0: float) -> float | None:
+    """inf over x >= 0 of n(x)/q(x), certified, when an end of the axis
+    attains it, else None: t0 = min(limit, v0 at x = 0) if n - t0*q has no
+    negative coefficient (so n - t0*q >= 0 on [0, inf)), or ``_certify``'s next
+    rung if only an end coefficient failed (rounding). A dip shows at x^1 first."""
+    t0 = min(_limit(n, q), v0)
+    if not math.isfinite(t0):
+        return None
+    for t in (t0, t0 - (math.ulp(t0) if t0 else math.ulp(1.0))):
+        num, den = t.as_integer_ratio()
+        if max(len(n), len(q)) > 2 and sum(n[1:2]) * den < sum(q[1:2]) * num:
+            return None
+        f = _lin(n, den, q, num)
+        if min(f[1:-1], default=0) < 0:
+            return None
+        if f[0] >= 0 and f[-1] >= 0:
+            return t
+    return None
+
+
+def _estimate(n: list[int], q: list[int], value, v0: float) -> tuple[float, list, list]:
     """An estimate of inf over x >= 0 of n(x)/q(x), not certified, and the
     points x it looked at with their values.
 
     The estimate is the smallest of the x -> inf limit and ``value(w)``, the
-    function evaluated directly at w = sqrt(x) for x = 0 and every critical
-    point (the real part of each root of n'q - nq', clipped at zero). The
-    few values are Python floats, ``freq_response_array``'s bit for bit.
+    function evaluated directly at w = sqrt(x) for x = 0 (v0, which the
+    caller has) and every critical point (the real part of each root of
+    n'q - nq', clipped at zero). The few values are Python floats,
+    ``freq_response_array``'s bit for bit.
     """
-    if len(n) > len(q):
-        limit = math.inf if n[-1] > 0 else -math.inf
-    else:
-        limit = n[-1] / q[-1] if len(n) == len(q) else 0.0
     crit = _lin(_mul(_deriv(n), q), 1, _mul(n, _deriv(q)), 1)
     top = max(abs(c) for c in crit)
     xs = [0.0]
     if top:
         xs += [max(r.real, 0.0) for r in _companion_roots(_trimseq([c / top for c in crit]))]
-    vals = [value(math.sqrt(x)) for x in xs]
+    vals = [v0] + [value(math.sqrt(x)) for x in xs[1:]]
     finite = [v for v in vals if math.isfinite(v)]
-    est = min(limit, min(finite, default=math.inf))
+    est = min(_limit(n, q), min(finite, default=math.inf))
     return (0.0 if est == math.inf else est), xs, vals
 
 
@@ -280,10 +305,12 @@ def _certify(n: list[int], q: list[int], est: float) -> float:
 
 def _infimum(n: list[int], q: list[int], value) -> float:
     """inf over x >= 0 of n(x)/q(x), certified never to exceed the true value:
-    ``_certify`` of the ``_estimate`` that ``value`` gives. ``classify_pr``
-    runs the two halves apart, so that a witness of a negative real part
-    ends the grading before any certification."""
-    return _certify(n, q, _estimate(n, q, value)[0])
+    ``_endpoint``, else ``_certify`` of the ``_estimate`` that ``value`` gives.
+    ``classify_pr`` runs the parts apart, so that a witness of a negative real
+    part ends the grading before any certification."""
+    v0 = value(0.0)
+    end = _endpoint(n, q, v0)
+    return _certify(n, q, _estimate(n, q, value, v0)[0]) if end is None else end
 
 
 def _negative_at(f: list[int], xs: list[float]) -> float | None:
@@ -338,9 +365,20 @@ def _axis_free_part(num, den, axis) -> RationalFunction:
 
 
 def _re_value(num, den):
-    """w -> Re g(jw) of g = num/den at one float w,
-    ``freq_response_array(g, w).real`` bit for bit (``_response_jw``)."""
-    return lambda w: _response_jw(num, den, w)[0]
+    """w -> Re g(jw) of g = num/den at one float w, ``freq_response_array``'s
+    bit for bit: ``_divide`` of two ``ratfun._horner_jw`` written out here,
+    each from 0 + 0j, whose first step is numpy's lead + 0*(jw) exactly."""
+    num, den = num[::-1], den[::-1]
+
+    def value(w: float) -> float:
+        sr, si = 0.0 * w - 0.0, 0.0 + w
+        ar = ai = br = bi = 0.0
+        for c in num:
+            ar, ai = c + (ar * sr - ai * si), 0.0 + (ar * si + ai * sr)
+        for c in den:
+            br, bi = c + (br * sr - bi * si), 0.0 + (br * si + bi * sr)
+        return _divide(ar, ai, br, bi)[0]
+    return value
 
 
 def _real_part(num, den, axis):
@@ -511,39 +549,45 @@ def _classify(num, den, poles, real_part=None) -> PRClassification:
         # one sign leave W no root in (0, inf) (Descartes' rule)
         quad = True
     else:
-        est, xs, vals = _estimate(r, q, _re_value(*free()))
-        witness = None
-        if est < -TOL_MARGIN:
-            # the estimate dips below -TOL_MARGIN: look for a witness, lowest
-            # Re g first (sorted in Python, NaN last, as a first np.argsort
-            # maps 0.4 MB of numpy's sort code)
-            order = sorted(range(len(xs)), key=lambda k: (math.isnan(vals[k]), vals[k]))
-            witness = _negative_at(widened, [xs[k] for k in order])
-        if witness is not None:
-            quad = False
-            diagnostics.append(
-                f"Re g(jw) -> {r[-1] / q[-1]:.6g} as w -> inf: "
-                "R(w^2) + TOL_MARGIN*Q(w^2) is negative at infinity"
-                if witness == math.inf else
-                f"Re g(jw) = {vals[xs.index(witness)]:.6g} at w = {math.sqrt(witness):.6g}: "
-                "R(w^2) + TOL_MARGIN*Q(w^2) is exactly negative there and "
-                "changes sign at w^2 > 0")
-            return graded(Grade.NOT_PR)
-        if relative_degree == 0:
-            # W = (R - d*Q) + (d + TOL_MARGIN)*Q with R - d*Q >= 0 for the
-            # certified d and Q >= 0, so d >= -TOL_MARGIN proves W >= 0
-            margin = _certify(r, q, est)
-            quad = margin >= -TOL_MARGIN or _nonnegative(widened)
+        value = _re_value(*free())
+        v0 = value(0.0)
+        end = _endpoint(r, q, v0) if relative_degree == 0 else None
+        # W = (R - d*Q) + (d + TOL_MARGIN)*Q with R - d*Q >= 0 for the
+        # certified d and Q >= 0, so d >= -TOL_MARGIN proves W >= 0
+        if end is not None and end >= -TOL_MARGIN:
+            margin, quad = end, True
         else:
-            quad = _nonnegative(widened)
-        if not quad:
-            # a sign change that no witness showed
-            infimum = margin if relative_degree == 0 else _certify(r, q, est)
-            diagnostics.append(
-                "Re g(jw) < 0 at some w: R(w^2) + TOL_MARGIN*Q(w^2) changes sign "
-                f"at w^2 > 0 or is negative at infinity; inf Re g(jw) = {infimum:.6g}"
-            )
-            return graded(Grade.NOT_PR)
+            est, xs, vals = _estimate(r, q, value, v0)
+            witness = None
+            if est < -TOL_MARGIN:
+                # the estimate dips below -TOL_MARGIN: look for a witness,
+                # lowest Re g first (sorted in Python, NaN last, as a first
+                # np.argsort maps 0.4 MB of numpy's sort code)
+                order = sorted(range(len(xs)), key=lambda k: (math.isnan(vals[k]), vals[k]))
+                witness = _negative_at(widened, [xs[k] for k in order])
+            if witness is not None:
+                quad = False
+                diagnostics.append(
+                    f"Re g(jw) -> {r[-1] / q[-1]:.6g} as w -> inf: "
+                    "R(w^2) + TOL_MARGIN*Q(w^2) is negative at infinity"
+                    if witness == math.inf else
+                    f"Re g(jw) = {vals[xs.index(witness)]:.6g} at w = {math.sqrt(witness):.6g}: "
+                    "R(w^2) + TOL_MARGIN*Q(w^2) is exactly negative there and "
+                    "changes sign at w^2 > 0")
+                return graded(Grade.NOT_PR)
+            if relative_degree == 0:
+                margin = _certify(r, q, est)
+                quad = margin >= -TOL_MARGIN or _nonnegative(widened)
+            else:
+                quad = _nonnegative(widened)
+            if not quad:
+                # a sign change that no witness showed
+                infimum = margin if relative_degree == 0 else _certify(r, q, est)
+                diagnostics.append(
+                    "Re g(jw) < 0 at some w: R(w^2) + TOL_MARGIN*Q(w^2) changes sign "
+                    f"at w^2 > 0 or is negative at infinity; inf Re g(jw) = {infimum:.6g}"
+                )
+                return graded(Grade.NOT_PR)
 
     strictly_stable = stability is StabilityClass.STRICTLY_STABLE
     if strictly_stable and relative_degree == 0 and margin > TOL_MARGIN:
@@ -561,8 +605,8 @@ def _classify(num, den, poles, real_part=None) -> PRClassification:
     if single and len(num) >= len(den):
         diagnostics.append("s*g(s) is improper; no derived-function margin")
     elif single and den[0] == 0.0:
-        # s*g = num/(den past its zero constant term), with g's poles less
-        # the last zero that roots() appends, as times_s builds it
+        # s*g = num/(den past its zero constant term), as the search cancels
+        # s*num/den, with g's poles less the last zero that roots() appends
         zero = max(k for k, p in enumerate(poles) if p == 0.0)
         sub = _classify(num, den[1:], poles[:zero] + poles[zero + 1:], sg_part)
     elif single:

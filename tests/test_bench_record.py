@@ -1,4 +1,5 @@
-"""The benchmark record's aggregation in scripts/bench.py, from given numbers."""
+"""The benchmark record's aggregation and win count in scripts/bench.py, from given
+numbers."""
 
 import importlib.util
 import os
@@ -74,3 +75,28 @@ class TestAggregate:
     def test_traced_run_counts_toward_correct(self):
         record = _bench().aggregate([_run(1.0, 1.0)] * 3, _traced(correct=False))
         assert record["correct"] is False
+
+
+class TestWins:
+    @pytest.fixture(autouse=True)
+    def no_process(self):
+        # the win count reads given numbers: it starts no process
+        with mock.patch.object(subprocess, "run", side_effect=AssertionError), \
+                mock.patch.object(subprocess, "Popen", side_effect=AssertionError):
+            yield
+
+    def test_pairs_won_in_each_direction(self):
+        better = {"throughput_per_s": "higher", "peak_rss_mb": "lower"}
+        parent = [_run(2.0, 110.0), _run(2.0, 110.0), _run(2.0, 110.0)]
+        change = [_run(3.0, 109.0), _run(1.0, 110.0), _run(2.5, 111.0)]
+        # a tie is no win
+        assert _bench().wins(parent, change, better) == {"throughput_per_s": 2,
+                                                        "peak_rss_mb": 1}
+
+    def test_pairs_are_taken_in_run_order(self):
+        better = {"throughput_per_s": "higher"}
+        parent = [_run(v, 1.0) for v in (1.0, 5.0)]
+        change = [_run(v, 1.0) for v in (2.0, 4.0)]
+        assert _bench().wins(parent, change, better) == {"throughput_per_s": 1}
+        assert _bench().wins(change, parent, better) == {"throughput_per_s": 1}
+        assert _bench().wins(parent, parent, better) == {"throughput_per_s": 0}

@@ -26,10 +26,10 @@ from hyperstab.ratfun import (
     _divide,
     _eigvals,
     _horner,
+    _horner_jw,
     _polydiv,
     _polymul,
     _polysub,
-    _response_jw,
     RationalFunction,
     StabilityClass,
     freq_response,
@@ -504,7 +504,8 @@ def _raw(num, den):
 
 
 class TestScalarResponse:
-    """The scalar evaluator ``_response_jw`` and ``freq_response`` are
+    """The scalar arithmetic of ``freq_response``, ``freq_response`` itself
+    and the margin estimate's ``realness._re_value`` are
     ``freq_response_array`` bit for bit, real and imaginary part: signed
     zeros, Horner overflow to inf or NaN and zero denominators included, and
     no ZeroDivisionError escapes."""
@@ -520,7 +521,9 @@ class TestScalarResponse:
         g = _raw(num, den)
         with np.errstate(all="ignore"):
             expected = freq_response_array(g, [w])[0]
-        assert tuple(map(float.hex, _response_jw(g.num.coeffs, g.den.coeffs, w))) == _hex(expected)
+        scalar = _divide(*_horner_jw(g.num.coeffs, w), *_horner_jw(g.den.coeffs, w))
+        assert tuple(map(float.hex, scalar)) == _hex(expected)
+        assert realness._re_value(g.num.coeffs, g.den.coeffs)(w).hex() == _hex(expected)[0]
 
     @settings(max_examples=1000, deadline=None)
     @given(_part, _part, _part, _part)
@@ -556,6 +559,13 @@ class TestScalarResponse:
         with np.errstate(all="ignore"):
             expected = freq_response_array(g, [w])[0]
         assert _hex(freq_response(g, w)) == _hex(expected)
+
+    @pytest.mark.parametrize("sign, exponent", [(1, 400), (-1, 400), (1, 5000)])
+    def test_frequency_beyond_float(self, sign, exponent):
+        # an int too large for a float is bad input, not a bare OverflowError
+        # (nor a ValueError from the repr of an int past 4300 digits)
+        with pytest.raises(DegenerateInput, match="^omega, a int, overflows a float$"):
+            freq_response(ratfun_new([1], [1, 1, 1]), sign * 10 ** exponent)
 
     def test_large_frequency_value(self):
         # den(j 1e200) = -inf + 1e200j, and the value is -0.0 - 0.0j

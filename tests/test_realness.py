@@ -21,6 +21,7 @@ from hyperstab.realness import (
     TOL_MARGIN,
     Grade,
     _certify,
+    _endpoint,
     _estimate,
     _lin,
     _mul,
@@ -165,45 +166,58 @@ class TestClassify:
         assert c1.d == pytest.approx(alpha * c0.d, rel=1e-9)
 
     # (s + a)/(s + 3) with fl(a/3) above a/3: Re g(jw) = (3a + w^2)/(9 + w^2)
-    # has its infimum a/3 = -5e-10 >= -TOL_MARGIN at w = 0, the estimate
-    # fl(a/3) fails its exact test and no point of the estimate is negative.
-    # Its margin certifies one ulp below fl(a/3); in the PR row it is
-    # loosened to a lower bound under -TOL_MARGIN, so W's exact test decides
+    # has its infimum a/3 = -5e-10 >= -TOL_MARGIN at w = 0, fl(a/3) fails its
+    # exact test at the x^0 coefficient alone and no point of the estimate is
+    # negative. Its margin certifies one ulp below fl(a/3), by the end-point
+    # test; in the loosened row both that and the certified margin are
+    # lowered under -TOL_MARGIN, so W's exact test decides
     BACKED_OFF = -1.4999999999999996e-09
 
     # 1/((s + 1)(s + 2)) has R = 2 - x (times 4^k): Descartes' rule does not
     # settle R + TOL_MARGIN*Q, and the estimate's minimum is a witness. No
     # case builds the Sturm chain of R + TOL_MARGIN*Q: Descartes' rule
     # settles it for BACKED_OFF, whose coefficients are all positive
-    @pytest.mark.parametrize("num, den, grade, widened_tests", [
-        ([2, 1], [1, 1], Grade.SSPR, 0),  # d = 1: the certified margin decides
-        ([-1, 1], [1, 1], Grade.NOT_PR, 0),  # Re g(j0) = -1: a point of the estimate decides
-        ([BACKED_OFF, 1], [3, 1], Grade.PR, 1),  # neither: the exact test decides
-        ([1], [2, 3, 1], Grade.NOT_PR, 0),  # relative degree 2: a witness decides
+    @pytest.mark.parametrize("num, den, grade, widened_tests, loosened, certified", [
+        # d = 1 at w = 0: R - d*Q has no negative coefficient, so the end-point
+        # test decides and no estimate is certified
+        ([2, 1], [1, 1], Grade.SSPR, 0, False, 0),
+        # Re g(j0) = -1: a point of the estimate decides
+        ([-1, 1], [1, 1], Grade.NOT_PR, 0, False, 0),
+        # the end-point test's second rung decides
+        ([BACKED_OFF, 1], [3, 1], Grade.PR, 0, False, 0),
+        ([BACKED_OFF, 1], [3, 1], Grade.PR, 1, True, 1),  # neither margin: the exact test decides
+        ([1], [2, 3, 1], Grade.NOT_PR, 0, False, 0),  # relative degree 2: a witness decides
     ])
-    def test_quadrant_decision_at_relative_degree_zero(self, num, den, grade, widened_tests):
+    def test_quadrant_decision_at_relative_degree_zero(self, num, den, grade, widened_tests,
+                                                       loosened, certified):
         assert Fraction(self.BACKED_OFF / 3) > Fraction(self.BACKED_OFF) / 3
         g = ratfun_new(num, den)
         r, q, _, _ = _real_part(g.num.coeffs, g.den.coeffs, [])
         tol_num, tol_den = TOL_MARGIN.as_integer_ratio()
         widened = _lin(r, tol_den, q, -tol_num)
-        certify = _certify
-        if grade is Grade.PR:
+        certify, endpoint = _certify, _endpoint
+        if loosened:
             def certify(n, q, est):
                 return _certify(n, q, est) - TOL_MARGIN
+
+            def endpoint(n, q, v0):
+                return _endpoint(n, q, v0) - TOL_MARGIN
         with mock.patch.object(realness, "_nonnegative", side_effect=_nonnegative) as spy, \
                 mock.patch.object(realness, "_sturm", side_effect=_sturm) as chains, \
-                mock.patch.object(realness, "_certify", side_effect=certify):
+                mock.patch.object(realness, "_certify", side_effect=certify) as certs, \
+                mock.patch.object(realness, "_endpoint", side_effect=endpoint):
             c = classify_pr(g)
         assert c.grade is grade
         assert c.quadrant_ok is (grade is not Grade.NOT_PR)
         assert [call.args[0] for call in spy.call_args_list].count(widened) == widened_tests
         assert widened not in [call.args[0] for call in chains.call_args_list]
+        assert certs.call_count == certified
         if grade is Grade.NOT_PR:
             assert any("is exactly negative there and changes sign" in m for m in c.diagnostics)
         if grade is Grade.PR:
             est = self.BACKED_OFF / 3
             assert -TOL_MARGIN <= real_part_margin(g) == est - math.ulp(est)
+            assert c.d == 0.0
 
 
 def _sturm_nonnegative(f: list[int]) -> bool:
@@ -708,8 +722,8 @@ class TestWitness:
         # Sturm chain decides with the certified infimum in the diagnostic
         g = ratfun_new(num, den)
 
-        def pointless(n, q, value):
-            est, _, _ = _estimate(n, q, value)
+        def pointless(n, q, value, v0):
+            est, _, _ = _estimate(n, q, value, v0)
             return est, [], []
 
         with mock.patch.object(realness, "_estimate", side_effect=pointless):
@@ -848,3 +862,109 @@ class TestOriginPole:
         assert (c.grade, c.quadrant_ok, c.d) == (Grade.PR, True, 0.0)
         assert (c.single_pole_at_origin, c.g1_grade, c.d1) == (False, None, 0.0)
         assert real_part_margin(RationalFunction([0.0], den)) == 0.0
+
+
+def _foster(c, terms):
+    """c + sum k/(s + p) over one common denominator: an RC impedance."""
+    from numpy.polynomial import polynomial as npp
+
+    num, den = np.array([c]), np.array([1.0])
+    for k, p in terms:
+        num = npp.polyadd(npp.polymul(num, [p, 1.0]), k * den)
+        den = npp.polymul(den, [p, 1.0])
+    return ratfun_new(num, den)
+
+
+_rel_deg_zero = st.one_of(
+    # Foster sums, whose Re g falls from w = 0 to its limit
+    st.builds(_foster, st.one_of(st.just(0.0), st.floats(1e-3, 3.0)),
+              st.lists(st.tuples(st.floats(0.01, 5.0), st.floats(0.05, 50.0)),
+                       min_size=1, max_size=3)),
+    # (s + a)/(s + b), a near zero or below it among them
+    st.builds(lambda a, b: ratfun_new([a, 1.0], [b, 1.0]),
+              st.one_of(st.floats(-1e-8, 1e-8), st.floats(-1.0, 10.0)), st.floats(0.1, 10.0)),
+    # 1 - a B(s; w0, zeta): an interior dip at w0
+    st.builds(lambda a, w0, zeta: _notch_plant([(a, w0, zeta)]),
+              st.floats(0.2, 1.8), st.floats(0.05, 200.0), st.floats(1e-3, 0.5)),
+)
+
+
+class TestEndpoint:
+    """A margin attained at w = 0 or w -> inf is certified from the signs of
+    R - t*Q's coefficients, as the full estimate and certification give it."""
+
+    @staticmethod
+    def _parts(g):
+        r, q, free, _ = _real_part(g.num.coeffs, g.den.coeffs, [])
+        value = realness._re_value(*free())
+        return r, q, value, value(0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_rel_deg_zero, st.booleans())
+    def test_endpoint_is_the_certified_margin(self, g, inverted):
+        if inverted and g.relative_degree == 0 and not g.num.is_zero:
+            g = inverse(g)
+        assume(g.relative_degree == 0 and max((p.real for p in g.poles()), default=-1.0) < -1e-6)
+        r, q, value, v0 = self._parts(g)
+        t = _endpoint(r, q, v0)
+        if t is not None:
+            reference = _certify(r, q, _estimate(r, q, value, v0)[0])
+            num, den = t.as_integer_ratio()
+            assert t == reference or (t > reference and _sturm_nonnegative(_lin(r, den, q, num)))
+        # the path without the end-point test grades alike, its margin no higher
+        c = classify_pr(g)
+        with mock.patch.object(realness, "_endpoint", return_value=None):
+            full = classify_pr(g)
+        assert (c.grade, c.quadrant_ok, c.diagnostics) == (full.grade, full.quadrant_ok,
+                                                           full.diagnostics)
+        assert c.d >= full.d
+
+    def test_both_rungs(self):
+        # (s + 2)/(s + 1): Re g falls from 2 to its limit 1, and R - Q has no
+        # negative coefficient; (s + a)/(s + 3) with a = BACKED_OFF: fl(a/3)
+        # fails at the x^0 coefficient alone, one ulp below it passes
+        r, q, _, v0 = self._parts(ratfun_new([2.0, 1.0], [1.0, 1.0]))
+        assert _endpoint(r, q, v0) == 1.0
+        r, q, _, v0 = self._parts(ratfun_new([TestClassify.BACKED_OFF, 1.0], [3.0, 1.0]))
+        t0 = TestClassify.BACKED_OFF / 3
+        num, den = t0.as_integer_ratio()
+        assert v0 == t0 and _lin(r, den, q, num)[0] < 0
+        assert _endpoint(r, q, v0) == t0 - math.ulp(t0)
+
+    def test_notch_refused_at_the_first_power(self):
+        # 1 - 0.5 B(s; 2, 0.1): Re g = 1 at both ends and 0.5 at w = 2, so
+        # R - Q dips negative at x^1 and no full coefficient list is built
+        g = _notch_plant([(0.5, 2.0, 0.1)])
+        r, q, _, v0 = self._parts(g)
+        with mock.patch.object(realness, "_lin", side_effect=AssertionError):
+            assert _endpoint(r, q, v0) is None
+        assert classify_pr(g).d == pytest.approx(0.5, rel=1e-9)
+
+    def test_limit_zero_from_a_shorter_numerator(self):
+        # 1/(s + 1): R = 1 and Q = 1 + x, so the limit is 0.0 and R - 0*Q = R
+        g = ratfun_new([1.0], [1.0, 1.0])
+        r, q, _, v0 = self._parts(g)
+        assert len(r) < len(q) and v0 == 1.0
+        assert _endpoint(r, q, v0) == 0.0
+        with mock.patch.object(realness, "_estimate", side_effect=AssertionError):
+            assert real_part_margin(g) == 0.0
+
+    def test_negative_end_leaves_the_witness(self):
+        # (s - 1)/(s + 1): Re g(j0) = -1 is the certified infimum, but below
+        # -TOL_MARGIN the estimate's point at w = 0 still decides NotPR
+        g = ratfun_new([-1.0, 1.0], [1.0, 1.0])
+        r, q, _, v0 = self._parts(g)
+        assert _endpoint(r, q, v0) == -1.0
+        with mock.patch.object(realness, "_certify", side_effect=AssertionError):
+            c = classify_pr(g)
+        assert c.grade is Grade.NOT_PR and c.quadrant_ok is False
+        assert c.diagnostics == ("Re g(jw) = -1 at w = 0: R(w^2) + TOL_MARGIN*Q(w^2) is "
+                                 "exactly negative there and changes sign at w^2 > 0",)
+
+    def test_margins_through_the_infimum(self):
+        # 0.5 + 1/(s + 2): Re g = 0.5 + 2/(4 + w^2) falls to 0.5 at infinity;
+        # 1/(s + 1): (1 + w^2) Re g(jw) = 1 at every w
+        with mock.patch.object(realness, "_estimate", side_effect=AssertionError), \
+                mock.patch.object(realness, "_certify", side_effect=AssertionError):
+            assert real_part_margin(ratfun_new([2.0, 0.5], [2.0, 1.0])) == 0.5
+            assert wspr_chain_constant(ratfun_new([1.0], [1.0, 1.0])) == 1.0
