@@ -233,10 +233,10 @@ def _limit(n: list[int], q: list[int]) -> float:
 
 
 def _endpoint(n: list[int], q: list[int], v0: float) -> float | None:
-    """inf over x >= 0 of n(x)/q(x), certified, when an end of the axis
-    attains it, else None: t0 = min(limit, v0 at x = 0) if n - t0*q has no
-    negative coefficient (so n - t0*q >= 0 on [0, inf)), or ``_certify``'s next
-    rung if only an end coefficient failed (rounding). A dip shows at x^1 first."""
+    """inf over x >= 0 of n(x)/q(x), certified, if an end of the axis attains
+    it, else None: t0 = min(limit, v0 at x = 0) when n - t0*q has no negative
+    coefficient (so is >= 0 on [0, inf)), or ``_certify``'s next rung when only
+    an end coefficient fails (rounding). x^1, where an interior dip shows, goes first."""
     t0 = min(_limit(n, q), v0)
     if not math.isfinite(t0):
         return None
